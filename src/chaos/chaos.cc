@@ -100,7 +100,8 @@ bool ChaosEngine::roll(Point point, double p) {
 }
 
 void ChaosEngine::note(Point point) {
-  obs::emit_chaos_injected(static_cast<std::uint8_t>(point));
+  obs::emit(obs::EventKind::kChaosInjected, obs::Origin::kTestbed,
+            {.cause = static_cast<std::uint8_t>(point)});
   obs::Registry& r = obs::Registry::instance();
   if (r.enabled()) {
     r.counter(obs::label_series("chaos.injected", "point", point_name(point)))

@@ -89,6 +89,27 @@ const UeStats& CoreNetwork::ue_stats(UeId ue) const {
   return context(ue).stats;
 }
 
+CoreStats CoreNetwork::stats() const {
+  CoreStats sum;
+  for (const auto& ue : ues_) sum += ue->stats;
+  return sum;
+}
+
+UeStats& UeStats::operator+=(const UeStats& o) {
+  nas_rx += o.nas_rx;
+  nas_tx += o.nas_tx;
+  rejects_sent += o.rejects_sent;
+  diag_downlinks += o.diag_downlinks;
+  diag_reports_rx += o.diag_reports_rx;
+  auth_vectors += o.auth_vectors;
+  fast_dplane_resets += o.fast_dplane_resets;
+  decode_rejects += o.decode_rejects;
+  malformed_rx += o.malformed_rx;
+  quarantine_drops += o.quarantine_drops;
+  suspect_reports_dropped += o.suspect_reports_dropped;
+  return *this;
+}
+
 void CoreNetwork::enable_diag_cache(bool on) {
   if (on) {
     diag_cache_ = std::make_unique<core::DiagnosisCache>();
@@ -99,7 +120,6 @@ void CoreNetwork::enable_diag_cache(bool on) {
 }
 
 void CoreNetwork::send(UeContext& ue, const nas::NasMessage& msg) {
-  ++stats_.nas_tx;
   ++ue.stats.nas_tx;
   cpu_.charge("nas_tx", 0.0002);
   Bytes wire = tx_pool_.acquire();
@@ -114,16 +134,14 @@ void CoreNetwork::send(UeContext& ue, const nas::NasMessage& msg) {
 
 void CoreNetwork::on_uplink(UeId id, BytesView wire) {
   UeContext& ue = context(id);
-  ++stats_.nas_rx;
   ++ue.stats.nas_rx;
   cpu_.charge("nas_rx", 0.0002);
   nas::DecodeError err;
   const auto msg = nas::decode_message(wire, &err);
   if (!msg) {
-    ++stats_.decode_rejects;
     ++ue.stats.decode_rejects;
-    obs::emit_decode_rejected(obs::Origin::kInfra,
-                              static_cast<std::uint8_t>(err));
+    obs::emit(obs::EventKind::kDecodeRejected, obs::Origin::kInfra,
+              {.cause = static_cast<std::uint8_t>(err)});
     auto& reg = obs::Registry::instance();
     if (reg.enabled()) {
       reg.counter(obs::label_series("core.decode_reject", "reason",
@@ -190,7 +208,6 @@ bool CoreNetwork::peer_quarantined(UeId ue) const {
 }
 
 void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
-  ++stats_.malformed_rx;
   ++ue.stats.malformed_rx;
   ++ue.malformed_count;
   auto& reg = obs::Registry::instance();
@@ -211,8 +228,9 @@ void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
       std::min(ue.malformed_strikes - 1, kMuteShiftCap);
   const auto mute = sim::seconds(kMuteBaseSeconds << shift);
   ue.muted_until = sim_.now() + mute;
-  obs::emit_peer_quarantined(static_cast<std::uint8_t>(
-      std::min<std::uint32_t>(ue.malformed_strikes, 255)));
+  obs::emit(obs::EventKind::kPeerQuarantined, obs::Origin::kInfra,
+            {.cause = static_cast<std::uint8_t>(
+                 std::min<std::uint32_t>(ue.malformed_strikes, 255))});
   if (reg.enabled()) {
     reg.counter(obs::ue_series("core.quarantined", ue.id)).inc();
   }
@@ -290,7 +308,7 @@ void CoreNetwork::start_authentication(UeContext& ue,
                                        bool /*for_registration*/) {
   Subscriber* sub = sub_of(ue);
   if (sub == nullptr) return;
-  ++stats_.auth_vectors;
+  ++ue.stats.auth_vectors;
   cpu_.charge("auth", 0.0005);
 
   crypto::Block rand{};
@@ -393,7 +411,6 @@ void CoreNetwork::handle_service_request(UeContext& ue,
 
 void CoreNetwork::reject_registration(UeContext& ue, std::uint8_t cause,
                                       std::optional<std::uint32_t> t3502) {
-  ++stats_.rejects_sent;
   ++ue.stats.rejects_sent;
   if (obs::Registry::instance().enabled()) {
     // Per-UE series: unbounded at city scale, so fleet callers cap the
@@ -445,7 +462,6 @@ void CoreNetwork::handle_pdu_request(
       // Penalty box: drop silently — no reject ACK. The muted peer's
       // report ack-guard expires, its retries exhaust, and the applet
       // falls back to the local plan (graceful degradation, DESIGN.md).
-      ++stats_.quarantine_drops;
       ++ue.stats.quarantine_drops;
       if (obs::Registry::instance().enabled()) {
         obs::count(obs::ue_series("core.quarantine_drops", ue.id));
@@ -458,7 +474,6 @@ void CoreNetwork::handle_pdu_request(
                                       collab_plain_)) {
         const auto report = proto::FailureReport::decode(collab_plain_);
         if (report) {
-          ++stats_.diag_reports_rx;
           ++ue.stats.diag_reports_rx;
           cpu_.charge("diagnosis", params::kCoreCostPerDiagnosis);
           ue.last_report_frame.assign(frame->begin(), frame->end());
@@ -586,7 +601,6 @@ void CoreNetwork::handle_pdu_request(
 void CoreNetwork::reject_pdu(UeContext& ue, const nas::SmHeader& hdr,
                              std::uint8_t cause,
                              std::optional<std::uint32_t> backoff) {
-  ++stats_.rejects_sent;
   ++ue.stats.rejects_sent;
   if (obs::Registry::instance().enabled()) {
     obs::count(obs::ue_series("core.rejects", ue.id));
@@ -753,7 +767,6 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
     // No assistance for a muted peer; its legacy retry machinery (and the
     // applet's local plan) still runs, so connectivity recovery degrades
     // gracefully instead of stalling.
-    ++stats_.quarantine_drops;
     ++ue.stats.quarantine_drops;
     if (obs::Registry::instance().enabled()) {
       obs::count(obs::ue_series("core.quarantine_drops", ue.id));
@@ -773,7 +786,6 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
       core::classify_failure_cached(event, learner_, rng_, diag_cache_.get());
   if (!advice.diag) return;
 
-  ++stats_.diag_downlinks;
   ++ue.stats.diag_downlinks;
   // Scratch-composed downlink: encode -> protect -> fragment without
   // intermediate copies (all buffers recycled across transfers).
@@ -811,7 +823,9 @@ void CoreNetwork::send_diag_fragments(UeContext& ue) {
       // Final fragment just got ACKed: transfer complete (Fig. 12 trans).
       diag_trans_ms_.push_back(sim::to_ms(sim_.now() - ue.diag_send_start));
       SLOG(kDebug, "core") << "assistance downlink delivered";
-      obs::emit_collab_downlink(diag_prep_ms_.back(), diag_trans_ms_.back());
+      obs::emit(obs::EventKind::kCollabDownlink, obs::Origin::kInfra,
+                {.prep_ms = diag_prep_ms_.back(),
+                 .trans_ms = diag_trans_ms_.back()});
       obs::count("seed.collab.downlink");
     }
     ue.pending_frags.clear();
@@ -865,9 +879,8 @@ void CoreNetwork::handle_diag_report(UeContext& ue,
     // authenticated NAS context never influences policy repair or the
     // shared learner. Dropped silently — no ACK for pre-security-context
     // covert traffic.
-    ++stats_.suspect_reports_dropped;
     ++ue.stats.suspect_reports_dropped;
-    obs::emit_suspect_report_dropped();
+    obs::emit(obs::EventKind::kSuspectReportDropped, obs::Origin::kInfra);
     if (obs::Registry::instance().enabled()) {
       obs::count(obs::ue_series("core.suspect_dropped", ue.id));
     }
@@ -934,7 +947,7 @@ void CoreNetwork::handle_diag_report(UeContext& ue,
     cmd.hdr = {1, 0};
     cmd.dns_addr = backup_dns();
     send(ue, nas::NasMessage(cmd));
-    ++stats_.fast_dplane_resets;
+    ++ue.stats.fast_dplane_resets;
     report_verdict(core::VerdictKind::kDnsFix, 6);  // B3
     return;
   }
@@ -944,7 +957,7 @@ void CoreNetwork::handle_diag_report(UeContext& ue,
     nas::PduSessionModificationCommand cmd;
     cmd.hdr = {1, 0};
     send(ue, nas::NasMessage(cmd));
-    ++stats_.fast_dplane_resets;
+    ++ue.stats.fast_dplane_resets;
     report_verdict(core::VerdictKind::kPolicyFix, 3);  // A3 config update
     return;
   }
@@ -952,7 +965,7 @@ void CoreNetwork::handle_diag_report(UeContext& ue,
   // Stale session (outdated gateway state): the SIM side orchestrates the
   // Fig. 6 fast reset next; the freshly established DATA session clears
   // the stale state in handle_pdu_request.
-  ++stats_.fast_dplane_resets;
+  ++ue.stats.fast_dplane_resets;
   report_verdict(core::VerdictKind::kStaleReset, 6);  // B3 fast reset
 }
 
@@ -962,9 +975,8 @@ void CoreNetwork::upload_sim_records(
   if (!ue.registered || quarantined(ue)) {
     // Learning-path guard: OTA record uploads from an unregistered or
     // quarantined peer never reach the shared NetRecord.
-    ++stats_.suspect_reports_dropped;
     ++ue.stats.suspect_reports_dropped;
-    obs::emit_suspect_report_dropped();
+    obs::emit(obs::EventKind::kSuspectReportDropped, obs::Origin::kInfra);
     if (obs::Registry::instance().enabled()) {
       obs::count(obs::ue_series("core.suspect_dropped", ue.id));
     }

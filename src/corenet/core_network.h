@@ -109,7 +109,9 @@ struct PduSession {
 
 /// Core-wide counters for the overhead experiments (Fig. 11a); summed
 /// over every attached UE.
-struct CoreStats {
+/// Core-network counters for one UE. The core-wide view is the same
+/// struct summed over every attached UE (CoreNetwork::stats()).
+struct UeStats {
   std::uint64_t nas_rx = 0;
   std::uint64_t nas_tx = 0;
   std::uint64_t rejects_sent = 0;
@@ -122,20 +124,10 @@ struct CoreStats {
   std::uint64_t malformed_rx = 0;       // semantic rejects past the decoder
   std::uint64_t quarantine_drops = 0;   // messages dropped while muted
   std::uint64_t suspect_reports_dropped = 0;  // learning-path rejections
-};
 
-/// Per-UE slice of the same counters (isolation tests, fleet benches).
-struct UeStats {
-  std::uint64_t nas_rx = 0;
-  std::uint64_t nas_tx = 0;
-  std::uint64_t rejects_sent = 0;
-  std::uint64_t diag_downlinks = 0;
-  std::uint64_t diag_reports_rx = 0;
-  std::uint64_t decode_rejects = 0;
-  std::uint64_t malformed_rx = 0;
-  std::uint64_t quarantine_drops = 0;
-  std::uint64_t suspect_reports_dropped = 0;
+  UeStats& operator+=(const UeStats& o);
 };
+using CoreStats = UeStats;
 
 class CoreNetwork {
  public:
@@ -240,7 +232,8 @@ class CoreNetwork {
   bool peer_quarantined(UeId ue) const;
 
   // ----- stats
-  const CoreStats& stats() const { return stats_; }
+  /// Core-wide counters: every UE's UeStats summed.
+  CoreStats stats() const;
   const UeStats& ue_stats(UeId ue) const;
   /// Fig. 12 downlink instrumentation: per-transfer preparation and
   /// transmission latencies in milliseconds (core-wide, append order).
@@ -368,7 +361,6 @@ class CoreNetwork {
   std::unique_ptr<core::DiagnosisCache> diag_cache_;
   std::uint64_t diag_cache_epoch_ = 0;
 
-  CoreStats stats_;
   std::vector<double> diag_prep_ms_;
   std::vector<double> diag_trans_ms_;
 

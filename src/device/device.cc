@@ -64,7 +64,7 @@ Device::Device(sim::Simulator& sim, sim::Rng& rng, ran::Gnb& gnb,
         // failure's lifecycle from the device's vantage point; the
         // testbed-level kRecovered only exists in single-UE harnesses.
         data_loss_seen_ = false;
-        obs::emit_recovered(obs::Origin::kOs);
+        obs::emit(obs::EventKind::kRecovered, obs::Origin::kOs);
       }
       applet_->notify_recovered();
       if (watchdog_) {
@@ -87,7 +87,8 @@ Device::Device(sim::Simulator& sim, sim::Rng& rng, ran::Gnb& gnb,
     android_->set_stall_handler([this] {
       // OS-level detection (captive-portal / TCP / DNS heuristics): the
       // data-plane failure becomes visible to the SEED report path here.
-      obs::emit_failure_detected(obs::Origin::kOs, 1, 0);
+      obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kOs,
+                {.plane = 1});
       arm_watchdog();
       carrier_->on_data_stall();
     });
@@ -117,7 +118,8 @@ void Device::on_watchdog() {
   }
   SLOG(kWarn, "device") << "recovery watchdog fired (refire "
                         << watchdog_refires_ << ")";
-  obs::emit_watchdog_fired(static_cast<std::uint8_t>(watchdog_refires_));
+  obs::emit(obs::EventKind::kWatchdogFired, obs::Origin::kOs,
+            {.cause = static_cast<std::uint8_t>(watchdog_refires_)});
   obs::count("seed.watchdog_fired");
   if (applet_->dead() || watchdog_refires_ >= watchdog_cfg_->max_refires) {
     degrade_to_legacy();
@@ -140,10 +142,9 @@ void Device::degrade_to_legacy() {
   if (watchdog_) watchdog_->cancel();
   SLOG(kWarn, "device") << "SEED path unusable, degrading to legacy "
                            "sequential retry";
-  obs::emit_terminal_failure(obs::Origin::kOs,
-                             applet_->dead() ? "applet dead"
-                                             : "watchdog exhausted");
-  obs::emit_degraded(obs::Origin::kOs);
+  obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kOs,
+            {.detail = applet_->dead() ? "applet dead" : "watchdog exhausted"});
+  obs::emit(obs::EventKind::kDegraded, obs::Origin::kOs);
   obs::count("seed.degradations");
   android_->set_sequential_retry_enabled(true);
   // If the path is still broken, restart the recovery under the legacy

@@ -30,9 +30,11 @@ ModemControl::Done trace_reset(std::uint8_t action, ModemControl::Done done) {
     obs::count(kCounters[action]);
   }
   if (!obs::enabled()) return done;
-  obs::emit_reset_issued(action);
+  obs::emit(obs::EventKind::kResetIssued, obs::Origin::kModem,
+            {.action = action});
   return [action, done = std::move(done)](bool ok) {
-    obs::emit_reset_completed(action, ok);
+    obs::emit(obs::EventKind::kResetCompleted, obs::Origin::kModem,
+              {.action = action, .ok = ok});
     if (done) done(ok);
   };
 }
@@ -236,7 +238,8 @@ void Modem::handle_registration_reject(const nas::RegistrationReject& m) {
   mm_ = MmState::kIdle;
   ++stats_.registrations_rejected;
   SLOG(kDebug, "modem") << "registration reject, cause #" << int(m.cause);
-  obs::emit_failure_detected(obs::Origin::kModem, 0, m.cause);
+  obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kModem,
+            {.plane = 0, .cause = m.cause});
   obs::count("seed.reject.cplane");
   if (obs::Registry::instance().enabled()) {
     // Per-cause series feed the health engine's failure-rate breakdown;
@@ -482,7 +485,8 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
   ++stats_.pdu_rejected;
   SLOG(kDebug, "modem") << "pdu reject on psi " << int(psi) << ", cause #"
                         << int(m.cause);
-  obs::emit_failure_detected(obs::Origin::kModem, 1, m.cause);
+  obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kModem,
+            {.plane = 1, .cause = m.cause});
   obs::count("seed.reject.dplane");
   if (obs::Registry::instance().enabled()) {
     obs::count(obs::label_series("seed.reject.dplane", "cause",
@@ -558,8 +562,8 @@ void Modem::on_downlink(BytesView wire) {
   const auto msg = nas::decode_message(wire, &err);
   if (!msg) {
     ++stats_.decode_rejects;
-    obs::emit_decode_rejected(obs::Origin::kModem,
-                              static_cast<std::uint8_t>(err));
+    obs::emit(obs::EventKind::kDecodeRejected, obs::Origin::kModem,
+              {.cause = static_cast<std::uint8_t>(err)});
     obs::Registry& reg = obs::Registry::instance();
     if (reg.enabled()) {
       reg.counter(obs::label_series("modem.decode_reject", "reason",

@@ -323,15 +323,8 @@ void HealthEngine::transition(SloState& s, AlertState to, std::int64_t at_us,
                 s.spec.id.c_str(), std::string(alert_state_name(to)).c_str(),
                 value, burn_short, burn_long);
   if (config_.emit_trace_events) {
-    Tracer& t = Tracer::instance();
-    if (t.enabled()) {
-      Event e;
-      e.kind = EventKind::kSloAlert;
-      e.origin = Origin::kTestbed;
-      e.ok = to != AlertState::kFiring;
-      e.detail = detail.data();
-      t.record_now(std::move(e));
-    }
+    emit(EventKind::kSloAlert, Origin::kTestbed,
+         {.ok = to != AlertState::kFiring, .detail = detail.data()});
   }
   if (config_.emit_slog) {
     SLOG(kInfo, "health") << detail.data();

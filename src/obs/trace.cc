@@ -16,7 +16,7 @@
 namespace seed::obs {
 namespace {
 
-constexpr std::array<std::string_view, 24> kKindNames = {
+constexpr auto kKindNames = std::to_array<std::string_view>({
     "failure_injected", "failure_detected",   "diagnosis_made",
     "reset_issued",     "reset_completed",    "recovered",
     "collab_downlink",  "collab_uplink",      "conflict_suppressed",
@@ -26,7 +26,56 @@ constexpr std::array<std::string_view, 24> kKindNames = {
     "slo_alert",        "decode_rejected",    "peer_quarantined",
     "suspect_report_dropped",                 "ground_truth",
     "diagnosis_verdict",
+});
+static_assert(kKindNames.size() == kEventKindCount,
+              "every EventKind needs a name");
+
+// print_summary's per-kind count columns, in print order. An empty label
+// keeps the kind counted but unprinted (the stage and action columns
+// already show it, or it carries no per-span signal).
+struct SummaryColumn {
+  EventKind kind;
+  std::string_view label;
 };
+constexpr auto kSummaryColumns = std::to_array<SummaryColumn>({
+    {EventKind::kConflictSuppressed, "conflicts"},
+    {EventKind::kRateLimited, "rate_limited"},
+    {EventKind::kCollabDownlink, "dl"},
+    {EventKind::kCollabUplink, "ul"},
+    {EventKind::kChaosInjected, "chaos"},
+    {EventKind::kActionRetry, "retries"},
+    {EventKind::kTierEscalated, "escalations"},
+    {EventKind::kWatchdogFired, "watchdog"},
+    {EventKind::kDegraded, "degraded"},
+    {EventKind::kCacheLookup, "cache"},  // printed as hits/lookups
+    {EventKind::kTerminalFailure, "terminal"},
+    {EventKind::kDecodeRejected, "decode_rejects"},
+    {EventKind::kPeerQuarantined, "quarantined"},
+    {EventKind::kSuspectReportDropped, "suspect_dropped"},
+    {EventKind::kGroundTruthLabel, "labels"},
+    {EventKind::kDiagnosisVerdict, "verdicts"},
+    {EventKind::kFailureInjected, ""},
+    {EventKind::kFailureDetected, ""},
+    {EventKind::kDiagnosisMade, ""},
+    {EventKind::kResetIssued, ""},
+    {EventKind::kResetCompleted, ""},
+    {EventKind::kRecovered, ""},
+    {EventKind::kLog, ""},
+    {EventKind::kSloAlert, ""},
+});
+
+constexpr bool lists_every_kind_once() {
+  std::array<int, kEventKindCount> seen{};
+  for (const SummaryColumn& c : kSummaryColumns) {
+    ++seen[static_cast<std::size_t>(c.kind)];
+  }
+  for (const int n : seen) {
+    if (n != 1) return false;
+  }
+  return true;
+}
+static_assert(lists_every_kind_once(),
+              "every EventKind needs exactly one summary column");
 
 constexpr std::array<std::string_view, 6> kOriginNames = {
     "none", "sim", "infra", "os", "modem", "testbed",
@@ -198,14 +247,11 @@ struct Tracer::RetentionState {
   bool is_trigger(const Event& e) const {
     switch (e.kind) {
       case EventKind::kTerminalFailure:
-        if (policy.on_terminal_failure) return true;
-        break;
+      case EventKind::kPeerQuarantined:
+        return true;
       case EventKind::kSloAlert:
         // `ok` encodes "not firing": a breach is the firing transition.
-        if (policy.on_slo_breach && !e.ok) return true;
-        break;
-      case EventKind::kPeerQuarantined:
-        if (policy.on_quarantine) return true;
+        if (!e.ok) return true;
         break;
       default:
         break;
@@ -572,6 +618,9 @@ std::vector<SpanSummary> Tracer::assemble(std::vector<Event> events) {
   for (const Event& e : events) {
     SpanSummary& s = spans[e.span];
     s.span = e.span;
+    if (const auto k = static_cast<std::size_t>(e.kind); k < kEventKindCount) {
+      ++s.counts[k];
+    }
     switch (e.kind) {
       case EventKind::kFailureInjected:
         if (!s.injected_us) {
@@ -607,29 +656,11 @@ std::vector<SpanSummary> Tracer::assemble(std::vector<Event> events) {
       case EventKind::kRecovered:
         if (!s.recovered_us) s.recovered_us = e.at_us;
         break;
-      case EventKind::kCollabDownlink: ++s.collab_downlinks; break;
-      case EventKind::kCollabUplink: ++s.collab_uplinks; break;
-      case EventKind::kConflictSuppressed: ++s.conflicts_suppressed; break;
-      case EventKind::kRateLimited: ++s.rate_limited; break;
-      case EventKind::kChaosInjected: ++s.chaos_injected; break;
-      case EventKind::kActionRetry: ++s.action_retries; break;
-      case EventKind::kTierEscalated: ++s.tier_escalations; break;
-      case EventKind::kWatchdogFired: ++s.watchdog_fires; break;
-      case EventKind::kDegraded: ++s.degradations; break;
       case EventKind::kCacheLookup:
-        ++s.cache_lookups;
         if (e.ok) ++s.cache_hits;
         break;
-      case EventKind::kTerminalFailure: ++s.terminal_failures; break;
-      case EventKind::kSloAlert: ++s.slo_alerts; break;
-      case EventKind::kDecodeRejected: ++s.decode_rejects; break;
-      case EventKind::kPeerQuarantined: ++s.peer_quarantines; break;
-      case EventKind::kSuspectReportDropped:
-        ++s.suspect_reports_dropped;
+      default:
         break;
-      case EventKind::kGroundTruthLabel: ++s.ground_truth_labels; break;
-      case EventKind::kDiagnosisVerdict: ++s.verdicts; break;
-      case EventKind::kLog: break;
     }
   }
   std::vector<SpanSummary> out;
@@ -672,26 +703,13 @@ void Tracer::print_summary(std::ostream& os,
       }
     }
     if (first) os << "-";
-    if (s.conflicts_suppressed) os << "  conflicts=" << s.conflicts_suppressed;
-    if (s.rate_limited) os << "  rate_limited=" << s.rate_limited;
-    if (s.collab_downlinks) os << "  dl=" << s.collab_downlinks;
-    if (s.collab_uplinks) os << "  ul=" << s.collab_uplinks;
-    if (s.chaos_injected) os << "  chaos=" << s.chaos_injected;
-    if (s.action_retries) os << "  retries=" << s.action_retries;
-    if (s.tier_escalations) os << "  escalations=" << s.tier_escalations;
-    if (s.watchdog_fires) os << "  watchdog=" << s.watchdog_fires;
-    if (s.degradations) os << "  degraded=" << s.degradations;
-    if (s.cache_lookups) {
-      os << "  cache=" << s.cache_hits << "/" << s.cache_lookups;
+    for (const SummaryColumn& c : kSummaryColumns) {
+      const std::uint64_t n = s.count(c.kind);
+      if (n == 0 || c.label.empty()) continue;
+      os << "  " << c.label << "=";
+      if (c.kind == EventKind::kCacheLookup) os << s.cache_hits << "/";
+      os << n;
     }
-    if (s.terminal_failures) os << "  terminal=" << s.terminal_failures;
-    if (s.decode_rejects) os << "  decode_rejects=" << s.decode_rejects;
-    if (s.peer_quarantines) os << "  quarantined=" << s.peer_quarantines;
-    if (s.suspect_reports_dropped) {
-      os << "  suspect_dropped=" << s.suspect_reports_dropped;
-    }
-    if (s.ground_truth_labels) os << "  labels=" << s.ground_truth_labels;
-    if (s.verdicts) os << "  verdicts=" << s.verdicts;
     os << "\n";
   }
 }

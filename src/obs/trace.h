@@ -13,9 +13,10 @@
 // default. Emit points are gated on
 // `enabled()` *before* any argument formatting — the same pattern as
 // `LogLine::live_` — so a disabled tracer adds no heap allocations on
-// the hot path; the inline emit_* helpers below take PODs only.
+// the hot path; the inline obs::emit below takes PODs only.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -32,39 +33,53 @@ namespace seed::obs {
 
 using SpanId = std::uint64_t;
 
+/// Numeric values are part of the JSONL and SEEDTRC formats: kinds are
+/// only ever appended. Codes from layers above obs (reset actions, chaos
+/// points, decode errors) ride as plain numbers, and a kind that borrows
+/// a field for a count or a code says so here.
 enum class EventKind : std::uint8_t {
   kFailureInjected = 0,
   kFailureDetected,
-  kDiagnosisMade,
-  kResetIssued,
-  kResetCompleted,
+  kDiagnosisMade,     // action = first action of the plan (0 = none)
+  kResetIssued,       // action = proto::ResetAction code (1..6 = A1..B3)
+  kResetCompleted,    // ok = action outcome
   kRecovered,
-  kCollabDownlink,
-  kCollabUplink,
+  kCollabDownlink,    // prep_ms, trans_ms
+  kCollabUplink,      // prep_ms, trans_ms
   kConflictSuppressed,
-  kRateLimited,
-  kLog,
-  // Chaos / hardened-recovery events (appended so existing numeric
-  // values — and therefore recorded traces — stay stable).
-  kChaosInjected,    // a fault-injection point fired (cause = point code)
+  kRateLimited,       // action = the action held back
+  kLog,               // detail = "<component>: <message>"
+  // Chaos / hardened-recovery events.
+  kChaosInjected,    // a fault-injection point fired (cause = chaos::Point)
   kActionRetry,      // a failed reset action is retried with backoff
-  kTierEscalated,    // handling moved past a failed action (Table 3 order)
+                     // (plane = 1-based attempt that just failed)
+  kTierEscalated,    // handling moved past a failed action, Table 3 order
+                     // (action = the rung escalated *to*)
   kWatchdogFired,    // recovery watchdog deadline hit, handling re-armed
+                     // (cause = refires so far)
   kDegraded,         // fell back to legacy handling (applet/channel dead)
-  // Health-engine / post-mortem events (appended, same stability rule).
-  kCacheLookup,      // Fig. 8 diagnosis-cache lookup (ok = hit)
+  // Health-engine / post-mortem events.
+  kCacheLookup,      // Fig. 8 diagnosis-cache lookup (ok = hit); emitted
+                     // only when a cache is attached
   kTerminalFailure,  // escalation ladder / watchdog hit a terminal state
-  kSloAlert,         // health-engine SLO alert transition (detail = payload)
-  // Adversarial-hardening events (appended, same stability rule).
+                     // (detail = reason); the flight recorder dumps a
+                     // blackbox on it
+  kSloAlert,         // health-engine SLO alert transition (ok = not
+                     // firing, detail = payload)
+  // Adversarial-hardening events.
   kDecodeRejected,   // a decoder refused input (cause = nas::DecodeError)
   kPeerQuarantined,  // a peer entered/extended its mute window
                      // (cause = strike count)
   kSuspectReportDropped,  // learning-path update rejected as untrusted
-  // Ground-truth evaluation events (appended, same stability rule).
+  // Ground-truth evaluation events.
   kGroundTruthLabel,   // labeled injection (cause = cause-family code)
   kDiagnosisVerdict,   // Fig. 8 / plan decision outcome
                        // (detail = "<kind>/<provenance>")
 };
+
+/// Number of event kinds; must name the last enumerator.
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::kDiagnosisVerdict) + 1;
 
 /// Which vantage point emitted the event (the same failure is seen by the
 /// network, the modem, the OS detector, and the SIM).
@@ -148,24 +163,12 @@ struct SpanSummary {
   std::optional<std::int64_t> diagnosed_us;
   std::optional<std::int64_t> recovered_us;
   std::vector<ActionTiming> actions;
-  std::uint64_t conflicts_suppressed = 0;
-  std::uint64_t rate_limited = 0;
-  std::uint64_t collab_downlinks = 0;
-  std::uint64_t collab_uplinks = 0;
-  std::uint64_t chaos_injected = 0;
-  std::uint64_t action_retries = 0;
-  std::uint64_t tier_escalations = 0;
-  std::uint64_t watchdog_fires = 0;
-  std::uint64_t degradations = 0;
-  std::uint64_t cache_lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t terminal_failures = 0;
-  std::uint64_t slo_alerts = 0;
-  std::uint64_t decode_rejects = 0;
-  std::uint64_t peer_quarantines = 0;
-  std::uint64_t suspect_reports_dropped = 0;
-  std::uint64_t ground_truth_labels = 0;
-  std::uint64_t verdicts = 0;
+  std::array<std::uint64_t, kEventKindCount> counts{};  // events per kind
+  std::uint64_t cache_hits = 0;  // kCacheLookup events with ok set
+
+  std::uint64_t count(EventKind k) const {
+    return counts[static_cast<std::size_t>(k)];
+  }
 
   std::optional<double> detect_ms() const { return delta(detected_us); }
   std::optional<double> diagnose_ms() const { return delta(diagnosed_us); }
@@ -205,15 +208,13 @@ struct ImportStats {
 };
 
 /// Tail-based retention policy: what promotes a UE's buffered ring to
-/// the durable capture. All triggers are deterministic functions of the
-/// event stream, so sampled captures merge byte-identically regardless
-/// of worker count.
+/// the durable capture. A terminal failure, an SLO alert entering firing
+/// and a peer quarantine always promote. All triggers are deterministic
+/// functions of the event stream, so sampled captures merge
+/// byte-identically regardless of worker count.
 struct RetentionPolicy {
   /// Per-UE ring depth: how much pre-trigger history survives promotion.
   std::size_t ring_depth = 32;
-  bool on_terminal_failure = true;  // kTerminalFailure
-  bool on_slo_breach = true;        // kSloAlert entering firing (ok==false)
-  bool on_quarantine = true;        // kPeerQuarantined
   /// Optional extra trigger supplied by a higher layer (obs sits below
   /// seed/eval, so e.g. the verdict!=label predicate arrives as a pure
   /// function of the event — see core::verdict_mismatch).
@@ -401,246 +402,35 @@ void export_event_jsonl(std::ostream& os, const Event& e);
 
 inline bool enabled() { return Tracer::instance().enabled(); }
 
-// ----- gated emit helpers (POD arguments only; no formatting before the
-// ----- enabled() check, so the disabled path never touches the heap)
+/// The payload of one emitted event. Which fields a kind uses, and which
+/// it borrows for a count or a code, is noted on its EventKind value.
+struct EventFields {
+  std::uint8_t plane = 0;
+  std::uint8_t cause = 0;
+  std::uint8_t action = 0;
+  bool ok = false;
+  double prep_ms = 0.0;
+  double trans_ms = 0.0;
+  std::uint32_t label = 0;  // 0 = stamped from the label source
+  std::string_view detail = {};
+};
 
-inline void emit_failure_injected(std::uint8_t plane, std::uint8_t cause,
-                                  Origin origin = Origin::kTestbed) {
+/// The one emit point. Checks enabled() before building the Event, so a
+/// disabled tracer costs a branch and never touches the heap.
+inline void emit(EventKind kind, Origin origin, const EventFields& f = {}) {
   Tracer& t = Tracer::instance();
   if (!t.enabled()) return;
   Event e;
-  e.kind = EventKind::kFailureInjected;
+  e.kind = kind;
   e.origin = origin;
-  e.plane = plane;
-  e.cause = cause;
-  t.record_now(std::move(e));
-}
-
-inline void emit_failure_detected(Origin origin, std::uint8_t plane,
-                                  std::uint8_t cause) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kFailureDetected;
-  e.origin = origin;
-  e.plane = plane;
-  e.cause = cause;
-  t.record_now(std::move(e));
-}
-
-inline void emit_diagnosis(Origin origin, std::uint8_t plane,
-                           std::uint8_t cause, std::uint8_t action = 0) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kDiagnosisMade;
-  e.origin = origin;
-  e.plane = plane;
-  e.cause = cause;
-  e.action = action;
-  t.record_now(std::move(e));
-}
-
-inline void emit_reset_issued(std::uint8_t action,
-                              Origin origin = Origin::kModem) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kResetIssued;
-  e.origin = origin;
-  e.action = action;
-  t.record_now(std::move(e));
-}
-
-inline void emit_reset_completed(std::uint8_t action, bool ok,
-                                 Origin origin = Origin::kModem) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kResetCompleted;
-  e.origin = origin;
-  e.action = action;
-  e.ok = ok;
-  t.record_now(std::move(e));
-}
-
-inline void emit_recovered(Origin origin = Origin::kTestbed) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kRecovered;
-  e.origin = origin;
-  t.record_now(std::move(e));
-}
-
-inline void emit_collab_downlink(double prep_ms, double trans_ms) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kCollabDownlink;
-  e.origin = Origin::kInfra;
-  e.prep_ms = prep_ms;
-  e.trans_ms = trans_ms;
-  t.record_now(std::move(e));
-}
-
-inline void emit_collab_uplink(double prep_ms, double trans_ms) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kCollabUplink;
-  e.origin = Origin::kSim;
-  e.prep_ms = prep_ms;
-  e.trans_ms = trans_ms;
-  t.record_now(std::move(e));
-}
-
-inline void emit_conflict_suppressed(Origin origin = Origin::kSim) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kConflictSuppressed;
-  e.origin = origin;
-  t.record_now(std::move(e));
-}
-
-inline void emit_rate_limited(std::uint8_t action,
-                              Origin origin = Origin::kSim) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kRateLimited;
-  e.origin = origin;
-  e.action = action;
-  t.record_now(std::move(e));
-}
-
-/// `point` is the chaos::Point code of the injection that fired; it rides
-/// in the cause field (obs stays below the chaos layer in the dep graph,
-/// mirroring how reset actions use numeric codes).
-inline void emit_chaos_injected(std::uint8_t point,
-                                Origin origin = Origin::kTestbed) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kChaosInjected;
-  e.origin = origin;
-  e.cause = point;
-  t.record_now(std::move(e));
-}
-
-/// `attempt` (1-based, the attempt that just failed) rides in the plane
-/// field, which is otherwise meaningless for retry events.
-inline void emit_action_retry(std::uint8_t action, std::uint8_t attempt,
-                              Origin origin = Origin::kSim) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kActionRetry;
-  e.origin = origin;
-  e.action = action;
-  e.plane = attempt;
-  t.record_now(std::move(e));
-}
-
-/// `action` is the action being escalated *to* (next Table 3 rung).
-inline void emit_tier_escalated(std::uint8_t action,
-                                Origin origin = Origin::kSim) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kTierEscalated;
-  e.origin = origin;
-  e.action = action;
-  t.record_now(std::move(e));
-}
-
-inline void emit_watchdog_fired(std::uint8_t refires,
-                                Origin origin = Origin::kOs) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kWatchdogFired;
-  e.origin = origin;
-  e.cause = refires;
-  t.record_now(std::move(e));
-}
-
-inline void emit_degraded(Origin origin = Origin::kOs) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kDegraded;
-  e.origin = origin;
-  t.record_now(std::move(e));
-}
-
-/// Fig. 8 diagnosis-cache lookup (only emitted when a cache is attached,
-/// so cache-less runs keep byte-identical traces). `hit` rides in `ok`.
-inline void emit_cache_lookup(bool hit, std::uint8_t plane,
-                              std::uint8_t cause) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kCacheLookup;
-  e.origin = Origin::kInfra;
-  e.plane = plane;
-  e.cause = cause;
-  e.ok = hit;
-  t.record_now(std::move(e));
-}
-
-/// Terminal state of a failure's handling: the escalation ladder ended in
-/// a user notification, or the recovery watchdog gave up on the SEED
-/// path. The flight recorder dumps a blackbox when it sees one of these.
-inline void emit_terminal_failure(Origin origin, std::string_view reason,
-                                  std::uint8_t plane = 0,
-                                  std::uint8_t cause = 0) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kTerminalFailure;
-  e.origin = origin;
-  e.plane = plane;
-  e.cause = cause;
-  e.detail = std::string(reason);
-  t.record_now(std::move(e));
-}
-
-/// A decoder refused input. The nas::DecodeError code rides in `cause`
-/// (obs stays below nas in the dep graph, the same numeric-code pattern
-/// as reset actions and chaos points).
-inline void emit_decode_rejected(Origin origin, std::uint8_t reason) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kDecodeRejected;
-  e.origin = origin;
-  e.cause = reason;
-  t.record_now(std::move(e));
-}
-
-/// A peer entered (or extended) its penalty-box mute window after
-/// repeated malformed traffic; `strikes` rides in `cause`.
-inline void emit_peer_quarantined(std::uint8_t strikes,
-                                  Origin origin = Origin::kInfra) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kPeerQuarantined;
-  e.origin = origin;
-  e.cause = strikes;
-  t.record_now(std::move(e));
-}
-
-/// A learning-path update (DiagnosisCache / NetRecord) was rejected
-/// because its report failed integrity or came from an untrusted peer.
-inline void emit_suspect_report_dropped(Origin origin = Origin::kInfra) {
-  Tracer& t = Tracer::instance();
-  if (!t.enabled()) return;
-  Event e;
-  e.kind = EventKind::kSuspectReportDropped;
-  e.origin = origin;
+  e.plane = f.plane;
+  e.cause = f.cause;
+  e.action = f.action;
+  e.ok = f.ok;
+  e.prep_ms = f.prep_ms;
+  e.trans_ms = f.trans_ms;
+  e.label = f.label;
+  e.detail = f.detail;
   t.record_now(std::move(e));
 }
 

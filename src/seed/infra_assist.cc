@@ -105,12 +105,12 @@ void log_and_emit(const AssistAdvice& advice, VerdictSource source,
   if (advice.diag) {
     SLOG(kDebug, "infra") << "diagnosis for cause #" << int(advice.diag->cause)
                           << (advice.diag->config ? " + config" : "");
-    obs::emit_diagnosis(
-        obs::Origin::kInfra, static_cast<std::uint8_t>(advice.diag->plane),
-        advice.diag->cause,
-        advice.diag->suggested
-            ? static_cast<std::uint8_t>(*advice.diag->suggested)
-            : 0);
+    const auto& suggested = advice.diag->suggested;
+    obs::emit(obs::EventKind::kDiagnosisMade, obs::Origin::kInfra,
+              {.plane = static_cast<std::uint8_t>(advice.diag->plane),
+               .cause = advice.diag->cause,
+               .action = suggested ? static_cast<std::uint8_t>(*suggested)
+                                   : std::uint8_t{0}});
     if (obs::enabled()) {
       DiagnosisVerdict v;
       v.plane = static_cast<std::uint8_t>(advice.diag->plane);
@@ -141,7 +141,8 @@ void log_and_emit(const AssistAdvice& advice, VerdictSource source,
     }
   } else if (advice.trigger_dplane_reset) {
     SLOG(kDebug, "infra") << "delivery report -> network d-plane reset";
-    obs::emit_diagnosis(obs::Origin::kInfra, 1, 0, 0);
+    obs::emit(obs::EventKind::kDiagnosisMade, obs::Origin::kInfra,
+              {.plane = 1});
     if (obs::enabled()) {
       DiagnosisVerdict v;
       v.plane = 1;
@@ -244,13 +245,16 @@ AssistAdvice classify_failure_cached(const FailureEvent& event,
     return classify_failure(event, learner, rng);
   }
   if (const AssistAdvice* hit = cache->lookup(event)) {
-    obs::emit_cache_lookup(true, static_cast<std::uint8_t>(event.plane),
-                           event.standardized_cause);
+    obs::emit(obs::EventKind::kCacheLookup, obs::Origin::kInfra,
+              {.plane = static_cast<std::uint8_t>(event.plane),
+               .cause = event.standardized_cause,
+               .ok = true});
     log_and_emit(*hit, VerdictSource::kCache, event, learner);
     return *hit;
   }
-  obs::emit_cache_lookup(false, static_cast<std::uint8_t>(event.plane),
-                         event.standardized_cause);
+  obs::emit(obs::EventKind::kCacheLookup, obs::Origin::kInfra,
+            {.plane = static_cast<std::uint8_t>(event.plane),
+             .cause = event.standardized_cause});
   // lookup() above already counted the miss; run the tree once and keep
   // the result for every later failure with the same shape.
   AssistAdvice advice = classify_failure(event, learner, rng);

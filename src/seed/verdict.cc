@@ -80,36 +80,28 @@ std::optional<VerdictSource> verdict_source_from(std::string_view token) {
 }
 
 void emit_verdict(const DiagnosisVerdict& v) {
-  obs::Tracer& t = obs::Tracer::instance();
-  if (!t.enabled()) return;
-  obs::Event e;
-  e.kind = obs::EventKind::kDiagnosisVerdict;
-  e.origin = v.source == VerdictSource::kSim ? obs::Origin::kSim
-                                             : obs::Origin::kInfra;
-  e.plane = v.plane;
-  e.cause = v.cause;
-  e.action = v.action;
-  e.prep_ms = static_cast<double>(v.learner_records);
-  e.trans_ms = static_cast<double>(v.wait_s);
-  e.detail.reserve(16);
-  e.detail.append(verdict_kind_token(v.kind));
-  e.detail.push_back('/');
-  e.detail.append(verdict_source_token(v.source));
-  t.record_now(std::move(e));
+  if (!obs::enabled()) return;
+  std::string detail(verdict_kind_token(v.kind));
+  detail.push_back('/');
+  detail.append(verdict_source_token(v.source));
+  obs::emit(obs::EventKind::kDiagnosisVerdict,
+            v.source == VerdictSource::kSim ? obs::Origin::kSim
+                                            : obs::Origin::kInfra,
+            {.plane = v.plane,
+             .cause = v.cause,
+             .action = v.action,
+             .prep_ms = static_cast<double>(v.learner_records),
+             .trans_ms = static_cast<double>(v.wait_s),
+             .detail = detail});
 }
 
 void emit_ground_truth(CauseFamily family, std::uint8_t plane,
                        std::uint32_t label) {
-  obs::Tracer& t = obs::Tracer::instance();
-  if (!t.enabled()) return;
-  obs::Event e;
-  e.kind = obs::EventKind::kGroundTruthLabel;
-  e.origin = obs::Origin::kTestbed;
-  e.plane = plane;
-  e.cause = static_cast<std::uint8_t>(family);
-  e.label = label;
-  e.detail = std::string(family_name(family));
-  t.record_now(std::move(e));
+  obs::emit(obs::EventKind::kGroundTruthLabel, obs::Origin::kTestbed,
+            {.plane = plane,
+             .cause = static_cast<std::uint8_t>(family),
+             .label = label,
+             .detail = family_name(family)});
 }
 
 std::optional<DiagnosisVerdict> verdict_from_event(const obs::Event& e) {

@@ -160,7 +160,7 @@ void SeedApplet::crash() {
     dead_ = true;
     SLOG(kWarn, "applet") << "applet dead after " << crash_count_
                           << " crashes";
-    obs::emit_degraded(obs::Origin::kSim);
+    obs::emit(obs::EventKind::kDegraded, obs::Origin::kSim);
     obs::count("seed.applet_dead");
     if (on_dead_) on_dead_();
     return;
@@ -198,16 +198,18 @@ void SeedApplet::handle_diag(const proto::DiagInfo& info) {
   if (info.config) apply_config(*info.config);
 
   core::HandlingPlan plan = core::decide(info, mode_);
-  obs::emit_diagnosis(
-      obs::Origin::kSim, static_cast<std::uint8_t>(info.plane), info.cause,
-      plan.actions.empty()
-          ? 0
-          : static_cast<std::uint8_t>(plan.actions.front()));
+  obs::emit(obs::EventKind::kDiagnosisMade, obs::Origin::kSim,
+            {.plane = static_cast<std::uint8_t>(info.plane),
+             .cause = info.cause,
+             .action = plan.actions.empty()
+                           ? std::uint8_t{0}
+                           : static_cast<std::uint8_t>(plan.actions.front())});
   if (plan.notify_user) {
     ++stats_.user_notifications;
-    obs::emit_terminal_failure(obs::Origin::kSim, "diagnosis says notify user",
-                              static_cast<std::uint8_t>(info.plane),
-                              info.cause);
+    obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kSim,
+              {.plane = static_cast<std::uint8_t>(info.plane),
+               .cause = info.cause,
+               .detail = "diagnosis says notify user"});
     if (notify_user_) {
       notify_user_(std::string(nas::cause_name(info.plane, info.cause)));
     }
@@ -318,7 +320,8 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
           core::escalation_ladder(actions, mode_);
       if (!ladder.empty()) {
         ++stats_.tier_escalations;
-        obs::emit_tier_escalated(static_cast<std::uint8_t>(ladder.front()));
+        obs::emit(obs::EventKind::kTierEscalated, obs::Origin::kSim,
+                  {.action = static_cast<std::uint8_t>(ladder.front())});
         obs::count("seed.tier_escalations");
         SLOG(kInfo, "applet")
             << "plan exhausted, escalating to "
@@ -329,8 +332,8 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     }
     if (retry_policy_.notify_user_on_exhaust) {
       ++stats_.user_notifications;
-      obs::emit_terminal_failure(obs::Origin::kSim,
-                                 "recovery actions exhausted", 0, cause);
+      obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kSim,
+                {.cause = cause, .detail = "recovery actions exhausted"});
       if (notify_user_) notify_user_("recovery actions exhausted");
     }
     plan_in_flight_ = false;
@@ -343,7 +346,8 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
   }
   if (rate_limited(action)) {
     ++stats_.actions_rate_limited;
-    obs::emit_rate_limited(static_cast<std::uint8_t>(action));
+    obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
+              {.action = static_cast<std::uint8_t>(action)});
     obs::count("seed.rate_limited");
     run_actions(std::move(actions), idx + 1, 1, learning, cause, escalated);
     return;
@@ -384,8 +388,9 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
       refund_rate_limit(action, issued_at);
       if (attempt < retry_policy_.max_attempts_per_action) {
         ++stats_.actions_retried;
-        obs::emit_action_retry(static_cast<std::uint8_t>(action),
-                               static_cast<std::uint8_t>(attempt + 1));
+        obs::emit(obs::EventKind::kActionRetry, obs::Origin::kSim,
+                  {.plane = static_cast<std::uint8_t>(attempt + 1),
+                   .action = static_cast<std::uint8_t>(action)});
         obs::count("seed.action_retries");
         retry_timer_.arm(
             core::backoff_delay(retry_policy_, attempt),
@@ -403,8 +408,8 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
       }
       if (retry_policy_.escalate_beyond_plan && idx + 1 < actions.size()) {
         ++stats_.tier_escalations;
-        obs::emit_tier_escalated(
-            static_cast<std::uint8_t>(actions[idx + 1]));
+        obs::emit(obs::EventKind::kTierEscalated, obs::Origin::kSim,
+                  {.action = static_cast<std::uint8_t>(actions[idx + 1])});
         obs::count("seed.tier_escalations");
       }
     }
@@ -472,7 +477,7 @@ void SeedApplet::report_failure(const proto::FailureReport& report) {
   if (sim_.now() - last_cause_time_ < params::kSeedConflictWindow) {
     ++stats_.reports_suppressed_conflict;
     SLOG(kDebug, "applet") << "delivery report suppressed (conflict window)";
-    obs::emit_conflict_suppressed();
+    obs::emit(obs::EventKind::kConflictSuppressed, obs::Origin::kSim);
     obs::count("seed.conflict_suppressed");
     return;
   }
@@ -520,7 +525,7 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
         SLOG(kWarn, "applet") << "uplink report failed";
         if (++uplink_fail_streak_ >= 3 && !collab_uplink_dead_) {
           collab_uplink_dead_ = true;
-          obs::emit_degraded(obs::Origin::kSim);
+          obs::emit(obs::EventKind::kDegraded, obs::Origin::kSim);
           obs::count("seed.collab_dead");
           SLOG(kWarn, "applet") << "collab uplink declared dead";
         }
@@ -532,8 +537,9 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
       uplink_fail_streak_ = 0;
       report_trans_ms_.push_back(sim::to_ms(sim_.now() - send_start));
       SLOG(kDebug, "applet") << "uplink report delivered";
-      obs::emit_collab_uplink(report_prep_ms_.back(),
-                              report_trans_ms_.back());
+      obs::emit(obs::EventKind::kCollabUplink, obs::Origin::kSim,
+                {.prep_ms = report_prep_ms_.back(),
+                 .trans_ms = report_trans_ms_.back()});
       obs::count("seed.collab.uplink");
       // Give the network a beat to apply a config-only fix (modification
       // command); if service is still down, run the Fig. 6 fast reset.
@@ -551,8 +557,9 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
           });
         } else {
           ++stats_.actions_rate_limited;
-          obs::emit_rate_limited(
-              static_cast<std::uint8_t>(proto::ResetAction::kB3DPlaneReset));
+          obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
+                    {.action = static_cast<std::uint8_t>(
+                         proto::ResetAction::kB3DPlaneReset)});
           obs::count("seed.rate_limited");
         }
       });

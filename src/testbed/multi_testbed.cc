@@ -13,6 +13,16 @@ namespace seed::testbed {
 
 namespace {
 
+// Gap between consecutive device power-ons at bring-up; staggering keeps
+// the attach stampede from synchronizing every retry timer.
+constexpr sim::Duration kPowerOnStagger = sim::ms(20);
+
+// Probability that a sampled storm injection is a data-delivery failure
+// (stale gateway state, erroneous traffic policy) instead of a Table-1
+// NAS failure. Delivery failures produce no NAS reject: the device
+// detects them and, on SEED-R UEs, reports them over the DIAG-DNN uplink.
+constexpr double kDeliveryFailureProb = 0.15;
+
 crypto::Key128 fleet_key(std::size_t i, std::uint8_t salt) {
   crypto::Key128 k{};
   for (std::size_t b = 0; b < 16; ++b) {
@@ -92,7 +102,7 @@ void MultiTestbed::bring_up_all(sim::Duration deadline) {
     // Tag the power-on (and its entire attach cascade) with the UE index.
     sim::Simulator::TagScope tag(sim_, static_cast<std::uint32_t>(i) + 1);
     device::Device* dev = slots_[i].dev.get();
-    sim_.schedule_after(opts_.power_on_stagger * static_cast<int>(i),
+    sim_.schedule_after(kPowerOnStagger * static_cast<int>(i),
                         [dev] { dev->power_on(); });
   }
   const auto until = sim_.now() + deadline;
@@ -164,7 +174,7 @@ void MultiTestbed::inject_cp(corenet::UeId ue, CpFailure f) {
       break;
   }
 
-  obs::emit_failure_injected(0, 0);
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed);
   obs::count(obs::ue_series("fleet.injections", ue + 1));
   dev.modem().trigger_reattach();
 }
@@ -231,7 +241,8 @@ void MultiTestbed::inject_dp(corenet::UeId ue, DpFailure f) {
       break;
   }
 
-  obs::emit_failure_injected(1, 0);
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+            {.plane = 1});
   obs::count(obs::ue_series("fleet.injections", ue + 1));
   core_->drop_sessions(ue);
   dev.modem().restart_data_session();
@@ -284,7 +295,8 @@ void MultiTestbed::inject_delivery(corenet::UeId ue, DeliveryFailure f) {
       // per-UE would take every UE down at once. Not sampled here.
       return;
   }
-  obs::emit_failure_injected(1, 0);
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+            {.plane = 1});
   obs::count(obs::ue_series("fleet.injections", ue + 1));
   // An app daemon notices the dead flow and files a report through the
   // SEED report API (detection latency itself is Fig. 3's experiment).
@@ -310,7 +322,7 @@ void MultiTestbed::inject_delivery(corenet::UeId ue, DeliveryFailure f) {
 }
 
 void MultiTestbed::inject_sampled(corenet::UeId ue) {
-  if (rng_.chance(opts_.delivery_failure_prob)) {
+  if (rng_.chance(kDeliveryFailureProb)) {
     // Delivery-failure slice of the storm: stale gateway state dominates,
     // erroneous traffic policies split the rest (Table 1's operational
     // data-delivery classes).

@@ -45,21 +45,12 @@ struct MultiOptions {
   /// config-assist path once at bring-up (warming the shared cache for
   /// the whole fleet) and again on every kOutdatedDnn storm injection.
   bool outdated_dnn_population = true;
-  /// Gap between consecutive device power-ons at bring-up; staggering
-  /// keeps the attach stampede from synchronizing every retry timer.
-  sim::Duration power_on_stagger = sim::ms(20);
   /// Mixed deployment: every Nth UE runs SEED-R (infrastructure-decided
   /// recovery) instead of the base kSeedU scheme, so a storm exercises
   /// the uplink collab report path alongside the downlink assistance
   /// path. 0 = the whole fleet runs `scheme`. Ignored unless `scheme`
   /// is kSeedU.
   std::size_t seed_r_every = 4;
-  /// Probability that a sampled storm injection is a data-delivery
-  /// failure (stale gateway state, erroneous traffic policy) instead of
-  /// a Table-1 NAS failure. Delivery failures produce no NAS reject —
-  /// they are detected by the device and, on SEED-R UEs, reported over
-  /// the DIAG-DNN uplink.
-  double delivery_failure_prob = 0.15;
 };
 
 class MultiTestbed {
@@ -81,8 +72,8 @@ class MultiTestbed {
   /// over the uplink collab channel. kDnsOutage is carrier-wide and not
   /// injectable per-UE here.
   void inject_delivery(corenet::UeId ue, DeliveryFailure f);
-  /// Samples the storm mix (Table 1 NAS failures plus
-  /// `delivery_failure_prob` delivery failures) and injects it on `ue`.
+  /// Samples the storm mix (Table 1 NAS failures plus a 15% slice of
+  /// delivery failures) and injects it on `ue`.
   void inject_sampled(corenet::UeId ue);
 
   /// Scheme a fleet index runs under the configured SEED-R mix.

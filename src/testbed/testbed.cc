@@ -130,7 +130,7 @@ Outcome Testbed::await_recovery(sim::TimePoint t0, sim::Duration timeout) {
       out.disruption_s = sim::to_seconds(sim_.now() - t0);
       SLOG(kDebug, "testbed") << "recovered after " << out.disruption_s
                               << " s";
-      obs::emit_recovered();
+      obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
       obs::observe("seed.recovery_ms", out.disruption_s * 1e3);
       // Let trailing protocol actions (release completions, record
       // uploads, cancelled timers) settle before returning.
@@ -203,7 +203,8 @@ Outcome Testbed::run_cp_failure(CpFailure f, sim::Duration timeout) {
   const auto t0 = sim_.now();
   SLOG(kDebug, "testbed") << "inject c-plane failure, expected cause #"
                           << int(cp_cause_of(f));
-  obs::emit_failure_injected(0, cp_cause_of(f));
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+            {.plane = 0, .cause = cp_cause_of(f)});
   // Mobility/TAU event forces the control-plane procedure under fault.
   device_->modem().trigger_reattach();
   Outcome out = await_recovery(t0, timeout);
@@ -288,7 +289,8 @@ Outcome Testbed::run_dp_failure(DpFailure f, sim::Duration timeout) {
   const auto t0 = sim_.now();
   SLOG(kDebug, "testbed") << "inject d-plane failure, expected cause #"
                           << int(dp_cause_of(f));
-  obs::emit_failure_injected(1, dp_cause_of(f));
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+            {.plane = 1, .cause = dp_cause_of(f)});
   // Data-plane management procedure under fault: the SMF lost the
   // session context (state desync) and the device re-requests it while
   // staying registered. Disruption is measured from the procedure start.
@@ -325,7 +327,8 @@ Outcome Testbed::run_delivery_failure(DeliveryFailure f,
 
   const auto t0 = sim_.now();
   SLOG(kDebug, "testbed") << "inject data-delivery failure";
-  obs::emit_failure_injected(1, 0);
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+            {.plane = 1});
   if (immediate_detection) {
     // Paper §7.1.1 measures recovery with the failure reported promptly
     // (apps use the SEED report API; the legacy baseline is triggered at
@@ -372,8 +375,10 @@ Outcome Testbed::run_custom_failure(nas::Plane plane, core::CustomCause code,
                                     sim::Duration timeout) {
   auto& faults = core_->faults();
   const auto t0 = sim_.now();
-  obs::emit_failure_injected(plane == nas::Plane::kControl ? 0 : 1,
-                             static_cast<std::uint8_t>(code & 0xff));
+  obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+            {.plane = static_cast<std::uint8_t>(
+                 plane == nas::Plane::kControl ? 0 : 1),
+             .cause = static_cast<std::uint8_t>(code & 0xff)});
   if (plane == nas::Plane::kControl) {
     faults.custom_cause_cp = code;
     device_->modem().trigger_reattach();

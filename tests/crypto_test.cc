@@ -31,6 +31,10 @@ struct EcbVector {
   const char* ciphertext;
 };
 
+// Without this gtest prints the two pointers, and CTest names each case after
+// that address dump, which changes from one build (and one load) to the next.
+void PrintTo(const EcbVector& v, std::ostream* os) { *os << v.plaintext; }
+
 // NIST SP 800-38A F.1.1 (AES-128 ECB), key 2b7e1516...
 class AesEcbTest : public ::testing::TestWithParam<EcbVector> {};
 

@@ -149,14 +149,16 @@ ObsDump run_obs_fleet(std::size_t threads) {
         const auto detect_us = rng.uniform_int(100, 5'000);
         const auto recover_us = detect_us + rng.uniform_int(100, 20'000);
         simulator.schedule_after(sim::us(10), [cause] {
-          obs::emit_failure_injected(0, cause);
+          obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
+                    {.plane = 0, .cause = cause});
         });
         simulator.schedule_after(sim::us(detect_us), [cause] {
-          obs::emit_failure_detected(obs::Origin::kSim, 0, cause);
+          obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kSim,
+                    {.plane = 0, .cause = cause});
           obs::count("fleet.detected");
         });
         simulator.schedule_after(sim::us(recover_us), [recover_us] {
-          obs::emit_recovered();
+          obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
           obs::observe("fleet.recover_us",
                        static_cast<double>(recover_us));
         });

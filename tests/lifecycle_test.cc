@@ -40,17 +40,18 @@ class LifecycleTest : public ::testing::Test {
 };
 
 TEST_F(LifecycleTest, HappyPathChainsDetectDiagnoseResetRecover) {
-  emit_failure_injected(0, 7);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 7});
   advance(sim::ms(5));
-  emit_failure_detected(Origin::kModem, 0, 7);
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 7});
   advance(sim::ms(5));
-  emit_diagnosis(Origin::kSim, 0, 7, 2);
+  emit(EventKind::kDiagnosisMade, Origin::kSim,
+       {.plane = 0, .cause = 7, .action = 2});
   advance(sim::ms(5));
-  emit_reset_issued(2);
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 2});
   advance(sim::ms(20));
-  emit_reset_completed(2, true);
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 2, .ok = true});
   advance(sim::ms(5));
-  emit_recovered();
+  emit(EventKind::kRecovered, Origin::kTestbed);
 
   const auto& ev = events();
   ASSERT_EQ(ev.size(), 6u);
@@ -66,12 +67,18 @@ TEST_F(LifecycleTest, HappyPathChainsDetectDiagnoseResetRecover) {
 }
 
 TEST_F(LifecycleTest, CollabTransfersHangOffTheirVantagePoint) {
-  emit_failure_injected(0, 9);
-  emit_diagnosis(Origin::kInfra, 0, 9);  // infra-side Fig. 8 verdict
-  emit_collab_downlink(1.0, 2.0);        // AUTN downlink <- infra diagnosis
-  emit_failure_detected(Origin::kModem, 0, 9);
-  emit_collab_uplink(1.0, 2.0);          // DIAG-DNN uplink <- detection
-  emit_diagnosis(Origin::kSim, 0, 9, 1);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
+  // infra-side Fig. 8 verdict
+  emit(EventKind::kDiagnosisMade, Origin::kInfra, {.plane = 0, .cause = 9});
+  // AUTN downlink <- infra diagnosis
+  emit(EventKind::kCollabDownlink, Origin::kInfra,
+       {.prep_ms = 1.0, .trans_ms = 2.0});
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 9});
+  // DIAG-DNN uplink <- detection
+  emit(EventKind::kCollabUplink, Origin::kSim,
+       {.prep_ms = 1.0, .trans_ms = 2.0});
+  emit(EventKind::kDiagnosisMade, Origin::kSim,
+       {.plane = 0, .cause = 9, .action = 1});
 
   const auto& ev = events();
   ASSERT_EQ(ev.size(), 6u);
@@ -83,18 +90,21 @@ TEST_F(LifecycleTest, CollabTransfersHangOffTheirVantagePoint) {
 }
 
 TEST_F(LifecycleTest, RetryAndEscalationExtendTheChain) {
-  emit_failure_injected(1, 50);
-  emit_failure_detected(Origin::kOs, 1, 50);
-  emit_diagnosis(Origin::kSim, 1, 50, 6);
-  emit_reset_issued(6);                    // B3
-  emit_reset_completed(6, false);
-  emit_action_retry(6, 1);
-  emit_reset_issued(6);                    // retry attempt
-  emit_reset_completed(6, false);
-  emit_tier_escalated(5);                  // move to B2
-  emit_reset_issued(5);
-  emit_reset_completed(5, true);
-  emit_recovered();
+  emit(EventKind::kFailureInjected, Origin::kTestbed,
+       {.plane = 1, .cause = 50});
+  emit(EventKind::kFailureDetected, Origin::kOs, {.plane = 1, .cause = 50});
+  emit(EventKind::kDiagnosisMade, Origin::kSim,
+       {.plane = 1, .cause = 50, .action = 6});
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 6});  // B3
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 6, .ok = false});
+  emit(EventKind::kActionRetry, Origin::kSim, {.plane = 1, .action = 6});
+  // retry attempt
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 6});
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 6, .ok = false});
+  emit(EventKind::kTierEscalated, Origin::kSim, {.action = 5});  // move to B2
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 5});
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 5, .ok = true});
+  emit(EventKind::kRecovered, Origin::kTestbed);
 
   const auto& ev = events();
   ASSERT_EQ(ev.size(), 12u);
@@ -107,22 +117,25 @@ TEST_F(LifecycleTest, RetryAndEscalationExtendTheChain) {
 }
 
 TEST_F(LifecycleTest, BuildLifecycleReconstructsOneTreePerFailure) {
-  emit_failure_injected(0, 7);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 7});
   advance(sim::ms(1));
-  emit_failure_detected(Origin::kModem, 0, 7);
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 7});
   advance(sim::ms(1));
-  emit_diagnosis(Origin::kSim, 0, 7, 1);
+  emit(EventKind::kDiagnosisMade, Origin::kSim,
+       {.plane = 0, .cause = 7, .action = 1});
   advance(sim::ms(1));
-  emit_reset_issued(1);
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 1});
   advance(sim::ms(1));
-  emit_reset_completed(1, true);
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 1, .ok = true});
   advance(sim::ms(1));
-  emit_recovered();
+  emit(EventKind::kRecovered, Origin::kTestbed);
   Tracer::instance().end_span();
   advance(sim::ms(10));
-  emit_failure_injected(1, 50);  // a second, independent failure
+  // a second, independent failure
+  emit(EventKind::kFailureInjected, Origin::kTestbed,
+       {.plane = 1, .cause = 50});
   advance(sim::ms(1));
-  emit_failure_detected(Origin::kOs, 1, 50);
+  emit(EventKind::kFailureDetected, Origin::kOs, {.plane = 1, .cause = 50});
 
   const auto trees = Tracer::build_lifecycle(events());
   ASSERT_EQ(trees.size(), 2u);
@@ -138,12 +151,12 @@ TEST_F(LifecycleTest, BuildLifecycleReconstructsOneTreePerFailure) {
 }
 
 TEST_F(LifecycleTest, LogEventsAreExcludedFromTrees) {
-  emit_failure_injected(0, 7);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 7});
   Event log;
   log.kind = EventKind::kLog;
   log.detail = "noise";
   Tracer::instance().record_now(std::move(log));
-  emit_failure_detected(Origin::kModem, 0, 7);
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 7});
 
   const auto trees = Tracer::build_lifecycle(events());
   ASSERT_EQ(trees.size(), 1u);
@@ -205,11 +218,11 @@ TEST_F(LifecycleTest, AbsorbRemapsSeqAndParentLinks) {
 }
 
 TEST_F(LifecycleTest, SeqAndParentRoundTripThroughJsonl) {
-  emit_failure_injected(0, 7);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 7});
   advance(sim::ms(2));
-  emit_failure_detected(Origin::kModem, 0, 7);
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 7});
   advance(sim::ms(2));
-  emit_recovered();
+  emit(EventKind::kRecovered, Origin::kTestbed);
 
   std::stringstream buf;
   Tracer::instance().export_jsonl(buf);
@@ -218,11 +231,11 @@ TEST_F(LifecycleTest, SeqAndParentRoundTripThroughJsonl) {
 }
 
 TEST_F(LifecycleTest, PrintLifecycleRendersTreeWithStages) {
-  emit_failure_injected(0, 7);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 7});
   advance(sim::ms(3));
-  emit_failure_detected(Origin::kModem, 0, 7);
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 7});
   advance(sim::ms(4));
-  emit_recovered();
+  emit(EventKind::kRecovered, Origin::kTestbed);
   std::ostringstream os;
   Tracer::print_lifecycle(os, Tracer::build_lifecycle(events()));
   const std::string out = os.str();

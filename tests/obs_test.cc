@@ -43,15 +43,17 @@ class ObsTest : public ::testing::Test {
 };
 
 TEST_F(ObsTest, DisabledTracerRecordsNothing) {
-  emit_failure_injected(0, 9);
-  emit_failure_detected(Origin::kModem, 0, 9);
-  emit_diagnosis(Origin::kSim, 0, 9, 1);
-  emit_reset_issued(1);
-  emit_reset_completed(1, true);
-  emit_recovered();
-  emit_collab_downlink(1.0, 2.0);
-  emit_conflict_suppressed();
-  emit_rate_limited(6);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 9});
+  emit(EventKind::kDiagnosisMade, Origin::kSim,
+       {.plane = 0, .cause = 9, .action = 1});
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 1});
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 1, .ok = true});
+  emit(EventKind::kRecovered, Origin::kTestbed);
+  emit(EventKind::kCollabDownlink, Origin::kInfra,
+       {.prep_ms = 1.0, .trans_ms = 2.0});
+  emit(EventKind::kConflictSuppressed, Origin::kSim);
+  emit(EventKind::kRateLimited, Origin::kSim, {.action = 6});
   EXPECT_TRUE(Tracer::instance().events().empty());
 }
 
@@ -59,17 +61,19 @@ TEST_F(ObsTest, SpanOpensOnInjectionAndEventsAttach) {
   Tracer& t = Tracer::instance();
   t.enable(true);
 
-  emit_failure_injected(0, 9);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
   const SpanId first = t.active_span();
   ASSERT_NE(first, 0u);
   advance(sim::ms(35));
-  emit_failure_detected(Origin::kModem, 0, 9);
+  emit(EventKind::kFailureDetected, Origin::kModem, {.plane = 0, .cause = 9});
   advance(sim::ms(5));
-  emit_reset_issued(4);  // B1
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 4});  // B1
   t.end_span();
   EXPECT_EQ(t.active_span(), 0u);
 
-  emit_failure_injected(1, 33);  // new failure -> new span
+  // new failure -> new span
+  emit(EventKind::kFailureInjected, Origin::kTestbed,
+       {.plane = 1, .cause = 33});
   const SpanId second = t.active_span();
   EXPECT_EQ(second, first + 1);
 
@@ -86,11 +90,11 @@ TEST_F(ObsTest, SpanOpensOnInjectionAndEventsAttach) {
 TEST_F(ObsTest, SpanIdsStayMonotonicAcrossClear) {
   Tracer& t = Tracer::instance();
   t.enable(true);
-  emit_failure_injected(0, 9);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
   const SpanId before = t.active_span();
   t.clear();
   EXPECT_TRUE(t.events().empty());
-  emit_failure_injected(0, 9);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
   EXPECT_GT(t.active_span(), before);
 }
 
@@ -143,12 +147,13 @@ TEST_F(ObsTest, AssembleHandlesOutOfOrderEvents) {
 TEST_F(ObsTest, ResetCompletionPairsWithLastUnmatchedIssue) {
   Tracer& t = Tracer::instance();
   t.enable(true);
-  emit_failure_injected(0, 9);
-  emit_reset_issued(1);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 1});
   advance(sim::ms(100));
-  emit_reset_issued(1);  // retry of the same action, still pending
+  // retry of the same action, still pending
+  emit(EventKind::kResetIssued, Origin::kModem, {.action = 1});
   advance(sim::ms(100));
-  emit_reset_completed(1, true);
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 1, .ok = true});
 
   const std::vector<SpanSummary> spans = t.summarize();
   ASSERT_EQ(spans.size(), 1u);
@@ -161,11 +166,13 @@ TEST_F(ObsTest, ResetCompletionPairsWithLastUnmatchedIssue) {
 TEST_F(ObsTest, JsonlRoundTripPreservesEvents) {
   Tracer& t = Tracer::instance();
   t.enable(true);
-  emit_failure_injected(1, 27);
+  emit(EventKind::kFailureInjected, Origin::kTestbed,
+       {.plane = 1, .cause = 27});
   advance(sim::ms(12));
-  emit_collab_downlink(12.5, 0.25);
+  emit(EventKind::kCollabDownlink, Origin::kInfra,
+       {.prep_ms = 12.5, .trans_ms = 0.25});
   advance(sim::ms(3));
-  emit_reset_completed(6, false);
+  emit(EventKind::kResetCompleted, Origin::kModem, {.action = 6, .ok = false});
   Event log;
   log.kind = EventKind::kLog;
   log.detail = "modem: said \"reset\"\n\ttab and \\ backslash";
@@ -370,17 +377,18 @@ TEST_F(ObsTest, EscapedJsonlRoundTripsArbitraryBytes) {
 TEST_F(ObsTest, AdversarialEventsAssembleIntoSpanCounters) {
   Tracer& t = Tracer::instance();
   t.enable(true);
-  emit_failure_injected(0, 9);  // opens the span the events attach to
-  emit_decode_rejected(Origin::kInfra, 1);
-  emit_decode_rejected(Origin::kModem, 4);
-  emit_peer_quarantined(3);
-  emit_suspect_report_dropped(Origin::kInfra);
+  // opens the span the events attach to
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
+  emit(EventKind::kDecodeRejected, Origin::kInfra, {.cause = 1});
+  emit(EventKind::kDecodeRejected, Origin::kModem, {.cause = 4});
+  emit(EventKind::kPeerQuarantined, Origin::kInfra, {.cause = 3});
+  emit(EventKind::kSuspectReportDropped, Origin::kInfra);
 
   const std::vector<SpanSummary> spans = t.summarize();
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].decode_rejects, 2u);
-  EXPECT_EQ(spans[0].peer_quarantines, 1u);
-  EXPECT_EQ(spans[0].suspect_reports_dropped, 1u);
+  EXPECT_EQ(spans[0].count(EventKind::kDecodeRejected), 2u);
+  EXPECT_EQ(spans[0].count(EventKind::kPeerQuarantined), 1u);
+  EXPECT_EQ(spans[0].count(EventKind::kSuspectReportDropped), 1u);
 
   // The DecodeError reason and the strike count ride in `cause`.
   EXPECT_EQ(t.event_count(EventKind::kDecodeRejected), 2u);
@@ -394,11 +402,12 @@ TEST_F(ObsTest, AdversarialEventsAssembleIntoSpanCounters) {
 TEST_F(ObsTest, PrintSummaryShowsAdversarialColumns) {
   Tracer& t = Tracer::instance();
   t.enable(true);
-  emit_failure_injected(1, 51);
-  emit_decode_rejected(Origin::kInfra, 2);
-  emit_decode_rejected(Origin::kInfra, 2);
-  emit_peer_quarantined(1);
-  emit_suspect_report_dropped();
+  emit(EventKind::kFailureInjected, Origin::kTestbed,
+       {.plane = 1, .cause = 51});
+  emit(EventKind::kDecodeRejected, Origin::kInfra, {.cause = 2});
+  emit(EventKind::kDecodeRejected, Origin::kInfra, {.cause = 2});
+  emit(EventKind::kPeerQuarantined, Origin::kInfra, {.cause = 1});
+  emit(EventKind::kSuspectReportDropped, Origin::kInfra);
 
   std::stringstream out;
   Tracer::print_summary(out, t.summarize());
@@ -408,13 +417,71 @@ TEST_F(ObsTest, PrintSummaryShowsAdversarialColumns) {
   EXPECT_NE(text.find("suspect_dropped=1"), std::string::npos) << text;
 }
 
+// One event of every kind in one span (plus a second reset issue and a
+// second cache lookup, so a failed action, a pending action, a hit and a
+// miss all show) pins print_summary's bytes and the per-kind counters.
+TEST_F(ObsTest, PrintSummaryPinsEveryKindColumn) {
+  Tracer& t = Tracer::instance();
+  t.enable(true);
+  t.reset_span_counter();
+  auto rec = [&t](EventKind kind, std::uint8_t action = 0, bool ok = false) {
+    Event e;
+    e.kind = kind;
+    e.plane = 1;
+    e.cause = 33;
+    e.action = action;
+    e.ok = ok;
+    t.record_now(std::move(e));
+  };
+  rec(EventKind::kFailureInjected);
+  advance(sim::ms(12));
+  rec(EventKind::kFailureDetected);
+  advance(sim::ms(3));
+  rec(EventKind::kDiagnosisMade, 5);
+  rec(EventKind::kResetIssued, 5);
+  advance(sim::us(1500));
+  rec(EventKind::kResetCompleted, 5, false);
+  rec(EventKind::kTierEscalated, 4);
+  rec(EventKind::kResetIssued, 4);
+  advance(sim::ms(40));
+  rec(EventKind::kRecovered);
+  for (std::size_t k = static_cast<std::size_t>(EventKind::kCollabDownlink);
+       k <= static_cast<std::size_t>(EventKind::kDiagnosisVerdict); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (kind == EventKind::kTierEscalated) continue;  // recorded above
+    rec(kind);
+  }
+  rec(EventKind::kCacheLookup, 0, true);
+
+  std::stringstream out;
+  Tracer::print_summary(out, t.summarize());
+  EXPECT_EQ(out.str(),
+            "  span  plane cause  detect_ms diagnose_ms recover_ms  actions\n"
+            "     1     dp    33     12.000     15.000      56.500  "
+            "B2/cplane=1.500ms(fail), B1/hardware=pending  conflicts=1  "
+            "rate_limited=1  dl=1  ul=1  chaos=1  retries=1  escalations=1  "
+            "watchdog=1  degraded=1  cache=1/2  terminal=1  decode_rejects=1  "
+            "quarantined=1  suspect_dropped=1  labels=1  verdicts=1\n");
+
+  const std::vector<SpanSummary> spans = t.summarize();
+  ASSERT_EQ(spans.size(), 1u);
+  const SpanSummary& s = spans[0];
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    const bool twice = kind == EventKind::kResetIssued ||
+                       kind == EventKind::kCacheLookup;
+    EXPECT_EQ(s.count(kind), twice ? 2u : 1u) << event_kind_name(kind);
+  }
+  EXPECT_EQ(s.cache_hits, 1u);
+}
+
 TEST_F(ObsTest, AdversarialEventsRoundTripThroughJsonl) {
   Tracer& t = Tracer::instance();
   t.enable(true);
-  emit_failure_injected(0, 9);
-  emit_decode_rejected(Origin::kModem, 5);
-  emit_peer_quarantined(2, Origin::kInfra);
-  emit_suspect_report_dropped(Origin::kInfra);
+  emit(EventKind::kFailureInjected, Origin::kTestbed, {.plane = 0, .cause = 9});
+  emit(EventKind::kDecodeRejected, Origin::kModem, {.cause = 5});
+  emit(EventKind::kPeerQuarantined, Origin::kInfra, {.cause = 2});
+  emit(EventKind::kSuspectReportDropped, Origin::kInfra);
   std::stringstream buf;
   t.export_jsonl(buf);
   const std::vector<Event> back = Tracer::import_jsonl(buf);

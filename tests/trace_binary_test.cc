@@ -371,25 +371,6 @@ TEST(TailRetention, SloBreachQuarantineAndPinTrigger) {
   EXPECT_EQ(fx.t.retention_stats().events_aged_out, 0u);
 }
 
-TEST(TailRetention, DisabledTriggersDoNotPromote) {
-  TracerFixture fx;
-  obs::RetentionPolicy p;
-  p.ring_depth = 2;
-  p.on_terminal_failure = false;
-  p.on_slo_breach = false;
-  p.on_quarantine = false;
-  fx.t.set_retention(p);
-  fx.t.enable(true);
-  fx.t.record_now(ue_event(1, EventKind::kTerminalFailure));
-  Event firing = ue_event(1, EventKind::kSloAlert);
-  firing.ok = false;
-  fx.t.record_now(firing);
-  fx.t.record_now(ue_event(1, EventKind::kPeerQuarantined));
-  EXPECT_TRUE(fx.t.events().empty());
-  fx.t.seal_retention();
-  EXPECT_EQ(fx.t.retention_stats().events_aged_out, 3u);
-}
-
 TEST(TailRetention, VerdictMismatchTriggerRetainsMisdiagnosis) {
   TracerFixture fx;
   obs::RetentionPolicy p;
