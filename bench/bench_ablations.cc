@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
             tb.dev().modem().release_data_session(
                 [&released] { released = true; });
             while (!released) tb.simulator().run_for(sim::ms(20));
-            r.lost_context = !tb.core().device_registered();
+            r.lost_context = !tb.core().device_registered(tb.dev().ue_id());
             tb.dev().modem().request_data_session();
             while (!tb.dev().traffic().path_healthy()) {
               tb.simulator().run_for(sim::ms(50));

@@ -79,11 +79,11 @@ CellResult run_cell(const sim::FleetRunner& fleet, device::Scheme scheme,
         const Job& job = jobs[info.index];
         Testbed tb(job.tb_seed, scheme);
         if (job.f.control_plane && job.f.cp == CpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
+          tb.core().faults(tb.dev().ue_id()).custom_action_known =
               proto::ResetAction::kB2CPlaneReattach;
         }
         if (!job.f.control_plane && job.f.dp == DpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
+          tb.core().faults(tb.dev().ue_id()).custom_action_known =
               proto::ResetAction::kB3DPlaneReset;
         }
         if (p > 0.0) tb.enable_chaos(impairment(p));

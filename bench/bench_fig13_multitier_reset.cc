@@ -106,7 +106,7 @@ LegacyTimes measure_legacy(std::uint64_t seed) {
   p.tcp_blocked = true;
   p.udp_blocked = true;
   p.dns_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
 
   // Detection is Fig. 3's business; measure from the stall trigger.
   LegacyTimes out{0, 0, 0};

@@ -90,7 +90,7 @@ int main() {
       // 443 keeps working, the connection is actually fine.
       corenet::TrafficPolicy p;
       p.blocked_ports.insert(80);
-      tb.core().set_effective_policy(p);
+      tb.core().set_effective_policy(tb.dev().ue_id(), p);
       tb.simulator().run_for(sim::minutes(6));
       if (tb.dev().os().last_stall_at()) ++false_positives;
     }

@@ -39,7 +39,7 @@ int main() {
       Testbed tb(kSeed + static_cast<std::uint64_t>(round) * 131 +
                      fn.code * 17 + static_cast<std::uint64_t>(device),
                  device::Scheme::kSeedR);
-      tb.set_learner(&learner);
+      tb.core().set_learner(&learner);
       tb.bring_up();
       // The learner's pre-run suggestion (if any) drives the handling.
       const Outcome out = tb.run_custom_failure(

@@ -59,11 +59,11 @@ ClassResult run_plane(const sim::FleetRunner& fleet, device::Scheme scheme,
         if (control_plane && job.f.cp == CpFailure::kCustomUnknown) {
           // Table-4 mixture: operator-known custom failures carry a
           // suggested action (§5.2); pure-unknown learning is §7.2.4.
-          tb.core().faults().custom_action_known =
+          tb.core().faults(tb.dev().ue_id()).custom_action_known =
               proto::ResetAction::kB2CPlaneReattach;
         }
         if (!control_plane && job.f.dp == DpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
+          tb.core().faults(tb.dev().ue_id()).custom_action_known =
               proto::ResetAction::kB3DPlaneReset;
         }
         tb.bring_up();

@@ -31,9 +31,9 @@ int main() {
     // clear can still be in flight when the next burst starts).
     sim::Timer congestion_clear(tb.simulator());
     for (int burst = 0; burst < 10; ++burst) {
-      tb.core().faults().congested = true;
+      tb.core().faults(tb.dev().ue_id()).congested = true;
       congestion_clear.arm(sim::seconds(20), [&tb] {
-        tb.core().faults().congested = false;
+        tb.core().faults(tb.dev().ue_id()).congested = false;
       });
       tb.dev().modem().trigger_reattach();
       tb.simulator().run_for(sim::seconds(30));

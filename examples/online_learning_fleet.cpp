@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
           core::NetRecord local = learner;
           Testbed tb(9000 + device * 37, device::Scheme::kSeedR);
           tb.secondary_congestion_prob = 0;
-          tb.set_learner(&local);
+          tb.core().set_learner(&local);
           tb.bring_up();
           DeviceOut d;
           d.out = tb.run_custom_failure(nas::Plane::kControl, kCause,

@@ -23,8 +23,8 @@ std::uint8_t sm(SmCause c) { return static_cast<std::uint8_t>(c); }
 }  // namespace
 
 CoreNetwork::CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db,
-                         ran::Gnb& gnb, metrics::CpuMeter& cpu)
-    : sim_(sim), rng_(rng), db_(db), gnb_(gnb), cpu_(cpu) {}
+                         metrics::CpuMeter& cpu)
+    : sim_(sim), rng_(rng), db_(db), cpu_(cpu) {}
 
 CoreNetwork::~CoreNetwork() = default;
 
@@ -53,11 +53,6 @@ UeId CoreNetwork::attach_device(const std::string& supi, ran::Gnb& gnb,
     ue->seed_ctx.emplace(sub->seed_key, kSeedBearer);
   }
   return ue->id;
-}
-
-void CoreNetwork::attach_device(const std::string& supi,
-                                std::function<void(BytesView)> downlink) {
-  attach_device(supi, gnb_, std::move(downlink));
 }
 
 const std::string& CoreNetwork::ue_supi(UeId ue) const {
@@ -572,8 +567,8 @@ void CoreNetwork::handle_pdu_request(
   }
 
   // Accept. Each UE gets its own /24 (third octet = UeId) so addresses
-  // never collide across the fleet; the primary keeps the 10.45.0.x of
-  // the single-UE core.
+  // never collide across the fleet; UeId 0 keeps the 10.45.0.x of the
+  // single-UE core.
   PduSession s;
   s.psi = m.hdr.pdu_session_id;
   s.dnn = dnn;

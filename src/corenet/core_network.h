@@ -12,12 +12,12 @@
 //
 // Multi-UE model: each attached device gets a UeId (0, 1, 2, ...) and a
 // per-SUPI connection context — security context, GUTI, PDU sessions,
-// fault overrides, the SEED downlink transfer state. UeId 0 is the
-// "primary" UE; the id-less accessors below address it, so single-UE
-// testbeds read exactly as before. The Fig. 8 tree is amortized across
-// all attached UEs by an optional DiagnosisCache (enable_diag_cache), and
-// the online-learning NetRecord is naturally shared: one subscriber's
-// confirmed diagnosis warms the next subscriber's assistance.
+// fault overrides, the SEED downlink transfer state. Every per-UE call
+// names its UeId; a single-device testbed is the N=1 case (its device is
+// UeId 0). The Fig. 8 tree is amortized across all attached UEs by an
+// optional DiagnosisCache (enable_diag_cache), and the online-learning
+// NetRecord is naturally shared: one subscriber's confirmed diagnosis
+// warms the next subscriber's assistance.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +107,6 @@ struct PduSession {
   bool is_diag = false;
 };
 
-/// Core-wide counters for the overhead experiments (Fig. 11a); summed
-/// over every attached UE.
 /// Core-network counters for one UE. The core-wide view is the same
 /// struct summed over every attached UE (CoreNetwork::stats()).
 struct UeStats {
@@ -131,10 +129,9 @@ using CoreStats = UeStats;
 
 class CoreNetwork {
  public:
-  /// `gnb` is the radio path of the primary UE (UeId 0); additional UEs
-  /// attach with their own gNB link via the three-argument attach_device.
+  /// Devices bring their own gNB link via attach_device.
   CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db,
-              ran::Gnb& gnb, metrics::CpuMeter& cpu);
+              metrics::CpuMeter& cpu);
   ~CoreNetwork();
 
   /// Enables the SEED plugin (diagnosis assistance + report handling).
@@ -155,25 +152,21 @@ class CoreNetwork {
   /// Null unless enable_diag_cache(true) was called.
   const core::DiagnosisCache* diag_cache() const { return diag_cache_.get(); }
 
-  // ----- wiring (N devices per core; UeId 0 is the primary)
+  // ----- wiring (N devices per core, UeIds in attach order)
   /// Attaches a device on its own gNB link; returns its UeId. Attaching
   /// a SUPI that is already attached rebinds that UE's link in place.
   /// `downlink` receives a view of the wire bytes; it must consume them
   /// during the call (the backing buffer is recycled afterwards).
   UeId attach_device(const std::string& supi, ran::Gnb& gnb,
                      std::function<void(BytesView)> downlink);
-  /// Single-UE convenience: primary UE on the constructor's gNB.
-  void attach_device(const std::string& supi,
-                     std::function<void(BytesView)> downlink);
   void on_uplink(UeId ue, BytesView wire);
-  void on_uplink(BytesView wire) { on_uplink(kPrimary, wire); }
   std::size_t ue_count() const { return ues_.size(); }
   /// SUPI of an attached UE (empty when out of range).
   const std::string& ue_supi(UeId ue) const;
 
-  // ----- fault injection (per-UE; the id-less forms address the primary)
-  Faults& faults(UeId ue);
-  Faults& faults() { return faults(kPrimary); }
+  // ----- fault injection (per-UE)
+  /// The default exists for perfbench/table4.cc, which predates UeIds.
+  Faults& faults(UeId ue = 0);
   /// Breaks the carrier LDNS (delivery failure class DNS) — carrier-wide,
   /// every attached UE resolves through the same LDNS.
   void set_dns_up(bool up) { dns_up_ = up; }
@@ -181,52 +174,32 @@ class CoreNetwork {
   /// Installs an erroneous traffic policy (delivery failure class
   /// TCP/UDP blocking); the intended policy stays in the SubscriberDb.
   void set_effective_policy(UeId ue, const TrafficPolicy& p);
-  void set_effective_policy(const TrafficPolicy& p) {
-    set_effective_policy(kPrimary, p);
-  }
-  const TrafficPolicy& effective_policy(UeId ue = kPrimary) const;
+  const TrafficPolicy& effective_policy(UeId ue) const;
   /// AMF-side detection of a silent device (SIM/modem channel fault):
   /// feeds the passive no-response branch of Fig. 8, which requests a
   /// hardware reset over the assistance downlink.
   void note_unresponsive(UeId ue);
   /// Marks established sessions stale (outdated gateway state).
   void make_sessions_stale(UeId ue);
-  void make_sessions_stale() { make_sessions_stale(kPrimary); }
   /// SMF loses the device's session contexts (Table 1 #50-style state
   /// desync); the device must re-request its sessions.
   void drop_sessions(UeId ue);
-  void drop_sessions() { drop_sessions(kPrimary); }
   /// Bumps on every completed registration.
-  std::uint64_t registration_generation(UeId ue = kPrimary) const;
+  std::uint64_t registration_generation(UeId ue) const;
 
   // ----- UPF queries (used by the transport engine)
   bool session_active(UeId ue, std::uint8_t psi) const;
-  bool session_active(std::uint8_t psi) const {
-    return session_active(kPrimary, psi);
-  }
   const PduSession* session(UeId ue, std::uint8_t psi) const;
-  const PduSession* session(std::uint8_t psi) const {
-    return session(kPrimary, psi);
-  }
   bool upf_allows(UeId ue, nas::IpProtocol proto, std::uint16_t port) const;
-  bool upf_allows(nas::IpProtocol proto, std::uint16_t port) const {
-    return upf_allows(kPrimary, proto, port);
-  }
   /// DNS resolution works iff the queried server is the live carrier LDNS
   /// or the public backup server SEED may configure.
   bool dns_resolves(UeId ue, const nas::Ipv4& server) const;
-  bool dns_resolves(const nas::Ipv4& server) const {
-    return dns_resolves(kPrimary, server);
-  }
 
   // ----- SIM record upload (online learning OTA path, Algorithm 1 l.6)
-  /// UeId-aware form: records from an unregistered or quarantined peer
-  /// never reach the shared learner (they are counted as suspect instead).
+  /// Records from an unregistered or quarantined peer never reach the
+  /// shared learner (they are counted as suspect instead).
   void upload_sim_records(UeId ue,
                           const std::vector<core::SimRecordStore::Entry>& e);
-  void upload_sim_records(const std::vector<core::SimRecordStore::Entry>& e) {
-    upload_sim_records(kPrimary, e);
-  }
 
   /// True while the UE sits in the malformed-traffic penalty box.
   bool peer_quarantined(UeId ue) const;
@@ -239,15 +212,13 @@ class CoreNetwork {
   /// transmission latencies in milliseconds (core-wide, append order).
   const std::vector<double>& diag_prep_ms() const { return diag_prep_ms_; }
   const std::vector<double>& diag_trans_ms() const { return diag_trans_ms_; }
-  bool device_registered(UeId ue = kPrimary) const;
+  bool device_registered(UeId ue) const;
 
   /// Carrier LDNS / backup DNS addresses.
   static nas::Ipv4 carrier_dns() { return nas::Ipv4{{10, 45, 0, 1}}; }
   static nas::Ipv4 backup_dns() { return nas::Ipv4{{9, 9, 9, 9}}; }
 
  private:
-  static constexpr UeId kPrimary = 0;
-
   /// Everything the AMF/SMF/SEED plugin keeps per attached subscriber.
   struct UeContext {
     UeContext(sim::Simulator& sim, UeId id) : id(id), frag_guard(sim) {}
@@ -343,7 +314,6 @@ class CoreNetwork {
   sim::Simulator& sim_;
   sim::Rng& rng_;
   SubscriberDb& db_;
-  ran::Gnb& gnb_;  // primary UE's radio path (back-compat attach)
   metrics::CpuMeter& cpu_;
   core::NetRecord* learner_ = nullptr;
   bool seed_enabled_ = false;

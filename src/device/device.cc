@@ -24,8 +24,7 @@ Device::Device(sim::Simulator& sim, sim::Rng& rng, ran::Gnb& gnb,
   applet_->enable_seed(options.scheme != Scheme::kLegacy);
 
   // Attach before building the modem so the uplink closure can carry our
-  // UeId (the first device to attach becomes the core's primary, UeId 0,
-  // so single-device testbeds behave exactly as before).
+  // UeId (UeIds follow attach order; a single-device testbed's is 0).
   ue_id_ = core.attach_device(
       options.profile.suci.to_string(), gnb,
       [this](BytesView wire) { modem_->on_downlink(wire); });

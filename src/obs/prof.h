@@ -77,8 +77,10 @@ const std::string& prof_zone_name(ZoneId id);
 
 namespace detail {
 /// Mirrors Profiler::enabled() so the disabled hot path never touches the
-/// (larger) profiler object.
-extern thread_local bool tl_prof_on;
+/// (larger) profiler object. constinit: static initialization is promised,
+/// so cross-TU reads skip the TLS init wrapper (which UBSan flags as a
+/// null load).
+extern thread_local constinit bool tl_prof_on;
 std::uint64_t now_ns();
 }  // namespace detail
 

@@ -131,12 +131,8 @@ void LabeledScenarioGen::inject_type_mismatch(corenet::UeId ue) {
   // the stale-session reset: a *wrong* diagnosis the accuracy harness
   // pins at 0% recall (and the labeled_misdiagnosis golden freezes).
   bed_.simulator().schedule_after(sim::ms(300), [this, ue] {
-    proto::FailureReport r;
-    r.type = proto::FailureType::kTcp;
-    r.port = 443;
-    r.direction = proto::TrafficDirection::kBoth;
-    r.addr = nas::Ipv4{{203, 0, 113, 10}};
-    bed_.dev(ue).carrier_app().report_failure(r);
+    bed_.dev(ue).carrier_app().report_failure(
+        app_failure_report(DeliveryFailure::kTcpBlock));
   });
   // The operator's support desk eventually restores the intended policy
   // (fixed horizon: the desk queue, compressed to simulation scale).

@@ -1,53 +1,14 @@
-// Experiment harness: builds the full stack (core + gNB + device), arms
-// failure conditions, triggers the affected procedure, and measures
-// disruption — the simulated equivalent of the paper's USRP/Magma/Pixel-5
-// testbed (§7 "Experimental Setup").
+// Single-device experiment harness: the paper's one core, one gNB, one
+// device testbed (§7 "Experimental Setup") as an N=1 MultiTestbed, plus
+// the scripted drivers that arm one failure condition, trigger the
+// affected procedure, and measure disruption to recovery.
 #pragma once
 
-#include <memory>
-#include <optional>
-#include <string>
+#include <cstdint>
 
-#include "chaos/chaos.h"
-#include "corenet/core_network.h"
-#include "device/device.h"
-#include "metrics/meters.h"
-#include "ran/gnb.h"
-#include "seed/online_learning.h"
-#include "simcore/rng.h"
-#include "simcore/simulator.h"
+#include "testbed/multi_testbed.h"
 
 namespace seed::testbed {
-
-using device::Scheme;
-
-/// Control-plane management failure classes (drawn from Table 1's top
-/// causes; each maps to a concrete injected condition).
-enum class CpFailure {
-  kIdentityDesync,         // #9  UE identity cannot be derived
-  kOutdatedPlmn,           // #11/#15 outdated PLMN priority list
-  kTransientStateMismatch, // #98 transient state desync (self-healing)
-  kQuickTransient,         // #98 resolving on the immediate retry
-  kUnauthorized,           // #3  illegal UE -> user action
-  kCongestion,             // #22 cell/core congestion
-  kCustomUnknown,          // operator-custom failure (online learning)
-};
-
-enum class DpFailure {
-  kOutdatedDnn,      // #33 requested service option not subscribed
-  kUnknownDnn,       // #27 missing or unknown DNN
-  kOutdatedSlice,    // #70 slice no longer served (§9 slicing extension)
-  kExpiredPlan,      // #29 user authentication failed -> user action
-  kCongestion,       // #26 insufficient resources (transient)
-  kCustomUnknown,    // operator-custom failure (online learning)
-};
-
-enum class DeliveryFailure {
-  kStaleSession,  // outdated gateway state; recoverable by reconnection
-  kTcpBlock,      // erroneous network-side TCP policy
-  kUdpBlock,      // erroneous network-side UDP policy
-  kDnsOutage,     // carrier LDNS down
-};
 
 struct Outcome {
   bool recovered = false;
@@ -55,10 +16,12 @@ struct Outcome {
   bool user_action_required = false;
 };
 
-class Testbed {
+/// Runs SEED without an online learner unless a caller shares one via
+/// core().set_learner(); spans carry no per-UE tag (no TagScope is ever
+/// opened).
+class Testbed : public MultiTestbed {
  public:
   Testbed(std::uint64_t seed, Scheme scheme);
-  ~Testbed();
 
   /// Powers the device and runs until the data service is healthy.
   void bring_up();
@@ -82,59 +45,16 @@ class Testbed {
   bool use_default_android_timers = true;
   double dp_heal_median_s = 460.0;
 
-  // accessors for benches/tests
-  sim::Simulator& simulator() { return sim_; }
-  sim::Rng& rng() { return rng_; }
-  corenet::CoreNetwork& core() { return *core_; }
-  corenet::SubscriberDb& db() { return db_; }
-  ran::Gnb& gnb() { return *gnb_; }
-  device::Device& dev() { return *device_; }
-  metrics::CpuMeter& core_cpu() { return cpu_; }
-
-  /// Attaches a chaos engine impairing SEED's own recovery path and arms
-  /// the hardening that copes with it: hardened retry policy, recovery
-  /// watchdog, ack-guards on both collab directions. The engine's streams
-  /// are seeded from the testbed seed (sim::shard_seed), so a run is
-  /// byte-reproducible per (seed, config).
-  chaos::ChaosEngine& enable_chaos(const chaos::ChaosConfig& config);
-  /// Null until enable_chaos() is called.
-  chaos::ChaosEngine* chaos() { return chaos_.get(); }
-
-  /// Shares an operator-wide online-learning model across testbeds
-  /// (Algorithm 1's NetRecord lives in the infrastructure).
-  void set_learner(core::NetRecord* learner);
-
   /// Probability that a c-plane failure event carries a secondary
   /// congestion layer (drives Table 4's long tails). Tests set 0.
   double secondary_congestion_prob = 0.10;
 
-  /// Custom cause code used by kCustomUnknown scenarios.
-  static constexpr core::CustomCause kCustomCpCode = 0xC1;
-  static constexpr core::CustomCause kCustomDpCode = 0xD7;
+  /// The one device (fleet index 0).
+  device::Device& dev() { return MultiTestbed::dev(0); }
 
  private:
   /// Runs until the end-to-end path is healthy; returns seconds from t0.
   Outcome await_recovery(sim::TimePoint t0, sim::Duration timeout);
-
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  corenet::SubscriberDb db_;
-  metrics::CpuMeter cpu_;
-  std::unique_ptr<ran::Gnb> gnb_;
-  std::unique_ptr<corenet::CoreNetwork> core_;
-  std::unique_ptr<device::Device> device_;
-  Scheme scheme_;
-  std::uint64_t seed_;
-  std::unique_ptr<chaos::ChaosEngine> chaos_;
 };
-
-/// Samples a (plane-tagged) failure scenario according to the empirical
-/// Table 1 cause mix; used by the trace-replay benches.
-struct SampledFailure {
-  bool control_plane = true;
-  CpFailure cp = CpFailure::kTransientStateMismatch;
-  DpFailure dp = DpFailure::kOutdatedDnn;
-};
-SampledFailure sample_table1_failure(sim::Rng& rng);
 
 }  // namespace seed::testbed

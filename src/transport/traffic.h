@@ -29,10 +29,9 @@ struct FlowEvent {
 
 class TrafficEngine {
  public:
-  /// `ue` selects which attached UE's sessions/policy the flows ride
-  /// (defaults to the core's primary UE for single-device testbeds).
+  /// `ue` selects which attached UE's sessions/policy the flows ride.
   TrafficEngine(sim::Simulator& sim, sim::Rng& rng, modem::Modem& modem,
-                corenet::CoreNetwork& core, corenet::UeId ue = 0);
+                corenet::CoreNetwork& core, corenet::UeId ue);
 
   /// DNS lookup against the modem's configured resolver. Success answers
   /// in ~tens of ms; failure burns the full DNS timeout.

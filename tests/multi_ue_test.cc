@@ -54,6 +54,17 @@ TEST(MultiUe, FleetAttachesWithDistinctIdentities) {
   EXPECT_NE(s0->ue_addr, s1->ue_addr);
 }
 
+TEST(MultiUe, EmptyFleetBringsUpAndRunsCongestionWaves) {
+  MultiTestbed mt(100, plain_options(0));
+  mt.bring_up_all();
+  EXPECT_EQ(mt.ue_count(), 0u);
+  EXPECT_EQ(mt.healthy_count(), 0u);
+  mt.start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.05);
+  const auto events = mt.simulator().events_processed();
+  mt.simulator().run_for(sim::seconds(31));
+  EXPECT_GT(mt.simulator().events_processed(), events);
+}
+
 TEST(MultiUe, FaultsNeverLeakAcrossUes) {
   MultiTestbed mt(202, plain_options(2));
   mt.bring_up_all();
@@ -110,14 +121,14 @@ TEST(MultiUe, DiagCacheWarmsAcrossSubscribers) {
 TEST(MultiUe, OnlineLearningAggregatesAcrossUes) {
   MultiTestbed mt(505, plain_options(2));
   mt.bring_up_all();
-  ASSERT_EQ(mt.learner().record_count(Testbed::kCustomDpCode), 0u);
+  ASSERT_EQ(mt.learner().record_count(MultiTestbed::kCustomDpCode), 0u);
 
   // UE 0 hits an operator-custom failure with unknown handling, recovers
   // by trial, and its SIM uploads the (cause -> action) record.
   mt.inject_dp(0, DpFailure::kCustomUnknown);
   ASSERT_TRUE(run_until_healthy(mt, 0));
   mt.simulator().run_for(sim::seconds(30));  // record upload OTA
-  const auto crowd = mt.learner().record_count(Testbed::kCustomDpCode);
+  const auto crowd = mt.learner().record_count(MultiTestbed::kCustomDpCode);
   EXPECT_GT(crowd, 0u);
 
   // UE 1 hitting the same cause benefits from UE 0's confirmed diagnosis
@@ -125,7 +136,7 @@ TEST(MultiUe, OnlineLearningAggregatesAcrossUes) {
   mt.inject_dp(1, DpFailure::kCustomUnknown);
   ASSERT_TRUE(run_until_healthy(mt, 1));
   mt.simulator().run_for(sim::seconds(30));
-  EXPECT_GE(mt.learner().record_count(Testbed::kCustomDpCode), crowd);
+  EXPECT_GE(mt.learner().record_count(MultiTestbed::kCustomDpCode), crowd);
 }
 
 TEST(MultiUe, DeliveryFailuresProduceUplinkReports) {

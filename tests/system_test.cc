@@ -28,7 +28,7 @@ TEST(ModemSystem, WrongKeyFailsAuthentication) {
   Testbed tb(101, Scheme::kLegacy);
   // Corrupt the subscriber key after device construction: the SIM will
   // compute a different RES and the core must reject.
-  corenet::Subscriber* sub = tb.db().find("310-260-0012345678");
+  corenet::Subscriber* sub = tb.db().find(MultiTestbed::supi_of(0));
   sub->k[0] ^= 0xff;
   sub->opc = crypto::Milenage(sub->k, crypto::Key128{}).opc();
   tb.dev().power_on();
@@ -40,7 +40,7 @@ TEST(ModemSystem, T3511PacesRetries) {
   Testbed tb(102, Scheme::kLegacy);
   tb.secondary_congestion_prob = 0;
   tb.bring_up();
-  tb.core().faults().transient_reject_count = 3;
+  tb.core().faults(tb.dev().ue_id()).transient_reject_count = 3;
   const auto t0 = tb.simulator().now();
   tb.dev().modem().trigger_reattach();
   while (!tb.dev().modem().registered()) {
@@ -69,14 +69,15 @@ TEST(ModemSystem, StickyIdentityAblation) {
 TEST(ModemSystem, Fig6KeepsRegistrationAcrossDataReset) {
   Testbed tb(104, Scheme::kSeedR);
   tb.bring_up();
-  const std::uint64_t gen_before = tb.core().registration_generation();
+  const corenet::UeId ue = tb.dev().ue_id();
+  const std::uint64_t gen_before = tb.core().registration_generation(ue);
   bool done = false;
   tb.dev().modem().fast_dplane_reset([&done](bool ok) { done = ok; });
   while (!done) tb.simulator().run_for(sim::ms(50));
   // The DIAG companion bearer kept the UE context: no re-registration.
-  EXPECT_EQ(tb.core().registration_generation(), gen_before);
+  EXPECT_EQ(tb.core().registration_generation(ue), gen_before);
   EXPECT_TRUE(tb.dev().modem().data_connected());
-  EXPECT_TRUE(tb.core().device_registered());
+  EXPECT_TRUE(tb.core().device_registered(ue));
 }
 
 TEST(ModemSystem, NaiveDataResetWithoutDiagSessionLosesContext) {
@@ -88,8 +89,8 @@ TEST(ModemSystem, NaiveDataResetWithoutDiagSessionLosesContext) {
   tb.dev().modem().release_data_session([&released] { released = true; });
   while (!released) tb.simulator().run_for(sim::ms(50));
   tb.simulator().run_for(sim::ms(200));
-  EXPECT_FALSE(tb.core().device_registered());
-  EXPECT_EQ(tb.gnb().bearer_count(), 0u);
+  EXPECT_FALSE(tb.core().device_registered(tb.dev().ue_id()));
+  EXPECT_EQ(tb.gnb(0).bearer_count(), 0u);
 }
 
 // ------------------------------------------------------------------ applet
@@ -111,7 +112,7 @@ TEST(AppletSystem, RateLimiterBlocksBackToBackResets) {
   // frequently; the signaling messages are thus not overwhelming").
   corenet::TrafficPolicy p;
   p.tcp_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   // SEED-U cannot repair a network-side policy error; the applet must
   // not storm the network trying.
   proto::FailureReport r;
@@ -157,7 +158,7 @@ TEST(AndroidSystem, SequentialRetryEscalatesInOrder) {
   p.tcp_blocked = true;
   p.udp_blocked = true;
   p.dns_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   tb.dev().os().force_stall();
   tb.simulator().run_for(sim::minutes(2));
   const auto& st = tb.dev().os().stats();
@@ -170,7 +171,7 @@ TEST(AndroidSystem, SequentialRetryEscalatesInOrder) {
 TEST(AndroidSystem, RetryAbortsOnceHealthy) {
   Testbed tb(111, Scheme::kLegacy);
   tb.bring_up();
-  tb.core().make_sessions_stale();
+  tb.core().make_sessions_stale(tb.dev().ue_id());
   tb.dev().os().force_stall();
   tb.simulator().run_for(sim::minutes(3));
   const auto& st = tb.dev().os().stats();
@@ -202,7 +203,7 @@ TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
 
   corenet::TrafficPolicy p;
   p.tcp_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   for (int i = 0; i < 12; ++i) {
     traffic.attempt_tcp(nas::Ipv4{{1, 2, 3, 4}}, 443, [](bool ok) {
       EXPECT_FALSE(ok);
@@ -233,7 +234,7 @@ TEST(TrafficSystem, BlockedPortOnlyAffectsThatPort) {
   tb.bring_up();
   corenet::TrafficPolicy p;
   p.blocked_ports.insert(8080);
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   EXPECT_FALSE(tb.dev().traffic().path_allows(nas::IpProtocol::kTcp, 8080));
   EXPECT_TRUE(tb.dev().traffic().path_allows(nas::IpProtocol::kTcp, 443));
 }

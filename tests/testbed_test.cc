@@ -14,7 +14,7 @@ TEST(Testbed, BringUpReachesHealthyService) {
   EXPECT_TRUE(tb.dev().modem().registered());
   EXPECT_TRUE(tb.dev().modem().data_connected());
   EXPECT_TRUE(tb.dev().traffic().path_healthy());
-  EXPECT_TRUE(tb.core().device_registered());
+  EXPECT_TRUE(tb.core().device_registered(tb.dev().ue_id()));
   EXPECT_GE(tb.core().stats().auth_vectors, 1u);
 }
 
@@ -235,7 +235,7 @@ TEST(Testbed, CustomUnknownCpLearnsControlPlaneAction) {
   core::NetRecord learner(0.2);
   Testbed tb(21, Scheme::kSeedR);
   tb.secondary_congestion_prob = 0;
-  tb.set_learner(&learner);
+  tb.core().set_learner(&learner);
   tb.bring_up();
   const auto out = tb.run_cp_failure(CpFailure::kCustomUnknown,
                                      sim::minutes(10));
@@ -251,7 +251,7 @@ TEST(Testbed, CustomUnknownCpLearnsControlPlaneAction) {
 TEST(Testbed, CustomUnknownDpLearnsDataPlaneAction) {
   core::NetRecord learner(0.2);
   Testbed tb(22, Scheme::kSeedR);
-  tb.set_learner(&learner);
+  tb.core().set_learner(&learner);
   tb.bring_up();
   const auto out = tb.run_dp_failure(DpFailure::kCustomUnknown,
                                      sim::minutes(10));
