@@ -11,7 +11,7 @@
 //
 // Each ablation's independent runs fan out over the FleetRunner pool and
 // fold back in shard order, so the output is byte-identical for any
-// thread count; wall-clock lands in BENCH_fleet.json.
+// thread count.
 #include <iostream>
 
 #include "common/params.h"
@@ -53,8 +53,6 @@ int main(int argc, char** argv) {
   constexpr int kRuns = 15;
 
   const sim::FleetRunner fleet(seed::benchutil::fleet_threads(argc, argv));
-  seed::benchutil::FleetStopwatch watch("ablations", fleet.threads(),
-                                        kRuns * 4u);
 
   // ---- 1. The 2 s transient wait.
   {
@@ -185,6 +183,5 @@ int main(int argc, char** argv) {
               << " s — the timer dominates; SEED's cause-driven reset "
                  "bypasses it entirely.\n";
   }
-  watch.append_json();
   return 0;
 }

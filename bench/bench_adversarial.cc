@@ -199,8 +199,6 @@ void append_cell_json(std::ostream& os, const CellSpec& cell,
 int main(int argc, char** argv) {
   const sim::FleetRunner fleet(benchutil::fleet_threads(argc, argv));
   const std::vector<CellSpec> cells = make_cells();
-  benchutil::FleetStopwatch watch("adversarial", fleet.threads(),
-                                  cells.size() * kRuns);
 
   metrics::print_banner(
       std::cout,
@@ -241,8 +239,6 @@ int main(int argc, char** argv) {
   }
   json << "}}\n";
   t.print(std::cout);
-  watch.append_json();
-  std::cout << "\nwall: " << watch.elapsed_ms()
-            << " ms; cells written to BENCH_adversarial.json\n";
+  std::cout << "\ncells written to BENCH_adversarial.json\n";
   return 0;
 }

@@ -1,12 +1,12 @@
 // City-scale failure storm: 1k UEs on one core, the Table 1 failure mix
 // injected continuously plus a rolling congestion wave sweeping the
 // cells, with the shared Fig. 8 diagnosis cache on. Reports simulated
-// event throughput (events/s of wall time) and the diagnosis-cache hit
-// rate — how far one core's SEED plugin amortizes across a city.
+// event counts and the diagnosis-cache hit rate — how far one core's
+// SEED plugin amortizes across a city. Wall-clock throughput of the same
+// storm is perfbench's storm1k sim_events_per_s.
 //
 // Deterministic: for a fixed --seed the storm schedule, every recovery,
-// and the whole BENCH_city.json line are byte-identical run to run
-// (wall-clock throughput goes to stdout only, never into the JSON).
+// and the whole BENCH_city.json line are byte-identical run to run.
 //
 // The fleet health engine and per-UE flight recorder ride along as
 // strictly passive trace observers: they judge recovery/failure-rate/
@@ -18,7 +18,6 @@
 //                         [--no-cache] [--trace=city_trace.jsonl]
 //                         [--blackbox=city_blackbox.jsonl]
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
 
   std::cout << "bringing up " << n_ues << " UEs (outdated-DNN population, "
             << (cache_on ? "shared diagnosis cache" : "cache OFF") << ")...\n";
-  const auto wall0 = std::chrono::steady_clock::now();
   city.bring_up_all();
   const auto events_after_bringup = city.simulator().events_processed();
   std::cout << "  fleet healthy after " << events_after_bringup
@@ -129,9 +127,6 @@ int main(int argc, char** argv) {
   // Drain: give in-flight recoveries time to settle.
   sim.run_for(sim::minutes(3));
 
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall0)
-                            .count();
   const std::uint64_t events = sim.events_processed();
   const std::size_t healthy = city.healthy_count();
   const auto& cs = city.core().stats();
@@ -150,15 +145,14 @@ int main(int argc, char** argv) {
 
   std::cout << "storm done: " << injections << " injections over "
             << storm_min << " sim-min\n"
-            << "  simulated events: " << events << " (" << std::fixed
-            << static_cast<double>(events) / wall_s << " events/s wall)\n"
+            << "  simulated events: " << events << "\n"
             << "  healthy UEs at end: " << healthy << "/" << n_ues << "\n"
             << "  diag downlinks: " << cs.diag_downlinks
             << ", reports rx: " << cs.diag_reports_rx << "\n"
             << "  diagnosis cache: " << hits << " hits / " << misses
             << " misses / " << bypasses << " bypasses / " << invalidations
-            << " invalidations (hit rate " << hit_rate * 100.0 << "%, "
-            << cache_entries << " entries)\n";
+            << " invalidations (hit rate " << std::fixed
+            << hit_rate * 100.0 << "%, " << cache_entries << " entries)\n";
 
   // Deterministic output only (counters, no wall-clock): same seed ->
   // byte-identical BENCH_city.json. The 1k-storm fields are buffered
@@ -180,16 +174,6 @@ int main(int argc, char** argv) {
             << ",\"bypasses\":" << bypasses
             << ",\"invalidations\":" << invalidations << ",\"entries\":"
             << cache_entries << "}";
-
-  // Wall-clock throughput sidecar for the perf gate (uncommitted: the
-  // number is host-dependent; BENCH_city.json stays deterministic).
-  {
-    std::ofstream wall_json("BENCH_city_wall.json", std::ios::trunc);
-    wall_json << "{\"bench\":\"city_storm_wall\",\"events_per_sec\":"
-              << static_cast<std::uint64_t>(static_cast<double>(events) /
-                                            wall_s)
-              << ",\"wall_s\":" << wall_s << "}\n";
-  }
 
   // ---- health snapshot: close the final evaluation windows and write
   // the deterministic BENCH_health.json (sim-time only, no wall clock).

@@ -7,9 +7,12 @@
 // The bench runs the same deterministic workload through the current
 // slab-backed Simulator and through an embedded copy of the seed
 // implementation (priority_queue + unordered_set tombstones +
-// unordered_map callbacks — three hash-table operations per event), prints
-// before/after events-per-second, and appends the machine-readable result
-// to BENCH_eventloop.json in the working directory.
+// unordered_map callbacks — three hash-table operations per event), checks
+// that both reach the same end state, prints before/after events-per-second,
+// and writes the machine-readable result to BENCH_eventloop.json in the
+// working directory. The slab/legacy speedup is a same-process ratio, so
+// it holds across hosts; absolute event-loop throughput is measured by
+// perfbench's sim_events_per_s.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -20,7 +23,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/prof.h"
 #include "simcore/rng.h"
 #include "simcore/simulator.h"
 
@@ -240,20 +242,5 @@ int main(int argc, char** argv) {
        << ",\"baseline_wall_ms\":" << legacy.wall_ms
        << ",\"speedup\":" << speedup << ",\"events\":" << slab.fired
        << ",\"cancels\":" << slab.cancels << "}\n";
-
-  // Untimed profiled pass: attributes the churn's dispatch cost without
-  // polluting the timed trials above (an enabled zone pays two clock
-  // reads per event). Wall times included -> gitignored *_full dump.
-  {
-    auto& prof = seed::obs::Profiler::instance();
-    prof.clear();
-    prof.enable(true);
-    run_churn<seed::sim::Simulator>(kFsms, target / 10);
-    prof.enable(false);
-    std::ofstream prof_os("BENCH_profile_eventloop_full.json",
-                          std::ios::trunc);
-    prof.dump_json(prof_os, "eventloop_churn", /*include_times=*/true);
-    prof.clear();
-  }
   return 0;
 }

@@ -1,18 +1,20 @@
-// CI perf-regression gate: checks fresh BENCH_*.json outputs against the
-// committed bench/perf_baseline.json.
+// CI regression gate ("is it still the same"): checks fresh BENCH_*.json
+// outputs against the committed bench/perf_baseline.json.
 //
 //   bench_gate [--baseline=perf_baseline.json] [--dir=.]
 //              [--update-baseline]
 //
 // Exit 0 when every gate passes; exit 1 with one FAIL line per violated
 // gate otherwise. Exact gates pin deterministic counters (simulated
-// event counts, profiler zone stats) bit-for-bit; ratio gates bound
-// host-dependent throughput inside a documented tolerance band (see
-// EXPERIMENTS.md "Performance methodology").
+// event counts, profiler zone stats, retained trace bytes) bit-for-bit.
+// The one ratio gate, eventloop.speedup, floors the slab-vs-legacy
+// event-loop speedup measured in one process. "Is it faster" is
+// perfbench/run.py against BENCHMARK.json (see EXPERIMENTS.md
+// "Performance methodology").
 //
 // --update-baseline rewrites the baseline file in place with the values
-// currently on disk (tolerances kept) — run it after an intentional perf
-// or workload change and commit the diff.
+// currently on disk (tolerances kept) — run it after an intentional
+// workload change and commit the diff.
 
 #include <cstring>
 #include <fstream>

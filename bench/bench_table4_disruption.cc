@@ -9,7 +9,7 @@
 // sequential bench used), then the runs fan out across the FleetRunner
 // pool and fold back in shard order — so the printed table is
 // byte-identical for any thread count. SEED_FLEET_THREADS / --threads=N
-// pin the pool; wall-clock is appended to BENCH_fleet.json.
+// pin the pool.
 #include <iostream>
 
 #include "fleet_bench.h"
@@ -120,8 +120,6 @@ int main(int argc, char** argv) {
   constexpr int kRuns = 60;
 
   const sim::FleetRunner fleet(benchutil::fleet_threads(argc, argv));
-  benchutil::FleetStopwatch watch("table4_disruption", fleet.threads(),
-                                  static_cast<std::size_t>(kRuns) * 11);
 
   metrics::print_banner(std::cout,
                         "Table 4: disruption percentiles (s), legacy vs "
@@ -197,6 +195,5 @@ int main(int argc, char** argv) {
             << " handled (paper 95.5%); unhandled cases required user "
                "action ("
             << cp.user_action + dp.user_action << " runs)\n";
-  watch.append_json();
   return 0;
 }

@@ -1,5 +1,4 @@
-// Shared plumbing for fleet benches: thread-count selection and the
-// BENCH_fleet.json wall-clock trail.
+// Shared plumbing for fleet benches: thread-count selection.
 //
 // Thread count resolution order: SEED_FLEET_THREADS env var, then a
 // `--threads=N` argument, then hardware_concurrency — so CI and the
@@ -7,10 +6,8 @@
 // the pool without rebuilding.
 #pragma once
 
-#include <chrono>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <string>
 
 #include "simcore/fleet_runner.h"
 
@@ -26,33 +23,5 @@ inline std::size_t fleet_threads(int argc, char** argv) {
   }
   return 0;  // FleetRunner: hardware_concurrency
 }
-
-/// Wall-clock stopwatch that appends one JSON line per bench run to
-/// BENCH_fleet.json in the working directory.
-class FleetStopwatch {
- public:
-  FleetStopwatch(std::string bench, std::size_t threads, std::size_t shards)
-      : bench_(std::move(bench)), threads_(threads), shards_(shards),
-        t0_(std::chrono::steady_clock::now()) {}
-
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0_)
-        .count();
-  }
-
-  void append_json() const {
-    std::ofstream os("BENCH_fleet.json", std::ios::app);
-    os << "{\"bench\":\"" << bench_ << "\",\"threads\":" << threads_
-       << ",\"shards\":" << shards_ << ",\"wall_ms\":" << elapsed_ms()
-       << "}\n";
-  }
-
- private:
-  std::string bench_;
-  std::size_t threads_;
-  std::size_t shards_;
-  std::chrono::steady_clock::time_point t0_;
-};
 
 }  // namespace seed::benchutil

@@ -8,7 +8,7 @@ namespace seed::gate {
 
 namespace {
 
-/// Doubles in the baseline are counters or throughputs; print integers
+/// Doubles in the baseline are counters or ratios; print integers
 /// without a decimal point so --update-baseline round-trips bytes.
 std::string render_number(double v) {
   if (v == std::floor(v) && std::abs(v) < 1e15) {
@@ -49,13 +49,13 @@ std::vector<GateSpec> parse_baseline(const minijson::Value& doc) {
     if (const minijson::Value* r = g.find("min_ratio")) {
       spec.min_ratio = r->as_number();
     }
-    if (const minijson::Value* r = g.find("max_ratio")) {
-      spec.max_ratio = r->as_number();
-    }
-    if (!spec.exact && !spec.min_ratio && !spec.max_ratio) {
+    if (g.find("max_ratio") != nullptr) {
       throw minijson::ParseError(
-          "gate '" + spec.name + "': no tolerance (exact or min/max_ratio)",
-          0);
+          "gate '" + spec.name + "': max_ratio is no longer supported", 0);
+    }
+    if (!spec.exact && !spec.min_ratio) {
+      throw minijson::ParseError(
+          "gate '" + spec.name + "': no tolerance (exact or min_ratio)", 0);
     }
     out.push_back(std::move(spec));
   }
@@ -90,19 +90,11 @@ GateResult evaluate(const GateSpec& g, double actual) {
            << (res.pass ? " == " : " != ") << render_number(g.value)
            << " (exact)";
   } else {
-    res.pass = true;
+    const double bound = g.value * *g.min_ratio;
+    res.pass = actual >= bound;
     detail << g.name << ": " << render_number(actual) << " vs baseline "
-           << render_number(g.value) << " [";
-    if (g.min_ratio) {
-      if (actual < g.value * *g.min_ratio) res.pass = false;
-      detail << ">=" << render_number(g.value * *g.min_ratio);
-    }
-    if (g.max_ratio) {
-      if (actual > g.value * *g.max_ratio) res.pass = false;
-      if (g.min_ratio) detail << ", ";
-      detail << "<=" << render_number(g.value * *g.max_ratio);
-    }
-    detail << "]";
+           << render_number(g.value) << " [>=" << render_number(bound)
+           << "]";
   }
   detail << (res.pass ? " PASS" : " FAIL");
   res.detail = detail.str();
@@ -130,7 +122,6 @@ std::string render_baseline(const std::vector<GateSpec>& gates) {
     os << ",\"value\":" << render_number(g.value);
     if (g.exact) os << ",\"exact\":true";
     if (g.min_ratio) os << ",\"min_ratio\":" << render_number(*g.min_ratio);
-    if (g.max_ratio) os << ",\"max_ratio\":" << render_number(*g.max_ratio);
     os << '}';
   }
   os << "\n]}\n";

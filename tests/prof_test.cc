@@ -4,6 +4,7 @@
 // profile that is byte-identical for 1, 2, and 8 workers.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,10 @@
 #include "obs/fleet_obs.h"
 #include "obs/prof.h"
 #include "testbed/profile_workload.h"
+
+#ifndef SEED_SOURCE_DIR
+#error "SEED_SOURCE_DIR must point at the repository root"
+#endif
 
 namespace seed::obs {
 namespace {
@@ -226,15 +231,15 @@ TEST(ProfFleetTest, MergedProfileIsByteIdenticalAcrossWorkerCounts) {
   }
 }
 
-// The perf gate's tolerance-band logic — including that a synthetic
-// regression actually fails (the gate guards the gate).
+// The regression gate's exact and min_ratio logic — including that a
+// synthetic regression actually fails (the gate guards the gate).
 TEST(PerfGateTest, ExactAndRatioBandsCatchRegressions) {
   const std::string baseline_json =
       "{\"gates\":["
       "{\"name\":\"g.exact\",\"file\":\"x.json\",\"path\":[\"events\"],"
       "\"value\":500,\"exact\":true},"
       "{\"name\":\"g.ratio\",\"file\":\"x.json\",\"path\":[\"eps\"],"
-      "\"value\":1000,\"min_ratio\":0.25,\"max_ratio\":4}"
+      "\"value\":1000,\"min_ratio\":0.25}"
       "]}";
   const auto gates = gate::parse_baseline(minijson::parse(baseline_json));
   ASSERT_EQ(gates.size(), 2u);
@@ -243,8 +248,13 @@ TEST(PerfGateTest, ExactAndRatioBandsCatchRegressions) {
   EXPECT_FALSE(gate::evaluate(gates[0], 499).pass);   // exact means exact
   EXPECT_TRUE(gate::evaluate(gates[1], 250).pass);    // on the band edge
   EXPECT_FALSE(gate::evaluate(gates[1], 249).pass);   // synthetic regression
-  EXPECT_TRUE(gate::evaluate(gates[1], 4000).pass);
-  EXPECT_FALSE(gate::evaluate(gates[1], 4001).pass);  // suspicious speedup
+
+  // The retired upper bound is rejected, not silently dropped.
+  EXPECT_THROW(gate::parse_baseline(minijson::parse(
+                   "{\"gates\":[{\"name\":\"g.max\",\"file\":\"x.json\","
+                   "\"path\":[\"eps\"],\"value\":1000,"
+                   "\"min_ratio\":0.25,\"max_ratio\":4}]}")),
+               minijson::ParseError);
 
   // Zone gates pull from profile dumps by name.
   const std::string prof_json =
@@ -271,6 +281,21 @@ TEST(PerfGateTest, ExactAndRatioBandsCatchRegressions) {
   const std::string rendered = gate::render_baseline(gates);
   const auto reparsed = gate::parse_baseline(minijson::parse(rendered));
   EXPECT_EQ(gate::render_baseline(reparsed), rendered);
+}
+
+// The committed baseline is exactly what --update-baseline would write
+// back, so hand edits cannot drift from the renderer's format.
+TEST(PerfGateTest, CommittedBaselineRoundTrips) {
+  std::ifstream in(std::string(SEED_SOURCE_DIR) + "/bench/perf_baseline.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open bench/perf_baseline.json";
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string committed = buf.str();
+
+  const auto gates = gate::parse_baseline(minijson::parse(committed));
+  EXPECT_EQ(gate::render_baseline(gates), committed);
+  EXPECT_EQ(gates.size(), 52u);
 }
 
 }  // namespace
