@@ -15,10 +15,6 @@ class Samples {
     values_.push_back(v);
     sorted_valid_ = false;
   }
-  void add_all(const std::vector<double>& vs) {
-    values_.insert(values_.end(), vs.begin(), vs.end());
-    sorted_valid_ = false;
-  }
 
   std::size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }

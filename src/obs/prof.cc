@@ -1,7 +1,6 @@
 #include "obs/prof.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -24,12 +23,6 @@ std::uint64_t now_ns() {
 
 namespace {
 
-/// log2 bucket of a value: 0 stays 0, otherwise bit_width, clamped.
-std::size_t bucket_of(std::uint64_t v) {
-  const std::size_t b = static_cast<std::size_t>(std::bit_width(v));
-  return b < kProfBuckets ? b : kProfBuckets - 1;
-}
-
 /// Process-wide zone name registry. Registration order depends on which
 /// thread first hits a site, so nothing downstream may key off the
 /// numeric id — captures and dumps always go through the name.
@@ -44,20 +37,19 @@ ZoneRegistry& registry() {
   return *r;
 }
 
-void dump_hist(std::ostream& os,
-               const std::array<std::uint64_t, kProfBuckets>& hist) {
+}  // namespace
+
+void Histogram::write_json(std::ostream& os) const {
   os << '[';
   bool first = true;
-  for (std::size_t b = 0; b < kProfBuckets; ++b) {
-    if (hist[b] == 0) continue;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    if (buckets_[b] == 0) continue;
     if (!first) os << ',';
     first = false;
-    os << '[' << b << ',' << hist[b] << ']';
+    os << '[' << b << ',' << buckets_[b] << ']';
   }
   os << ']';
 }
-
-}  // namespace
 
 void ZoneStats::add(const ZoneStats& o) {
   calls += o.calls;
@@ -66,10 +58,8 @@ void ZoneStats::add(const ZoneStats& o) {
   bytes += o.bytes;
   allocs += o.allocs;
   alloc_bytes += o.alloc_bytes;
-  for (std::size_t b = 0; b < kProfBuckets; ++b) {
-    bytes_hist[b] += o.bytes_hist[b];
-    time_hist[b] += o.time_hist[b];
-  }
+  bytes_hist.add(o.bytes_hist);
+  time_hist.add(o.time_hist);
 }
 
 ZoneId prof_zone_id(std::string_view name) {
@@ -129,7 +119,7 @@ void Profiler::end() {
   ZoneStats& st = zones_[f.zone];
   ++st.calls;
   st.excl_ns += excl;
-  ++st.time_hist[bucket_of(excl)];
+  st.time_hist.observe(excl);
   // A zone nested inside itself contributes inclusive time only at the
   // outermost instance, so incl_ns is real elapsed time, never inflated.
   if (--depth_[f.zone] == 0) st.incl_ns += incl;
@@ -140,7 +130,7 @@ void Profiler::add_bytes(std::uint64_t n) {
   if (stack_.empty()) return;
   ZoneStats& st = zones_[stack_.back().zone];
   st.bytes += n;
-  ++st.bytes_hist[bucket_of(n)];
+  st.bytes_hist.observe(n);
 }
 
 void Profiler::add_alloc(std::uint64_t bytes) {
@@ -183,11 +173,11 @@ void dump_prof_json(std::ostream& os, std::string_view workload,
     os << "\n{\"name\":\"" << row.name << "\",\"calls\":" << st.calls
        << ",\"bytes\":" << st.bytes << ",\"allocs\":" << st.allocs
        << ",\"alloc_bytes\":" << st.alloc_bytes << ",\"bytes_hist\":";
-    dump_hist(os, st.bytes_hist);
+    st.bytes_hist.write_json(os);
     if (include_times) {
       os << ",\"incl_us\":" << st.incl_ns / 1000
          << ",\"excl_us\":" << st.excl_ns / 1000 << ",\"time_hist\":";
-      dump_hist(os, st.time_hist);
+      st.time_hist.write_json(os);
     }
     os << '}';
   }

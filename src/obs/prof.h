@@ -30,6 +30,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -46,10 +47,42 @@ namespace seed::obs {
 /// Index into the process-wide zone registry.
 using ZoneId = std::uint32_t;
 
-/// log2 histogram width: bucket b counts observations v with
-/// bit_width(v) == b (v == 0 lands in bucket 0), clamped to the last
-/// bucket. 48 buckets cover every uint64 value seen in practice.
-inline constexpr std::size_t kProfBuckets = 48;
+/// Bounded, mergeable log2 histogram, shared by profiler zones and the
+/// Registry. Bucket b counts observations v with bit_width(v) == b (v == 0
+/// lands in bucket 0), clamped to the last bucket; 48 buckets cover every
+/// uint64 value seen in practice. add() is bucket-wise, so merges commute.
+class Histogram {
+ public:
+  static constexpr std::size_t kBuckets = 48;
+
+  static constexpr std::size_t bucket(std::uint64_t v) {
+    const auto b = static_cast<std::size_t>(std::bit_width(v));
+    return b < kBuckets ? b : kBuckets - 1;
+  }
+
+  void observe(std::uint64_t v) {
+    ++buckets_[bucket(v)];
+    ++count_;
+    sum_ += v;
+  }
+  void add(const Histogram& o) {
+    for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += o.buckets_[b];
+    count_ += o.count_;
+    sum_ += o.sum_;
+  }
+
+  std::uint64_t operator[](std::size_t b) const { return buckets_[b]; }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum() const { return sum_; }
+
+  /// Sparse JSON: [[bucket,count],...] over the non-empty buckets.
+  void write_json(std::ostream& os) const;
+
+ private:
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+};
 
 /// Everything recorded for one zone on one thread. add() merges by field
 /// (all fields are sums), so folding shard captures is order-independent.
@@ -60,8 +93,8 @@ struct ZoneStats {
   std::uint64_t bytes = 0;    // payload bytes attributed via prof_bytes
   std::uint64_t allocs = 0;   // buffer allocations via prof_alloc
   std::uint64_t alloc_bytes = 0;
-  std::array<std::uint64_t, kProfBuckets> bytes_hist{};  // deterministic
-  std::array<std::uint64_t, kProfBuckets> time_hist{};   // wall (excl ns)
+  Histogram bytes_hist;  // deterministic
+  Histogram time_hist;   // wall (excl ns)
 
   void add(const ZoneStats& o);
   bool touched() const { return calls != 0 || bytes != 0 || allocs != 0; }
@@ -149,8 +182,6 @@ class Profiler {
 void dump_prof_json(std::ostream& os, std::string_view workload,
                     const std::vector<ProfRow>& rows,
                     bool include_times = false);
-
-inline bool prof_enabled() { return detail::tl_prof_on; }
 
 inline void prof_bytes(std::uint64_t n) {
   if (detail::tl_prof_on) Profiler::instance().add_bytes(n);

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdio>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "simcore/simulator.h"
 
@@ -25,6 +27,43 @@ std::string fmt(double v) {
   return std::string(buf.data());
 }
 
+/// Prometheus label text of a "base{k=v}" series: k="v", with the bare
+/// overflow series as overflow="true"; empty for an unlabeled series.
+std::string labels_of(std::string_view name) {
+  const auto brace = name.find('{');
+  if (brace == std::string_view::npos) return {};
+  std::string_view inner = name.substr(brace + 1);
+  if (inner.ends_with('}')) inner.remove_suffix(1);
+  const auto eq = inner.find('=');
+  const std::string value =
+      eq == std::string_view::npos ? "true" : std::string(inner.substr(eq + 1));
+  return sanitize(inner.substr(0, eq)) + "=\"" + value + "\"";
+}
+
+std::string braced(const std::string& labels) {
+  return labels.empty() ? labels : "{" + labels + "}";
+}
+
+/// Writes one kind's series grouped into families: one # TYPE line per
+/// sanitized base name, then `sample(family, labels, metric)` per series.
+/// Map order alone would not group them: "a.b" sorts between "a" and
+/// "a{k=v}".
+template <class Map, class Sample>
+void write_families(std::ostream& os, const Map& series, const char* type,
+                    Sample sample) {
+  using Metric = typename Map::mapped_type;
+  std::map<std::string, std::vector<std::pair<std::string, const Metric*>>>
+      families;
+  for (const auto& [name, m] : series) {
+    families[sanitize(name.substr(0, name.find('{')))].emplace_back(
+        labels_of(name), &m);
+  }
+  for (const auto& [family, members] : families) {
+    os << "# TYPE " << family << " " << type << "\n";
+    for (const auto& [labels, m] : members) sample(family, labels, *m);
+  }
+}
+
 }  // namespace
 
 Registry& Registry::instance() {
@@ -42,10 +81,7 @@ void Registry::merge_from(const Registry& other) {
   for (const auto& [name, g] : other.gauges_) {
     gauge(name).set(g.value());
   }
-  for (const auto& [name, h] : other.histograms_) {
-    Histogram& mine = histogram(name);
-    for (double v : h.samples().values()) mine.observe(v);
-  }
+  for (const auto& [name, h] : other.histograms_) histogram(name).add(h);
 }
 
 std::string Registry::admit_series(std::string_view name) {
@@ -101,28 +137,31 @@ Histogram& Registry::histogram(std::string_view name) {
 }
 
 void Registry::dump_prometheus(std::ostream& os) const {
-  for (const auto& [name, c] : counters_) {
-    const std::string n = sanitize(name);
-    os << "# TYPE " << n << " counter\n" << n << " " << c.value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string n = sanitize(name);
-    os << "# TYPE " << n << " gauge\n" << n << " " << fmt(g.value()) << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string n = sanitize(name);
-    const metrics::Samples& s = h.samples();
-    os << "# TYPE " << n << " summary\n";
-    if (!s.empty()) {
-      os << n << "{quantile=\"0.5\"} " << fmt(s.percentile(50)) << "\n"
-         << n << "{quantile=\"0.9\"} " << fmt(s.percentile(90)) << "\n"
-         << n << "{quantile=\"0.99\"} " << fmt(s.percentile(99)) << "\n";
-    }
-    double sum = 0;
-    for (double v : s.values()) sum += v;
-    os << n << "_sum " << fmt(sum) << "\n"
-       << n << "_count " << s.count() << "\n";
-  }
+  write_families(os, counters_, "counter",
+                 [&](const auto& n, const auto& labels, const Counter& c) {
+                   os << n << braced(labels) << " " << c.value() << "\n";
+                 });
+  write_families(os, gauges_, "gauge",
+                 [&](const auto& n, const auto& labels, const Gauge& g) {
+                   os << n << braced(labels) << " " << fmt(g.value()) << "\n";
+                 });
+  write_families(
+      os, histograms_, "histogram",
+      [&](const auto& n, const std::string& labels, const Histogram& h) {
+        const std::string bucket =
+            "_bucket{" + labels + (labels.empty() ? "" : ",");
+        // The clamped last bucket is unbounded above: +Inf covers it.
+        std::uint64_t cum = 0;
+        for (std::size_t b = 0; b + 1 < Histogram::kBuckets; ++b) {
+          if (h[b] == 0) continue;
+          cum += h[b];
+          os << n << bucket << "le=\"" << (std::uint64_t{1} << b) - 1
+             << "\"} " << cum << "\n";
+        }
+        os << n << bucket << "le=\"+Inf\"} " << h.count() << "\n"
+           << n << "_sum" << braced(labels) << " " << h.sum() << "\n"
+           << n << "_count" << braced(labels) << " " << h.count() << "\n";
+      });
 }
 
 void Registry::dump_json(std::ostream& os) const {
@@ -145,14 +184,9 @@ void Registry::dump_json(std::ostream& os) const {
   for (const auto& [name, h] : histograms_) {
     if (!first) os << ",";
     first = false;
-    const metrics::Samples& s = h.samples();
-    os << "\"" << name << "\":{\"count\":" << s.count();
-    if (!s.empty()) {
-      os << ",\"min\":" << fmt(s.min()) << ",\"p50\":" << fmt(s.percentile(50))
-         << ",\"p90\":" << fmt(s.percentile(90))
-         << ",\"p99\":" << fmt(s.percentile(99))
-         << ",\"max\":" << fmt(s.max()) << ",\"mean\":" << fmt(s.mean());
-    }
+    os << "\"" << name << "\":{\"count\":" << h.count()
+       << ",\"sum\":" << h.sum() << ",\"buckets\":";
+    h.write_json(os);
     os << "}";
   }
   os << "}}\n";
@@ -173,8 +207,7 @@ void observe_simulator(sim::Simulator& sim, std::uint64_t every_n) {
         r.gauge("seed.sim.queue_depth").set(static_cast<double>(queued));
         r.gauge("seed.sim.events_processed")
             .set(static_cast<double>(processed));
-        r.histogram("seed.sim.queue_depth_hist")
-            .observe(static_cast<double>(queued));
+        r.histogram("seed.sim.queue_depth_hist").observe(queued);
       },
       every_n);
 }

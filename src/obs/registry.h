@@ -1,9 +1,10 @@
-// Named-metrics registry (the SEED observability layer, half two).
+// Named-series registry (the SEED observability layer, half two).
 //
 // Counters, gauges, and histograms keyed by dotted names
 // ("seed.reset.b1", "seed.recovery_ms"), dumpable as Prometheus text
-// exposition or JSON. Histograms are backed by metrics::Samples so they
-// answer the same percentile queries the benches already use.
+// exposition or JSON. Histograms are the profiler's bounded log2
+// obs::Histogram (prof.h): fixed storage per series however long the run,
+// and a fleet merge adds buckets.
 //
 // Like the tracer, the registry singleton is thread-local (each
 // simulation thread owns an isolated instance; fleet merges fold shard
@@ -20,7 +21,7 @@
 #include <string>
 #include <string_view>
 
-#include "metrics/stats.h"
+#include "obs/prof.h"
 
 namespace seed::sim {
 class Simulator;
@@ -47,16 +48,6 @@ class Gauge {
   double value_ = 0.0;
 };
 
-class Histogram {
- public:
-  void observe(double v) { samples_.add(v); }
-  const metrics::Samples& samples() const { return samples_; }
-  void reset() { samples_.clear(); }
-
- private:
-  metrics::Samples samples_;
-};
-
 class Registry {
  public:
   /// The thread's live registry is instance(); freestanding Registry
@@ -79,23 +70,23 @@ class Registry {
   /// the shared "base{overflow}" series and bump the
   /// `obs.series_dropped` counter. 0 (the default) = unlimited. The cap
   /// guards fleet-scale label explosions (1k UEs × per-UE series), so
-  /// unlabeled metrics are never capped.
+  /// unlabeled series are never capped.
   void set_series_limit(std::size_t limit) { series_limit_ = limit; }
   std::size_t series_limit() const { return series_limit_; }
   /// Observations routed to an overflow series so far.
   std::uint64_t series_dropped() const;
 
-  /// Prometheus text exposition: dots in names become underscores;
-  /// histograms are emitted as summaries (p50/p90/p99 quantiles, _sum,
-  /// _count).
+  /// Prometheus text exposition: dots in names become underscores, a
+  /// "base{k=v}" series becomes base{k="v"} under one # TYPE line per
+  /// base, and histograms carry cumulative le="2^b-1" buckets.
   void dump_prometheus(std::ostream& os) const;
   void dump_json(std::ostream& os) const;
 
   /// Drops every metric (names and values).
   void clear();
 
-  /// Folds another registry's metrics into this one: counters add,
-  /// histograms append samples, gauges take the other's value (last write
+  /// Folds another registry's series into this one: counters and
+  /// histograms add, gauges take the other's value (last write
   /// wins — fleet merges call this in shard order, so the merged dump is
   /// deterministic). Works even while disabled.
   void merge_from(const Registry& other);
@@ -130,7 +121,7 @@ inline void count(std::string_view name, std::uint64_t by = 1) {
   r.counter(name).inc(by);
 }
 
-inline void observe(std::string_view name, double v) {
+inline void observe(std::string_view name, std::uint64_t v) {
   Registry& r = Registry::instance();
   if (!r.enabled()) return;
   r.histogram(name).observe(v);

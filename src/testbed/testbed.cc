@@ -75,7 +75,7 @@ Outcome Testbed::await_recovery(sim::TimePoint t0, sim::Duration timeout) {
       SLOG(kDebug, "testbed") << "recovered after " << out.disruption_s
                               << " s";
       obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
-      obs::observe("seed.recovery_ms", out.disruption_s * 1e3);
+      obs::observe("seed.recovery_ms", (sim.now() - t0) / sim::ms(1));
       // Let trailing protocol actions (release completions, record
       // uploads, cancelled timers) settle before returning.
       sim.run_for(sim::seconds(6));

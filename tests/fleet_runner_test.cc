@@ -160,7 +160,7 @@ ObsDump run_obs_fleet(std::size_t threads) {
         simulator.schedule_after(sim::us(recover_us), [recover_us] {
           obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
           obs::observe("fleet.recover_us",
-                       static_cast<double>(recover_us));
+                       static_cast<std::uint64_t>(recover_us));
         });
         simulator.run();
         return obs::end_shard_obs();

@@ -212,7 +212,7 @@ TEST_F(ObsTest, LogLinesBridgeIntoTraceStream) {
 
 TEST_F(ObsTest, RegistryHelpersAreNoOpsWhenDisabled) {
   count("seed.test.counter", 5);
-  observe("seed.test.hist", 1.0);
+  observe("seed.test.hist", 1);
   std::stringstream json;
   Registry::instance().dump_json(json);
   EXPECT_EQ(json.str(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n");
@@ -224,14 +224,15 @@ TEST_F(ObsTest, RegistryCountsAndDumps) {
   count("seed.test.counter");
   count("seed.test.counter", 2);
   r.gauge("seed.test.gauge").set(1.5);
-  observe("seed.test.hist", 10.0);
-  observe("seed.test.hist", 20.0);
-  observe("seed.test.hist", 30.0);
+  observe("seed.test.hist", 10);
+  observe("seed.test.hist", 20);
+  observe("seed.test.hist", 30);
 
   EXPECT_EQ(r.counter("seed.test.counter").value(), 3u);
   EXPECT_DOUBLE_EQ(r.gauge("seed.test.gauge").value(), 1.5);
-  EXPECT_DOUBLE_EQ(r.histogram("seed.test.hist").samples().percentile(50),
-                   20.0);
+  const Histogram& h = r.histogram("seed.test.hist");
+  EXPECT_EQ(h[4], 1u);  // 10 in [8, 15]
+  EXPECT_EQ(h[5], 2u);  // 20, 30 in [16, 31]
 
   std::stringstream prom;
   r.dump_prometheus(prom);
@@ -239,14 +240,20 @@ TEST_F(ObsTest, RegistryCountsAndDumps) {
   EXPECT_NE(text.find("# TYPE seed_test_counter counter\nseed_test_counter 3"),
             std::string::npos);
   EXPECT_NE(text.find("seed_test_gauge 1.5"), std::string::npos);
-  EXPECT_NE(text.find("seed_test_hist{quantile=\"0.5\"} 20"),
+  EXPECT_NE(text.find("# TYPE seed_test_hist histogram\n"
+                      "seed_test_hist_bucket{le=\"15\"} 1\n"
+                      "seed_test_hist_bucket{le=\"31\"} 3\n"
+                      "seed_test_hist_bucket{le=\"+Inf\"} 3\n"
+                      "seed_test_hist_sum 60\n"),
             std::string::npos);
   EXPECT_NE(text.find("seed_test_hist_count 3"), std::string::npos);
 
   std::stringstream json;
   r.dump_json(json);
   EXPECT_NE(json.str().find("\"seed.test.counter\":3"), std::string::npos);
-  EXPECT_NE(json.str().find("\"p50\":20"), std::string::npos);
+  EXPECT_NE(json.str().find("\"seed.test.hist\":{\"count\":3,\"sum\":60,"
+                            "\"buckets\":[[4,1],[5,2]]}"),
+            std::string::npos);
 }
 
 TEST_F(ObsTest, SimulatorProbeExportsEventLoopGauges) {
@@ -259,7 +266,31 @@ TEST_F(ObsTest, SimulatorProbeExportsEventLoopGauges) {
   }
   s.run_for(sim::ms(10));
   EXPECT_GT(r.gauge("seed.sim.events_processed").value(), 0.0);
-  EXPECT_GE(r.histogram("seed.sim.queue_depth_hist").samples().count(), 1u);
+  EXPECT_GE(r.histogram("seed.sim.queue_depth_hist").count(), 1u);
+}
+
+// Histograms are fixed-size, so a longer run only raises bucket counts:
+// the probe's series set does not depend on how many events it sampled.
+TEST_F(ObsTest, SimulatorProbeSeriesSetIsIndependentOfRunLength) {
+  Registry& r = Registry::instance();
+  r.enable(true);
+  const auto families_after = [&r](int events) {
+    r.clear();
+    sim::Simulator s;
+    observe_simulator(s, /*every_n=*/1);
+    for (int i = 1; i <= events; ++i) s.schedule_after(sim::ms(i), [] {});
+    s.run();
+    std::stringstream prom;
+    r.dump_prometheus(prom);
+    std::vector<std::string> types;
+    for (std::string line; std::getline(prom, line);) {
+      if (line.starts_with("# TYPE ")) types.push_back(line);
+    }
+    return types;
+  };
+  const std::vector<std::string> n = families_after(500);
+  EXPECT_EQ(n, families_after(1000));
+  EXPECT_EQ(n.size(), 3u);  // two gauges + the queue-depth histogram
 }
 
 // Regression: Samples::clear() used to leave the cached sorted copy (and
@@ -316,6 +347,42 @@ TEST_F(ObsTest, RegistryCapsLabelCardinality) {
   EXPECT_EQ(r.counter("fleet.injections{ue=9}").value(), 1u);
   r.counter("plain.counter").inc();
   EXPECT_EQ(r.counter("plain.counter").value(), 1u);
+  r.set_series_limit(0);
+}
+
+// A "base{k=v}" series is exposed as a Prometheus label of its base
+// family, which gets one # TYPE line even when a dotted sibling sorts
+// between its unlabeled and labeled series.
+TEST_F(ObsTest, PrometheusRendersLabeledSeriesAsLabels) {
+  Registry& r = Registry::instance();
+  r.enable(true);
+  r.set_series_limit(2);
+  for (std::uint32_t ue = 1; ue <= 3; ++ue) {
+    r.counter(ue_series("core.rejects", ue)).inc();
+  }
+  r.counter("core.rejects").inc(5);
+  r.counter("core.rejects.cplane").inc(7);
+  r.gauge(label_series("sim.depth", "shard", "a")).set(2);
+  r.histogram(ue_series("seed.rtt", 1)).observe(3);
+  std::stringstream prom;
+  r.dump_prometheus(prom);
+  EXPECT_EQ(prom.str(),
+            "# TYPE core_rejects counter\n"
+            "core_rejects 5\n"
+            "core_rejects{overflow=\"true\"} 1\n"
+            "core_rejects{ue=\"1\"} 1\n"
+            "core_rejects{ue=\"2\"} 1\n"
+            "# TYPE core_rejects_cplane counter\n"
+            "core_rejects_cplane 7\n"
+            "# TYPE obs_series_dropped counter\n"
+            "obs_series_dropped 1\n"
+            "# TYPE sim_depth gauge\n"
+            "sim_depth{shard=\"a\"} 2\n"
+            "# TYPE seed_rtt histogram\n"
+            "seed_rtt_bucket{ue=\"1\",le=\"3\"} 1\n"
+            "seed_rtt_bucket{ue=\"1\",le=\"+Inf\"} 1\n"
+            "seed_rtt_sum{ue=\"1\"} 3\n"
+            "seed_rtt_count{ue=\"1\"} 1\n");
   r.set_series_limit(0);
 }
 

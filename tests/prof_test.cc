@@ -4,9 +4,12 @@
 // profile that is byte-identical for 1, 2, and 8 workers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/minijson.h"
@@ -153,12 +156,12 @@ TEST_F(ProfTest, AbsorbMergesByNameCommutatively) {
   ZoneStats a;
   a.calls = 10;
   a.bytes = 100;
-  a.bytes_hist[3] = 10;
+  for (int i = 0; i < 10; ++i) a.bytes_hist.observe(4);  // bucket 3
   ZoneStats b;
   b.calls = 5;
   b.bytes = 70;
-  b.bytes_hist[3] = 4;
-  b.bytes_hist[5] = 1;
+  for (int i = 0; i < 4; ++i) b.bytes_hist.observe(7);  // bucket 3
+  b.bytes_hist.observe(16);                              // bucket 5
   const std::vector<ProfRow> shard1{{"t.zone", a}, {"t.only1", b}};
   const std::vector<ProfRow> shard2{{"t.zone", b}};
 
@@ -177,6 +180,48 @@ TEST_F(ProfTest, AbsorbMergesByNameCommutatively) {
   const std::string rev = merged(shard2, shard1);
   EXPECT_EQ(fwd, rev);
   EXPECT_NE(fwd.find("\"name\":\"t.zone\",\"calls\":15"), std::string::npos);
+}
+
+// ----- the log2 histogram shared by profiler zones and Registry series
+
+static_assert(std::is_trivially_copyable_v<Histogram>,
+              "a histogram series must hold no heap storage");
+
+TEST(HistogramTest, BucketEdgesFollowBitWidth) {
+  EXPECT_EQ(Histogram::bucket(0), 0u);
+  EXPECT_EQ(Histogram::bucket(1), 1u);
+  for (std::size_t k = 1; k + 1 < Histogram::kBuckets; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    EXPECT_EQ(Histogram::bucket(p - 1), k) << k;
+    EXPECT_EQ(Histogram::bucket(p), k + 1) << k;
+  }
+  EXPECT_EQ(Histogram::bucket(UINT64_MAX), Histogram::kBuckets - 1);
+  Histogram h;
+  h.observe(UINT64_MAX);
+  EXPECT_EQ(h[Histogram::kBuckets - 1], 1u);
+}
+
+TEST(HistogramTest, ShardMergeMatchesSinglePassInEitherOrder) {
+  std::mt19937_64 rng(20221017);
+  Histogram whole;
+  Histogram shards[3];
+  for (int i = 0; i < 3000; ++i) {
+    const unsigned shift = static_cast<unsigned>(rng() % 64);
+    const std::uint64_t v = rng() >> shift;  // spread over every bucket
+    whole.observe(v);
+    shards[rng() % 3].observe(v);
+  }
+  Histogram fwd;
+  Histogram rev;
+  for (int s = 0; s < 3; ++s) fwd.add(shards[s]);
+  for (int s = 2; s >= 0; --s) rev.add(shards[s]);
+  for (const Histogram* merged : {&fwd, &rev}) {
+    EXPECT_EQ(merged->count(), whole.count());
+    EXPECT_EQ(merged->sum(), whole.sum());
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+      EXPECT_EQ((*merged)[b], whole[b]) << b;
+    }
+  }
 }
 
 // The headline determinism contract: the canonical fleet profiling
