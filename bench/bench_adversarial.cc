@@ -10,15 +10,16 @@
 //   semantic_storm — every semantic injection point hot: the *decoders*
 //                    and the quarantine machinery must hold the line
 //
-// Survival criteria (gated via perf_baseline.json):
+// Survival criteria (CI compares BENCH_adversarial.json byte for byte
+// with the committed copy):
 //   - zero applet/decoder crashes in every cell (ASan/UBSan CI job runs
 //     this bench too, giving the no-crash claim teeth)
 //   - 100% recovery of recoverable failures under the storm
 //   - deterministic mutation/reject/quarantine counts, byte-identical
 //     for any fleet worker count (jobs pre-sampled, merged in order)
 //
-// BENCH_adversarial.json is a single JSON object so the exact gates can
-// path into per-cell counters.
+// BENCH_adversarial.json is a single JSON object keyed by cell, so a
+// json.tool diff against the committed copy names the drifted counter.
 #include <fstream>
 #include <iostream>
 #include <string>

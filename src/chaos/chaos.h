@@ -65,20 +65,6 @@ struct ChaosConfig {
   double replay_downlink = 0.0;       // re-deliver a stale captured fragment
   double unsolicited_downlink = 0.0;  // fabricate a pre-security-context
                                       // downlink with no matching transfer
-
-  bool any() const {
-    if (downlink_drop > 0 || downlink_dup > 0 || downlink_corrupt > 0 ||
-        uplink_drop > 0 || uplink_dup > 0 || uplink_corrupt > 0 ||
-        at_fail > 0 || at_timeout > 0 || applet_crash > 0 ||
-        semantic_downlink > 0 || semantic_uplink > 0 || replay_downlink > 0 ||
-        unsolicited_downlink > 0) {
-      return true;
-    }
-    for (double p : action_fail) {
-      if (p > 0) return true;
-    }
-    return false;
-  }
 };
 
 /// Injection decision points; each owns an independent RNG stream so

@@ -38,8 +38,6 @@ class BufferPool {
 
   void release(Bytes&& b) { free_.push_back(std::move(b)); }
 
-  std::size_t idle() const { return free_.size(); }
-
  private:
   std::size_t reserve_;
   std::vector<Bytes> free_;

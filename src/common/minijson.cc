@@ -1,5 +1,7 @@
 #include "common/minijson.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 namespace seed::minijson {
@@ -186,9 +188,23 @@ class Parser {
         case 'n': out.push_back('\n'); break;
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
+        case 'u': out.push_back(parse_byte_escape()); break;
         default: fail("unsupported escape");
       }
     }
+  }
+
+  // \u00XX as obs::write_escaped emits it: one raw byte. Code points
+  // above 0xff never occur in the repo's own files and are rejected.
+  char parse_byte_escape() {
+    const char* first = text_.data() + pos_;
+    const char* last = first + std::min<std::size_t>(4, text_.size() - pos_);
+    unsigned value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value, 16);
+    if (ec != std::errc() || end != first + 4) fail("malformed \\u escape");
+    if (value > 0xff) fail("unsupported \\u escape above 0xff");
+    pos_ += 4;
+    return static_cast<char>(value);
   }
 
   Value parse_number() {

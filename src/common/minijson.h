@@ -1,9 +1,10 @@
 // Minimal JSON reader for the repo's own machine-readable artifacts
-// (BENCH_*.json, perf baselines, JSONL traces). Parses a byte string
-// into a Value tree; objects keep insertion order. This is a reader for
-// trusted, self-produced files — it rejects malformed input with
+// (BENCH_*.json, JSONL traces). Parses a byte string into a Value tree;
+// objects keep insertion order. This is a reader for trusted,
+// self-produced files — it rejects malformed input with
 // ParseError but makes no attempt to be a hardened general-purpose
-// parser (no \uXXXX surrogate pairs, numbers via strtod).
+// parser (\uXXXX decodes only byte values 00..ff, the way
+// obs::write_escaped writes them; numbers via strtod).
 #pragma once
 
 #include <cstddef>

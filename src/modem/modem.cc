@@ -221,7 +221,6 @@ void Modem::on_registration_timeout() {
   if (mm_ != MmState::kRegistering) return;
   mm_ = MmState::kIdle;
   registration_settled(false);  // waiters fail fast; auto-retry continues
-  if (!behavior_.auto_retry) return;
   ++reg_attempts_;
   if (reg_attempts_ < params::kMaxRegistrationAttempts) {
     t3511_.arm(params::kT3511, [this] { start_registration(false, false); });
@@ -249,7 +248,6 @@ void Modem::handle_registration_reject(const nas::RegistrationReject& m) {
   }
   if (on_reject_) on_reject_(nas::Plane::kControl, m.cause);
   registration_settled(false);  // waiters fail fast; auto-retry continues
-  if (!behavior_.auto_retry) return;
 
   // Permanent causes: the modem stops by itself; only user action helps.
   if (m.cause == mm_code(MmCause::kIllegalUe) ||
@@ -431,8 +429,7 @@ void Modem::send_pdu_request(std::uint8_t psi) {
       if (it == sessions_.end() || it->second.state != SmState::kActivating) {
         return;
       }
-      if (!behavior_.auto_retry ||
-          ++it->second.attempts >= params::kMaxPduAttempts) {
+      if (++it->second.attempts >= params::kMaxPduAttempts) {
         auto done = std::move(it->second.done);
         sessions_.erase(it);
         if (done) done(false, 0);
@@ -494,7 +491,7 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
   }
   if (on_reject_) on_reject_(nas::Plane::kData, m.cause);
 
-  if (psi != kDataPsi || !behavior_.auto_retry) {
+  if (psi != kDataPsi) {
     auto done = std::move(it->second.done);
     sessions_.erase(it);
     notify_data_state();
@@ -516,15 +513,7 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
   const auto backoff = m.backoff_seconds ? sim::seconds(*m.backoff_seconds)
                                          : params::kT3580;
   it->second.state = SmState::kActivating;
-  t3580_.arm(backoff, [this, psi] {
-    if (!behavior_.sticky_config_on_pdu_reject) {
-      // Ablation: re-read the (possibly fixed) SIM config before retrying.
-      dnn_ = sim_card_.profile().dnn;
-      auto it = sessions_.find(psi);
-      if (it != sessions_.end()) it->second.dnn = dnn_;
-    }
-    send_pdu_request(psi);
-  });
+  t3580_.arm(backoff, [this, psi] { send_pdu_request(psi); });
 }
 
 void Modem::release_session(std::uint8_t psi, std::function<void()> done) {

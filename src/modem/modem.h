@@ -39,11 +39,6 @@ struct ModemBehavior {
   /// Paper §3.2: the modem keeps retrying with the outdated GUTI after
   /// cause #9 instead of falling back to SUCI until attempts exhaust.
   bool sticky_identity_on_cause9 = true;
-  /// Paper §3.2: data-plane retries reuse the outdated configuration.
-  bool sticky_config_on_pdu_reject = true;
-  /// Automatic timer-driven retries (the modem-based scheme). Always on
-  /// in practice; SEED runs alongside it.
-  bool auto_retry = true;
 };
 
 struct ModemStats {

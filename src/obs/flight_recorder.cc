@@ -33,13 +33,7 @@ void FlightRecorder::dump_jsonl(std::ostream& os) const {
   for (const BlackboxSnapshot& box : blackboxes_) {
     os << "{\"blackbox\":{\"ue\":" << box.ue << ",\"at_us\":" << box.at_us
        << ",\"reason\":\"";
-    // The reason came out of Event::detail; reuse the event escaper by
-    // serializing a synthetic log record? No — keep it simple and safe:
-    // reasons are fixed strings from our own emit sites.
-    for (char c : box.reason) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
+    write_escaped(os, box.reason);
     os << "\",\"events\":" << box.events.size() << "}}\n";
     for (const Event& e : box.events) export_event_jsonl(os, e);
   }

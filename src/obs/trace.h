@@ -400,6 +400,11 @@ class Tracer {
 /// Tracer::export_jsonl and the flight recorder's blackbox share).
 void export_event_jsonl(std::ostream& os, const Event& e);
 
+/// Writes `s` as the body of a JSON string (no surrounding quotes); every
+/// byte outside printable ASCII becomes an escape, so the output is one
+/// line that import_jsonl decodes back to the same bytes.
+void write_escaped(std::ostream& os, std::string_view s);
+
 inline bool enabled() { return Tracer::instance().enabled(); }
 
 /// The payload of one emitted event. Which fields a kind uses, and which

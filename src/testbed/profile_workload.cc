@@ -15,7 +15,7 @@ obs::ShardObs run_shard(const ProfileWorkload& w, const sim::ShardInfo& info) {
   // tracer runs under retention so the shard also measures what the
   // sampled capture costs in bytes. Trace overhead lands in whatever
   // zone is open when an event is recorded (mostly sim.dispatch) — the
-  // codec/crypto zones contain no emit sites, so their zero-alloc gates
+  // codec/crypto zones contain no emit sites, so their zero-alloc counts
   // are unaffected.
   obs::begin_shard_obs(/*traces=*/true, /*metrics=*/false,
                        /*profile=*/true);

@@ -31,7 +31,7 @@ struct ProfileWorkload {
 
 /// Merged output: profile rows plus the summed per-shard trace-volume
 /// budget (each shard traces under tail-based retention, so the
-/// canonical workload also gates the sampled capture's byte cost).
+/// canonical workload also pins the sampled capture's byte cost).
 struct ProfileRun {
   std::vector<obs::ProfRow> rows;
   obs::RetentionStats trace;

@@ -102,32 +102,6 @@ TEST(ChaosEngine, ZeroConfigNeverInjects) {
   EXPECT_EQ(engine.stats().total(), 0u);
 }
 
-// Every probability field — including the semantic additions — must be
-// visible to any(): a field any() misses is chaos the purity guards
-// cannot see.
-TEST(ChaosEngine, ConfigAnyAccountsForEveryProbability) {
-  EXPECT_FALSE(chaos::ChaosConfig{}.any());
-  const auto probe = [](auto set) {
-    chaos::ChaosConfig cfg;
-    set(cfg);
-    return cfg.any();
-  };
-  EXPECT_TRUE(probe([](auto& c) { c.downlink_drop = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.downlink_dup = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.downlink_corrupt = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.uplink_drop = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.uplink_dup = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.uplink_corrupt = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.at_fail = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.at_timeout = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.applet_crash = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.action_fail[3] = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.semantic_downlink = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.semantic_uplink = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.replay_downlink = 0.1; }));
-  EXPECT_TRUE(probe([](auto& c) { c.unsolicited_downlink = 0.1; }));
-}
-
 TEST(ChaosEngine, SemanticDrawsAreDeterministicPerSeed) {
   chaos::ChaosConfig cfg;
   cfg.semantic_downlink = 0.3;

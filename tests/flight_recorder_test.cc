@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "chaos/chaos.h"
+#include "common/minijson.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "testbed/testbed.h"
@@ -114,6 +115,28 @@ TEST(FlightRecorder_, MergeAndDumpAreDeterministic) {
   std::size_t lines = 0;
   for (char c : out) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, 6u);
+}
+
+// A replayed stream can carry any bytes in a terminal event's detail; the
+// blackbox header must still be one parseable JSONL line.
+TEST(FlightRecorder_, DumpEscapesControlBytesInTheReason) {
+  FlightRecorder recorder(4);
+  recorder.ingest({ev(7, 0, EventKind::kFailureDetected),
+                   ev(7, 5, EventKind::kFailureDetected),
+                   terminal(7, 10, "a\nb\x01")});
+  ASSERT_EQ(recorder.blackboxes().size(), 1u);
+  const std::size_t n = recorder.blackboxes().front().events.size();
+  std::ostringstream os;
+  recorder.dump_jsonl(os);
+  const std::string out = os.str();
+  std::size_t lines = 0;
+  for (char c : out) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, 1 + n);
+  const std::string header = out.substr(0, out.find('\n'));
+  const minijson::Value doc = minijson::parse(header);
+  EXPECT_EQ(doc.at("blackbox").at("reason").as_string(), "a\nb\x01");
+  EXPECT_EQ(doc.at("blackbox").at("events").as_int(),
+            static_cast<std::int64_t>(n));
 }
 
 // ------------------------------------------- acceptance (integration)

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
@@ -13,14 +12,9 @@
 #include <vector>
 
 #include "common/minijson.h"
-#include "common/perf_gate.h"
 #include "obs/fleet_obs.h"
 #include "obs/prof.h"
 #include "testbed/profile_workload.h"
-
-#ifndef SEED_SOURCE_DIR
-#error "SEED_SOURCE_DIR must point at the repository root"
-#endif
 
 namespace seed::obs {
 namespace {
@@ -231,8 +225,8 @@ TEST(ProfFleetTest, MergedProfileIsByteIdenticalAcrossWorkerCounts) {
   if (!SEED_PROF_COMPILED) GTEST_SKIP() << "profiler compiled out";
   testbed::ProfileWorkload w;
   // Trimmed workload: worker-count independence doesn't need the full
-  // BENCH-sized run (the committed artifact itself is regenerated and
-  // gated by bench_city_storm + bench_gate in CI).
+  // BENCH-sized run (the committed artifact itself is regenerated by
+  // bench_city_storm and compared byte for byte in CI).
   w.shards = 4;
   w.ues_per_shard = 3;
   w.injections_per_shard = 8;
@@ -247,7 +241,7 @@ TEST(ProfFleetTest, MergedProfileIsByteIdenticalAcrossWorkerCounts) {
     dump_prof_json(os, "profile_fleet", run.rows, /*include_times=*/false);
     dumps[i] = os.str();
     // The shards' tail-retention trace budget must be worker-count
-    // independent too (it rides into BENCH_profile.json's trace gates).
+    // independent too (it rides into BENCH_profile.json's "trace" block).
     std::ostringstream bs;
     bs << "bytes=" << run.trace.bytes_retained
        << " retained=" << run.trace.events_retained
@@ -274,73 +268,6 @@ TEST(ProfFleetTest, MergedProfileIsByteIdenticalAcrossWorkerCounts) {
     EXPECT_NE(std::find(names.begin(), names.end(), expect), names.end())
         << "zone missing from fleet profile: " << expect;
   }
-}
-
-// The regression gate's exact and min_ratio logic — including that a
-// synthetic regression actually fails (the gate guards the gate).
-TEST(PerfGateTest, ExactAndRatioBandsCatchRegressions) {
-  const std::string baseline_json =
-      "{\"gates\":["
-      "{\"name\":\"g.exact\",\"file\":\"x.json\",\"path\":[\"events\"],"
-      "\"value\":500,\"exact\":true},"
-      "{\"name\":\"g.ratio\",\"file\":\"x.json\",\"path\":[\"eps\"],"
-      "\"value\":1000,\"min_ratio\":0.25}"
-      "]}";
-  const auto gates = gate::parse_baseline(minijson::parse(baseline_json));
-  ASSERT_EQ(gates.size(), 2u);
-
-  EXPECT_TRUE(gate::evaluate(gates[0], 500).pass);
-  EXPECT_FALSE(gate::evaluate(gates[0], 499).pass);   // exact means exact
-  EXPECT_TRUE(gate::evaluate(gates[1], 250).pass);    // on the band edge
-  EXPECT_FALSE(gate::evaluate(gates[1], 249).pass);   // synthetic regression
-
-  // The retired upper bound is rejected, not silently dropped.
-  EXPECT_THROW(gate::parse_baseline(minijson::parse(
-                   "{\"gates\":[{\"name\":\"g.max\",\"file\":\"x.json\","
-                   "\"path\":[\"eps\"],\"value\":1000,"
-                   "\"min_ratio\":0.25,\"max_ratio\":4}]}")),
-               minijson::ParseError);
-
-  // Zone gates pull from profile dumps by name.
-  const std::string prof_json =
-      "{\"profile\":{\"workload\":\"t\",\"zones\":["
-      "{\"name\":\"nas.encode\",\"calls\":42,\"bytes\":7,\"allocs\":0,"
-      "\"alloc_bytes\":0,\"bytes_hist\":[]}]}}";
-  gate::GateSpec zg;
-  zg.name = "g.zone";
-  zg.file = "BENCH_profile.json";
-  zg.zone = "nas.encode";
-  zg.field = "calls";
-  zg.value = 42;
-  zg.exact = true;
-  EXPECT_EQ(gate::extract_value(zg, minijson::parse(prof_json)), 42.0);
-  EXPECT_THROW(
-      {
-        gate::GateSpec missing = zg;
-        missing.zone = "no.such.zone";
-        gate::extract_value(missing, minijson::parse(prof_json));
-      },
-      minijson::ParseError);
-
-  // Baselines round-trip byte-for-byte (the --update-baseline contract).
-  const std::string rendered = gate::render_baseline(gates);
-  const auto reparsed = gate::parse_baseline(minijson::parse(rendered));
-  EXPECT_EQ(gate::render_baseline(reparsed), rendered);
-}
-
-// The committed baseline is exactly what --update-baseline would write
-// back, so hand edits cannot drift from the renderer's format.
-TEST(PerfGateTest, CommittedBaselineRoundTrips) {
-  std::ifstream in(std::string(SEED_SOURCE_DIR) + "/bench/perf_baseline.json",
-                   std::ios::binary);
-  ASSERT_TRUE(in) << "cannot open bench/perf_baseline.json";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string committed = buf.str();
-
-  const auto gates = gate::parse_baseline(minijson::parse(committed));
-  EXPECT_EQ(gate::render_baseline(gates), committed);
-  EXPECT_EQ(gates.size(), 52u);
 }
 
 }  // namespace

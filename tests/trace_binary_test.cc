@@ -519,7 +519,7 @@ TEST(CityWorkloadTest, SampledCaptureIsByteIdenticalAcrossWorkerCounts) {
   testbed::CityWorkload w;
   // Trimmed city: worker-count independence doesn't need 10k UEs (the
   // committed BENCH_city.json sampled10k section is regenerated and
-  // exact-gated in CI).
+  // compared byte for byte in CI).
   w.shards = 3;
   w.ues_per_shard = 8;
   w.storm_min = 2;
