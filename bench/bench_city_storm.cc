@@ -77,10 +77,11 @@ int main(int argc, char** argv) {
   const char* trace_path = str_of(argc, argv, "--trace");
   const char* blackbox_path = str_of(argc, argv, "--blackbox");
 
+  // The stack writes no registry series (its counts live in typed stats
+  // and trace kinds), so series_dropped in BENCH_health.json pins 0: any
+  // per-UE series creeping back onto the hot path shows up as a diff.
   obs::Registry::instance().clear();
   obs::Registry::instance().enable(true);
-  // Per-UE label series (core.rejects{ue=N}) would mint 1k series; cap
-  // the cardinality and let the overflow bucket absorb the tail.
   obs::Registry::instance().set_series_limit(256);
   // The health engine and flight recorder tap the tracer, so tracing is
   // always on; --trace only controls whether the raw stream is dumped.

@@ -4,9 +4,10 @@
 // 0..100 events/s; SEED's decision-tree diagnosis + assistance transfer
 // adds only a few percent of CPU at the 100/s stress point.
 //
-// The load generator drives a CpuMeter with the same per-operation costs
-// the single-UE CoreNetwork charges (procedures, failure handling,
-// diagnosis, signaling), using Poisson arrivals on the event simulator.
+// The load generator drives a CpuMeter with the calibrated per-operation
+// core costs from common/params.h (procedures, failure handling,
+// diagnosis), using Poisson arrivals on the event simulator. The
+// simulated CoreNetwork itself keeps no CPU account.
 #include <iostream>
 
 #include "common/params.h"

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "simcore/fleet_runner.h"
 
@@ -102,11 +101,6 @@ bool ChaosEngine::roll(Point point, double p) {
 void ChaosEngine::note(Point point) {
   obs::emit(obs::EventKind::kChaosInjected, obs::Origin::kTestbed,
             {.cause = static_cast<std::uint8_t>(point)});
-  obs::Registry& r = obs::Registry::instance();
-  if (r.enabled()) {
-    r.counter(obs::label_series("chaos.injected", "point", point_name(point)))
-        .inc();
-  }
 }
 
 bool ChaosEngine::drop_downlink() {

@@ -85,6 +85,8 @@ enum class Point : std::uint8_t {
   kCount,
 };
 
+/// Stable name of an injection point; decodes a kChaosInjected trace
+/// event's `cause` field.
 std::string_view point_name(Point p);
 
 /// Field-aware mutation shapes shared by the downlink (AUTN fragment)

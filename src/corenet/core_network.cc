@@ -5,7 +5,6 @@
 #include "common/codec.h"
 #include "common/params.h"
 #include "obs/prof.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "seed/verdict.h"
 #include "simcore/log.h"
@@ -22,9 +21,8 @@ std::uint8_t mm(MmCause c) { return static_cast<std::uint8_t>(c); }
 std::uint8_t sm(SmCause c) { return static_cast<std::uint8_t>(c); }
 }  // namespace
 
-CoreNetwork::CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db,
-                         metrics::CpuMeter& cpu)
-    : sim_(sim), rng_(rng), db_(db), cpu_(cpu) {}
+CoreNetwork::CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db)
+    : sim_(sim), rng_(rng), db_(db) {}
 
 CoreNetwork::~CoreNetwork() = default;
 
@@ -116,7 +114,6 @@ void CoreNetwork::enable_diag_cache(bool on) {
 
 void CoreNetwork::send(UeContext& ue, const nas::NasMessage& msg) {
   ++ue.stats.nas_tx;
-  cpu_.charge("nas_tx", 0.0002);
   Bytes wire = tx_pool_.acquire();
   nas::encode_message_into(msg, wire);
   const auto latency = params::kCoreProcessing + params::kGnbCoreLatency +
@@ -130,19 +127,12 @@ void CoreNetwork::send(UeContext& ue, const nas::NasMessage& msg) {
 void CoreNetwork::on_uplink(UeId id, BytesView wire) {
   UeContext& ue = context(id);
   ++ue.stats.nas_rx;
-  cpu_.charge("nas_rx", 0.0002);
   nas::DecodeError err;
   const auto msg = nas::decode_message(wire, &err);
   if (!msg) {
     ++ue.stats.decode_rejects;
     obs::emit(obs::EventKind::kDecodeRejected, obs::Origin::kInfra,
               {.cause = static_cast<std::uint8_t>(err)});
-    auto& reg = obs::Registry::instance();
-    if (reg.enabled()) {
-      reg.counter(obs::label_series("core.decode_reject", "reason",
-                                    nas::decode_error_name(err)))
-          .inc();
-    }
     SLOG(kWarn, "core") << "undecodable NAS message ("
                         << nas::decode_error_name(err) << ", " << wire.size()
                         << " bytes)";
@@ -205,10 +195,6 @@ bool CoreNetwork::peer_quarantined(UeId ue) const {
 void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
   ++ue.stats.malformed_rx;
   ++ue.malformed_count;
-  auto& reg = obs::Registry::instance();
-  if (reg.enabled()) {
-    reg.counter(obs::ue_series("core.malformed", ue.id)).inc();
-  }
   if (obs::enabled()) {
     // The infra's diagnosis of this input: adversarial, reject it. One
     // verdict per malformed frame joins the poisoning injection's label.
@@ -226,9 +212,6 @@ void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
   obs::emit(obs::EventKind::kPeerQuarantined, obs::Origin::kInfra,
             {.cause = static_cast<std::uint8_t>(
                  std::min<std::uint32_t>(ue.malformed_strikes, 255))});
-  if (reg.enabled()) {
-    reg.counter(obs::ue_series("core.quarantined", ue.id)).inc();
-  }
   SLOG(kWarn, "core") << "UE " << ue.id << " quarantined (" << what
                       << ", strike " << ue.malformed_strikes << ", muted "
                       << sim::to_seconds(mute) << "s)";
@@ -238,7 +221,6 @@ void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
 
 void CoreNetwork::handle_registration(UeContext& ue,
                                       const nas::RegistrationRequest& m) {
-  cpu_.charge("procedure", params::kCoreCostPerProcedure / 4);
   if (ue.faults.timeout_registration) return;  // swallowed: device times out
 
   Subscriber* sub = nullptr;
@@ -304,7 +286,6 @@ void CoreNetwork::start_authentication(UeContext& ue,
   Subscriber* sub = sub_of(ue);
   if (sub == nullptr) return;
   ++ue.stats.auth_vectors;
-  cpu_.charge("auth", 0.0005);
 
   crypto::Block rand{};
   for (auto& b : rand) b = static_cast<std::uint8_t>(rng_.next());
@@ -407,12 +388,6 @@ void CoreNetwork::handle_service_request(UeContext& ue,
 void CoreNetwork::reject_registration(UeContext& ue, std::uint8_t cause,
                                       std::optional<std::uint32_t> t3502) {
   ++ue.stats.rejects_sent;
-  if (obs::Registry::instance().enabled()) {
-    // Per-UE series: unbounded at city scale, so fleet callers cap the
-    // registry (Registry::set_series_limit) and overflow aggregates.
-    obs::count(obs::ue_series("core.rejects", ue.id));
-  }
-  cpu_.charge("failure", params::kCoreCostPerFailure);
   nas::RegistrationReject rej;
   rej.cause = cause;
   rej.t3502_seconds = t3502;
@@ -441,7 +416,6 @@ void CoreNetwork::reject_registration(UeContext& ue, std::uint8_t cause,
 
 void CoreNetwork::handle_pdu_request(
     UeContext& ue, const nas::PduSessionEstablishmentRequest& m) {
-  cpu_.charge("procedure", params::kCoreCostPerProcedure / 4);
   Subscriber* sub = sub_of(ue);
   if (sub == nullptr) return;
 
@@ -458,9 +432,6 @@ void CoreNetwork::handle_pdu_request(
       // report ack-guard expires, its retries exhaust, and the applet
       // falls back to the local plan (graceful degradation, DESIGN.md).
       ++ue.stats.quarantine_drops;
-      if (obs::Registry::instance().enabled()) {
-        obs::count(obs::ue_series("core.quarantine_drops", ue.id));
-      }
       return;
     }
     const auto frame = ue.report_reassembler.feed_view(m.dnn);
@@ -470,7 +441,6 @@ void CoreNetwork::handle_pdu_request(
         const auto report = proto::FailureReport::decode(collab_plain_);
         if (report) {
           ++ue.stats.diag_reports_rx;
-          cpu_.charge("diagnosis", params::kCoreCostPerDiagnosis);
           ue.last_report_frame.assign(frame->begin(), frame->end());
           handle_diag_report(ue, *report, m.hdr);
           return;
@@ -597,10 +567,6 @@ void CoreNetwork::reject_pdu(UeContext& ue, const nas::SmHeader& hdr,
                              std::uint8_t cause,
                              std::optional<std::uint32_t> backoff) {
   ++ue.stats.rejects_sent;
-  if (obs::Registry::instance().enabled()) {
-    obs::count(obs::ue_series("core.rejects", ue.id));
-  }
-  cpu_.charge("failure", params::kCoreCostPerFailure);
   nas::PduSessionEstablishmentReject rej;
   rej.hdr = hdr;
   rej.cause = cause;
@@ -763,12 +729,8 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
     // applet's local plan) still runs, so connectivity recovery degrades
     // gracefully instead of stalling.
     ++ue.stats.quarantine_drops;
-    if (obs::Registry::instance().enabled()) {
-      obs::count(obs::ue_series("core.quarantine_drops", ue.id));
-    }
     return;
   }
-  cpu_.charge("diagnosis", params::kCoreCostPerDiagnosis);
   // Explicit cache invalidation on subscriber/config mutation: the db's
   // epoch moves on every provisioning change, and stale entries must not
   // outlive the state they were computed from (the keyed digests already
@@ -821,7 +783,6 @@ void CoreNetwork::send_diag_fragments(UeContext& ue) {
       obs::emit(obs::EventKind::kCollabDownlink, obs::Origin::kInfra,
                 {.prep_ms = diag_prep_ms_.back(),
                  .trans_ms = diag_trans_ms_.back()});
-      obs::count("seed.collab.downlink");
     }
     ue.pending_frags.clear();
     ue.next_frag = 0;
@@ -850,7 +811,6 @@ void CoreNetwork::on_frag_guard(UeContext& ue) {
                         << ue.next_frag << "/" << ue.pending_frags.size()
                         << " unacked after " << params::kDiagFragMaxRetries
                         << " retries)";
-    obs::count("core.diag_downlink_abandoned");
     ue.pending_frags.clear();
     ue.next_frag = 0;
     ue.frag_outstanding = false;
@@ -876,14 +836,10 @@ void CoreNetwork::handle_diag_report(UeContext& ue,
     // covert traffic.
     ++ue.stats.suspect_reports_dropped;
     obs::emit(obs::EventKind::kSuspectReportDropped, obs::Origin::kInfra);
-    if (obs::Registry::instance().enabled()) {
-      obs::count(obs::ue_series("core.suspect_dropped", ue.id));
-    }
     return;
   }
   SLOG(kDebug, "core") << "uplink diagnosis report received (type "
                        << int(static_cast<std::uint8_t>(report.type)) << ")";
-  obs::count("seed.reports_rx");
   Subscriber* sub = sub_of(ue);
   // ACK the report with a reject (Fig. 7b).
   nas::PduSessionEstablishmentReject ack;
@@ -972,9 +928,6 @@ void CoreNetwork::upload_sim_records(
     // quarantined peer never reach the shared NetRecord.
     ++ue.stats.suspect_reports_dropped;
     obs::emit(obs::EventKind::kSuspectReportDropped, obs::Origin::kInfra);
-    if (obs::Registry::instance().enabled()) {
-      obs::count(obs::ue_series("core.suspect_dropped", ue.id));
-    }
     return;
   }
   if (learner_ != nullptr) learner_->absorb(e);

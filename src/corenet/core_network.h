@@ -33,7 +33,6 @@
 #include "crypto/milenage.h"
 #include "crypto/security_context.h"
 #include "corenet/subscriber.h"
-#include "metrics/meters.h"
 #include "nas/messages.h"
 #include "ran/gnb.h"
 #include "seed/infra_assist.h"
@@ -130,8 +129,7 @@ using CoreStats = UeStats;
 class CoreNetwork {
  public:
   /// Devices bring their own gNB link via attach_device.
-  CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db,
-              metrics::CpuMeter& cpu);
+  CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db);
   ~CoreNetwork();
 
   /// Enables the SEED plugin (diagnosis assistance + report handling).
@@ -314,7 +312,6 @@ class CoreNetwork {
   sim::Simulator& sim_;
   sim::Rng& rng_;
   SubscriberDb& db_;
-  metrics::CpuMeter& cpu_;
   core::NetRecord* learner_ = nullptr;
   bool seed_enabled_ = false;
 

@@ -1,7 +1,6 @@
 #include "device/device.h"
 
 #include "common/params.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "simcore/log.h"
 
@@ -51,7 +50,6 @@ Device::Device(sim::Simulator& sim, sim::Rng& rng, ran::Gnb& gnb,
   applet_->set_user_notifier([this](std::string cause) {
     ++user_notifications_;
     SLOG(kDebug, "device") << "user notified: " << cause;
-    obs::count("seed.user_notifications");
   });
 
   modem_->set_data_state_handler([this](bool up) {
@@ -119,7 +117,6 @@ void Device::on_watchdog() {
                         << watchdog_refires_ << ")";
   obs::emit(obs::EventKind::kWatchdogFired, obs::Origin::kOs,
             {.cause = static_cast<std::uint8_t>(watchdog_refires_)});
-  obs::count("seed.watchdog_fired");
   if (applet_->dead() || watchdog_refires_ >= watchdog_cfg_->max_refires) {
     degrade_to_legacy();
     return;
@@ -144,7 +141,6 @@ void Device::degrade_to_legacy() {
   obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kOs,
             {.detail = applet_->dead() ? "applet dead" : "watchdog exhausted"});
   obs::emit(obs::EventKind::kDegraded, obs::Origin::kOs);
-  obs::count("seed.degradations");
   android_->set_sequential_retry_enabled(true);
   // If the path is still broken, restart the recovery under the legacy
   // scheme immediately instead of waiting for the next detection pass.

@@ -5,7 +5,6 @@
 #include "chaos/chaos.h"
 #include "common/params.h"
 #include "obs/prof.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "seedproto/diag_payload.h"
 #include "simcore/log.h"
@@ -18,17 +17,10 @@ using nas::SmCause;
 namespace {
 std::uint8_t mm_code(MmCause c) { return static_cast<std::uint8_t>(c); }
 
-// Counts a reset action and, when tracing is on, wraps its completion so
-// the tracer sees the issue/complete pair. With the tracer off the
-// original callback is returned untouched — no std::function rebuild on
-// the hot path.
+// When tracing is on, wraps a reset action's completion so the tracer
+// sees the issue/complete pair. With the tracer off the original callback
+// is returned untouched — no std::function rebuild on the hot path.
 ModemControl::Done trace_reset(std::uint8_t action, ModemControl::Done done) {
-  static constexpr std::array<std::string_view, 7> kCounters = {
-      "",              "seed.reset.a1", "seed.reset.a2", "seed.reset.a3",
-      "seed.reset.b1", "seed.reset.b2", "seed.reset.b3"};
-  if (action < kCounters.size() && !kCounters[action].empty()) {
-    obs::count(kCounters[action]);
-  }
   if (!obs::enabled()) return done;
   obs::emit(obs::EventKind::kResetIssued, obs::Origin::kModem,
             {.action = action});
@@ -239,13 +231,6 @@ void Modem::handle_registration_reject(const nas::RegistrationReject& m) {
   SLOG(kDebug, "modem") << "registration reject, cause #" << int(m.cause);
   obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kModem,
             {.plane = 0, .cause = m.cause});
-  obs::count("seed.reject.cplane");
-  if (obs::Registry::instance().enabled()) {
-    // Per-cause series feed the health engine's failure-rate breakdown;
-    // gated before the label string is built.
-    obs::count(obs::label_series("seed.reject.cplane", "cause",
-                                 std::to_string(int(m.cause))));
-  }
   if (on_reject_) on_reject_(nas::Plane::kControl, m.cause);
   registration_settled(false);  // waiters fail fast; auto-retry continues
 
@@ -484,11 +469,6 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
                         << int(m.cause);
   obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kModem,
             {.plane = 1, .cause = m.cause});
-  obs::count("seed.reject.dplane");
-  if (obs::Registry::instance().enabled()) {
-    obs::count(obs::label_series("seed.reject.dplane", "cause",
-                                 std::to_string(int(m.cause))));
-  }
   if (on_reject_) on_reject_(nas::Plane::kData, m.cause);
 
   if (psi != kDataPsi) {
@@ -553,12 +533,6 @@ void Modem::on_downlink(BytesView wire) {
     ++stats_.decode_rejects;
     obs::emit(obs::EventKind::kDecodeRejected, obs::Origin::kModem,
               {.cause = static_cast<std::uint8_t>(err)});
-    obs::Registry& reg = obs::Registry::instance();
-    if (reg.enabled()) {
-      reg.counter(obs::label_series("modem.decode_reject", "reason",
-                                    nas::decode_error_name(err)))
-          .inc();
-    }
     SLOG(kWarn, "modem") << "dropping undecodable downlink ("
                          << nas::decode_error_name(err) << ", "
                          << wire.size() << " bytes)";

@@ -49,8 +49,9 @@ struct ModemStats {
   std::uint64_t full_plmn_searches = 0;
   std::uint64_t at_commands = 0;
   std::uint64_t profile_reloads = 0;
-  /// Downlink wire bytes the NAS decoder refused (per-reason breakdown
-  /// lives in the metrics registry under "modem.decode_reject").
+  /// Downlink wire bytes the NAS decoder refused. The per-reason
+  /// breakdown is the kDecodeRejected trace event's `cause` field
+  /// (a nas::DecodeError).
   std::uint64_t decode_rejects = 0;
 };
 

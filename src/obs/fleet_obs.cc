@@ -26,19 +26,11 @@ void begin_shard_obs(bool traces, bool metrics, bool profile) {
 ShardObs end_shard_obs() {
   ShardObs out;
   Tracer& t = Tracer::instance();
-  Registry& r = Registry::instance();
   // Close the sampled capture first: still-buffered healthy-UE events
-  // age out, and the final budget lands in the shard's Registry so the
-  // trace.* counters merge (sum) exactly like every other counter.
+  // age out before the final budget is read.
   if (t.retention_active()) {
     t.seal_retention();
     out.retention = t.retention_stats();
-    if (r.enabled()) {
-      r.counter("trace.bytes_total").inc(out.retention.bytes_retained);
-      r.counter("trace.events_retained").inc(out.retention.events_retained);
-      r.counter("trace.events_aged_out").inc(out.retention.events_aged_out);
-      r.counter("trace.ues_retained").inc(out.retention.ues_retained);
-    }
   }
   out.trace_events = t.events();
   t.enable(false);
@@ -47,6 +39,7 @@ ShardObs end_shard_obs() {
   // Detach the clock: it usually points at a shard-owned Simulator that
   // dies with the shard body.
   t.set_clock(nullptr);
+  Registry& r = Registry::instance();
   out.metrics = r.snapshot();
   r.enable(false);
   r.clear();

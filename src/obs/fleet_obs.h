@@ -23,8 +23,7 @@ struct ShardObs {
   Registry metrics;
   std::vector<ProfRow> profile;
   /// Tail-retention budget (all-zero unless the shard body armed
-  /// Tracer::set_retention). Also published into `metrics` as the
-  /// trace.* counters, which sum across shards via merge_from.
+  /// Tracer::set_retention); callers sum it across shards.
   RetentionStats retention;
 };
 
@@ -40,8 +39,7 @@ void begin_shard_obs(bool traces = true, bool metrics = true,
 ShardObs end_shard_obs();
 
 /// Folds a shard capture into the calling thread's singletons. Call in
-/// shard order: tracer spans are renumbered in arrival order and gauge
-/// merges are last-write-wins. Profile rows merge by zone name with
+/// shard order: tracer spans are renumbered in arrival order. Profile rows merge by zone name with
 /// commutative sums, so the merged profile is identical for any worker
 /// count or merge order.
 void merge_shard_obs(ShardObs&& shard);

@@ -47,8 +47,8 @@ namespace seed::obs {
 /// Index into the process-wide zone registry.
 using ZoneId = std::uint32_t;
 
-/// Bounded, mergeable log2 histogram, shared by profiler zones and the
-/// Registry. Bucket b counts observations v with bit_width(v) == b (v == 0
+/// Bounded, mergeable log2 histogram behind the profiler's zone
+/// durations. Bucket b counts observations v with bit_width(v) == b (v == 0
 /// lands in bucket 0), clamped to the last bucket; 48 buckets cover every
 /// uint64 value seen in practice. add() is bucket-wise, so merges commute.
 class Histogram {

@@ -1,17 +1,15 @@
-// Named-series registry (the SEED observability layer, half two).
+// Named-counter registry (the SEED observability layer, half two).
 //
-// Counters, gauges, and histograms keyed by dotted names
-// ("seed.reset.b1", "seed.recovery_ms"), dumpable as Prometheus text
-// exposition or JSON. Histograms are the profiler's bounded log2
-// obs::Histogram (prof.h): fixed storage per series however long the run,
-// and a fleet merge adds buckets.
+// Counters keyed by dotted names ("fleet.detected"), dumpable as
+// Prometheus text exposition or JSON. The simulator itself writes no
+// series: every count it keeps lives once, in a typed stats struct
+// (UeStats, AppletStats, ModemStats, ChaosStats, RetentionStats) or as a
+// trace event kind. The registry stays for callers that bring their own
+// counters and for the label-cardinality cap the fleet benchmark drives.
 //
 // Like the tracer, the registry singleton is thread-local (each
 // simulation thread owns an isolated instance; fleet merges fold shard
-// snapshots back in shard order) and OFF by
-// default; instrument sites gate on `Registry::instance().enabled()`
-// (or use the metric handle they cached) so the disabled path costs one
-// branch.
+// snapshots back in shard order) and OFF by default.
 #pragma once
 
 #include <cstddef>
@@ -21,31 +19,15 @@
 #include <string>
 #include <string_view>
 
-#include "obs/prof.h"
-
-namespace seed::sim {
-class Simulator;
-}  // namespace seed::sim
-
 namespace seed::obs {
 
 class Counter {
  public:
   void inc(std::uint64_t by = 1) { value_ += by; }
   std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
 };
 
 class Registry {
@@ -60,35 +42,31 @@ class Registry {
   void enable(bool on) { enabled_ = on; }
 
   /// Handles are stable for the registry's lifetime; callers may cache
-  /// them. Lookup creates the metric on first use.
+  /// them. Lookup creates the counter on first use.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
 
   /// Caps label cardinality: at most `limit` distinct labeled series
   /// ("base{label=value}") per base name; later label values route to
   /// the shared "base{overflow}" series and bump the
-  /// `obs.series_dropped` counter. 0 (the default) = unlimited. The cap
-  /// guards fleet-scale label explosions (1k UEs × per-UE series), so
-  /// unlabeled series are never capped.
+  /// `obs.series_dropped` counter. 0 (the default) = unlimited.
+  /// Unlabeled series are never capped.
   void set_series_limit(std::size_t limit) { series_limit_ = limit; }
   std::size_t series_limit() const { return series_limit_; }
   /// Observations routed to an overflow series so far.
   std::uint64_t series_dropped() const;
 
-  /// Prometheus text exposition: dots in names become underscores, a
+  /// Prometheus text exposition: dots in names become underscores and a
   /// "base{k=v}" series becomes base{k="v"} under one # TYPE line per
-  /// base, and histograms carry cumulative le="2^b-1" buckets.
+  /// base.
   void dump_prometheus(std::ostream& os) const;
   void dump_json(std::ostream& os) const;
 
-  /// Drops every metric (names and values).
+  /// Drops every counter (names and values).
   void clear();
 
-  /// Folds another registry's series into this one: counters and
-  /// histograms add, gauges take the other's value (last write
-  /// wins — fleet merges call this in shard order, so the merged dump is
-  /// deterministic). Works even while disabled.
+  /// Adds another registry's counters into this one. Fleet merges call
+  /// this in shard order, so the merged dump is deterministic. Works even
+  /// while disabled.
   void merge_from(const Registry& other);
 
   /// Value-type copy of this registry (shard captures hand snapshots
@@ -96,60 +74,18 @@ class Registry {
   Registry snapshot() const { return *this; }
 
  private:
-  /// Applied when `name` does not exist yet in a family: returns the
-  /// series to create instead (the name itself, or its overflow series
-  /// once the base is at the cardinality cap).
+  /// Applied when `name` does not exist yet: returns the series to create
+  /// instead (the name itself, or its overflow series once the base is at
+  /// the cardinality cap).
   std::string admit_series(std::string_view name);
 
   bool enabled_ = false;
   std::size_t series_limit_ = 0;
   // std::map: deterministic dump order, and node stability keeps cached
-  // metric handles valid across later insertions.
+  // counter handles valid across later insertions.
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
-  // Distinct labeled series admitted per base name (all families share
-  // one budget — base names do not collide across families in practice).
+  // Distinct labeled series admitted per base name.
   std::map<std::string, std::size_t, std::less<>> label_cardinality_;
 };
-
-// ----- gated convenience helpers (one branch when disabled)
-
-inline void count(std::string_view name, std::uint64_t by = 1) {
-  Registry& r = Registry::instance();
-  if (!r.enabled()) return;
-  r.counter(name).inc(by);
-}
-
-inline void observe(std::string_view name, std::uint64_t v) {
-  Registry& r = Registry::instance();
-  if (!r.enabled()) return;
-  r.histogram(name).observe(v);
-}
-
-/// Prometheus-style labeled series name ("modem.reject{cause=9}"). Every
-/// distinct label value mints a separate series — fleet-scale callers
-/// should keep these behind the registry's enabled() gate and set a
-/// series limit (see Registry::set_series_limit).
-inline std::string label_series(std::string_view name, std::string_view label,
-                                std::string_view value) {
-  std::string s(name);
-  s += '{';
-  s += label;
-  s += '=';
-  s += value;
-  s += '}';
-  return s;
-}
-
-/// Per-UE series name ("fleet.injections{ue=7}").
-inline std::string ue_series(std::string_view name, std::uint32_t ue) {
-  return label_series(name, "ue", std::to_string(ue));
-}
-
-/// Installs a Simulator probe exporting event-loop gauges
-/// (`seed.sim.queue_depth`, `seed.sim.events_processed`) and a queue-depth
-/// histogram, sampled every `every_n` processed events.
-void observe_simulator(sim::Simulator& sim, std::uint64_t every_n = 2048);
 
 }  // namespace seed::obs

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <set>
 
+#include "common/minijson.h"
 #include "obs/event_ring.h"
 #include "obs/trace_binary.h"
 #include "simcore/log.h"
@@ -81,73 +81,14 @@ constexpr std::array<std::string_view, 6> kOriginNames = {
     "none", "sim", "infra", "os", "modem", "testbed",
 };
 
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-// Tolerant field extractors for import: find `"key":` and parse what
-// follows. Good enough for round-tripping our own export and for
-// hand-edited traces; not a general JSON parser.
-std::optional<std::string_view> raw_value(std::string_view line,
-                                          std::string_view key) {
-  std::string needle = "\"";
-  needle.append(key);
-  needle.append("\":");
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  return line.substr(pos + needle.size());
-}
-
-std::optional<double> num_field(std::string_view line, std::string_view key) {
-  const auto rest = raw_value(line, key);
-  if (!rest) return std::nullopt;
-  return std::strtod(std::string(rest->substr(0, 32)).c_str(), nullptr);
-}
-
-std::optional<std::string> str_field(std::string_view line,
-                                     std::string_view key) {
-  auto rest = raw_value(line, key);
-  if (!rest || rest->empty() || rest->front() != '"') return std::nullopt;
-  std::string out;
-  for (std::size_t i = 1; i < rest->size(); ++i) {
-    char c = (*rest)[i];
-    if (c == '"') return out;
-    if (c == '\\' && i + 1 < rest->size()) {
-      char n = (*rest)[++i];
-      switch (n) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'u': {
-          // \uXXXX: our exporter only writes byte values (00..ff), so
-          // decode back to the single byte; reject short/non-hex runs.
-          if (i + 4 >= rest->size()) return std::nullopt;
-          unsigned value = 0;
-          for (int d = 0; d < 4; ++d) {
-            const int nib = hex_nibble((*rest)[i + 1 + static_cast<std::size_t>(d)]);
-            if (nib < 0) return std::nullopt;
-            value = value * 16 + static_cast<unsigned>(nib);
-          }
-          i += 4;
-          if (value <= 0xff) {
-            out.push_back(static_cast<char>(value));
-          } else {
-            // Foreign escape (a real BMP code point): preserve it as the
-            // replacement byte rather than mis-decoding.
-            out.push_back('?');
-          }
-          break;
-        }
-        default: out.push_back(n);
-      }
-    } else {
-      out.push_back(c);
-    }
+/// Reads `key` from a parsed record as T, leaving `field` untouched when
+/// the key is absent. A present value of the wrong type throws ParseError.
+template <class T>
+void read_number(const minijson::Value& record, std::string_view key,
+                 T& field) {
+  if (const minijson::Value* v = record.find(key)) {
+    field = static_cast<T>(v->as_number());
   }
-  return std::nullopt;  // unterminated string
 }
 
 }  // namespace
@@ -560,48 +501,35 @@ std::vector<Event> Tracer::import_jsonl(std::istream& is,
     // From here the line claims to be a record; any parse failure is
     // counted as malformed (truncated tail, bad kind, hand-edit damage)
     // instead of being silently skipped.
-    const auto malformed = [&stats] {
-      if (stats != nullptr) ++stats->malformed;
-    };
     Event e;
-    const auto kind = str_field(line, "kind");
-    if (!kind) {
-      malformed();
+    try {
+      const minijson::Value record = minijson::parse(line);
+      const auto k = event_kind_from(record.at("kind").as_string());
+      if (!k) throw minijson::ParseError("unknown event kind", 0);
+      e.kind = *k;
+      read_number(record, "span", e.span);
+      read_number(record, "seq", e.seq);
+      read_number(record, "parent", e.parent);
+      read_number(record, "at_us", e.at_us);
+      if (const minijson::Value* o = record.find("origin")) {
+        e.origin = origin_from(o->as_string()).value_or(Origin::kNone);
+      }
+      read_number(record, "plane", e.plane);
+      read_number(record, "cause", e.cause);
+      read_number(record, "action", e.action);
+      read_number(record, "tier", e.tier);
+      if (const minijson::Value* ok = record.find("ok")) e.ok = ok->as_bool();
+      read_number(record, "prep_ms", e.prep_ms);
+      read_number(record, "trans_ms", e.trans_ms);
+      read_number(record, "ue", e.ue);
+      read_number(record, "label", e.label);
+      if (const minijson::Value* d = record.find("detail")) {
+        e.detail = d->as_string();
+      }
+    } catch (const minijson::ParseError&) {
+      if (stats != nullptr) ++stats->malformed;
       continue;
     }
-    const auto k = event_kind_from(*kind);
-    if (!k) {
-      malformed();
-      continue;
-    }
-    e.kind = *k;
-    if (const auto v = num_field(line, "span"))
-      e.span = static_cast<SpanId>(*v);
-    if (const auto v = num_field(line, "seq"))
-      e.seq = static_cast<std::uint64_t>(*v);
-    if (const auto v = num_field(line, "parent"))
-      e.parent = static_cast<std::uint64_t>(*v);
-    if (const auto v = num_field(line, "at_us"))
-      e.at_us = static_cast<std::int64_t>(*v);
-    if (const auto o = str_field(line, "origin"))
-      e.origin = origin_from(*o).value_or(Origin::kNone);
-    if (const auto v = num_field(line, "plane"))
-      e.plane = static_cast<std::uint8_t>(*v);
-    if (const auto v = num_field(line, "cause"))
-      e.cause = static_cast<std::uint8_t>(*v);
-    if (const auto v = num_field(line, "action"))
-      e.action = static_cast<std::uint8_t>(*v);
-    if (const auto v = num_field(line, "tier"))
-      e.tier = static_cast<std::uint8_t>(*v);
-    if (const auto rest = raw_value(line, "ok"))
-      e.ok = rest->rfind("true", 0) == 0;
-    if (const auto v = num_field(line, "prep_ms")) e.prep_ms = *v;
-    if (const auto v = num_field(line, "trans_ms")) e.trans_ms = *v;
-    if (const auto v = num_field(line, "ue"))
-      e.ue = static_cast<std::uint32_t>(*v);
-    if (const auto v = num_field(line, "label"))
-      e.label = static_cast<std::uint32_t>(*v);
-    if (auto d = str_field(line, "detail")) e.detail = std::move(*d);
     if (stats != nullptr) ++stats->records;
     out.push_back(std::move(e));
   }

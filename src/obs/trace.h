@@ -335,6 +335,9 @@ class Tracer {
   void export_jsonl(std::ostream& os) const;
   /// Binary TLV capture of events() (see trace_binary.h for the format).
   void export_binary(std::ostream& os) const;
+  /// One minijson record per line. A line holding a '{' that does not
+  /// parse, or whose `kind` is missing or unknown, counts as malformed;
+  /// lines without one are skipped.
   static std::vector<Event> import_jsonl(std::istream& is,
                                          ImportStats* stats);
   static std::vector<Event> import_jsonl(std::istream& is) {

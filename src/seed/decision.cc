@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/params.h"
-#include "obs/registry.h"
 #include "simcore/log.h"
 
 namespace seed::core {
@@ -13,31 +12,22 @@ using proto::AssistKind;
 using proto::ResetAction;
 
 namespace {
-// Registry counter names per diagnosis class, indexed by DiagnosisClass.
-constexpr std::array<std::string_view, 9> kClassCounters = {
-    "seed.decision.cplane_cause",
-    "seed.decision.cplane_cause_config",
-    "seed.decision.dplane_cause",
-    "seed.decision.dplane_cause_config",
-    "seed.decision.delivery_report",
-    "seed.decision.custom_suggested",
-    "seed.decision.custom_unknown",
-    "seed.decision.congestion",
-    "seed.decision.user_action",
+// Log slugs per diagnosis class, indexed by DiagnosisClass.
+constexpr std::array<std::string_view, 9> kClassSlugs = {
+    "cplane_cause",        "cplane_cause_config", "dplane_cause",
+    "dplane_cause_config", "delivery_report",     "custom_suggested",
+    "custom_unknown",      "congestion",          "user_action",
 };
 
 std::string_view klass_slug(DiagnosisClass k) {
   const auto i = static_cast<std::size_t>(k);
-  // Strip the "seed.decision." prefix for log lines.
-  return i < kClassCounters.size() ? kClassCounters[i].substr(14) : "?";
+  return i < kClassSlugs.size() ? kClassSlugs[i] : "?";
 }
 
 void note_decision(const HandlingPlan& plan) {
   SLOG(kDebug, "decision") << klass_slug(plan.klass) << " -> "
                            << plan.actions.size() << " action(s), wait "
                            << sim::to_ms(plan.wait) << " ms";
-  const auto i = static_cast<std::size_t>(plan.klass);
-  if (i < kClassCounters.size()) obs::count(kClassCounters[i]);
 }
 }  // namespace
 

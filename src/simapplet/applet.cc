@@ -5,7 +5,6 @@
 #include "chaos/chaos.h"
 #include "common/codec.h"
 #include "common/params.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "seed/verdict.h"
 #include "simcore/log.h"
@@ -139,13 +138,11 @@ bool SeedApplet::applet_down() const {
 
 void SeedApplet::note_malformed_downlink(const char* what) {
   ++stats_.malformed_downlinks;
-  obs::count("seed.applet_malformed");
   SLOG(kDebug, "applet") << "discarding " << what;
 }
 
 void SeedApplet::crash() {
   ++stats_.applet_crashes;
-  obs::count("seed.applet_crashes");
   // Volatile state is lost: partial reassembly, in-flight plan, timers.
   reassembler_.reset();
   last_diag_frame_.clear();
@@ -161,7 +158,6 @@ void SeedApplet::crash() {
     SLOG(kWarn, "applet") << "applet dead after " << crash_count_
                           << " crashes";
     obs::emit(obs::EventKind::kDegraded, obs::Origin::kSim);
-    obs::count("seed.applet_dead");
     if (on_dead_) on_dead_();
     return;
   }
@@ -193,7 +189,6 @@ void SeedApplet::handle_diag(const proto::DiagInfo& info) {
                         << int(info.cause) << ")"
                         << (info.config ? " + config" : "");
   last_cause_time_ = sim_.now();
-  obs::count("seed.diag.received");
 
   if (info.config) apply_config(*info.config);
 
@@ -322,7 +317,6 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
         ++stats_.tier_escalations;
         obs::emit(obs::EventKind::kTierEscalated, obs::Origin::kSim,
                   {.action = static_cast<std::uint8_t>(ladder.front())});
-        obs::count("seed.tier_escalations");
         SLOG(kInfo, "applet")
             << "plan exhausted, escalating to "
             << proto::reset_action_name(ladder.front());
@@ -348,7 +342,6 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     ++stats_.actions_rate_limited;
     obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
               {.action = static_cast<std::uint8_t>(action)});
-    obs::count("seed.rate_limited");
     run_actions(std::move(actions), idx + 1, 1, learning, cause, escalated);
     return;
   }
@@ -391,7 +384,6 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
         obs::emit(obs::EventKind::kActionRetry, obs::Origin::kSim,
                   {.plane = static_cast<std::uint8_t>(attempt + 1),
                    .action = static_cast<std::uint8_t>(action)});
-        obs::count("seed.action_retries");
         retry_timer_.arm(
             core::backoff_delay(retry_policy_, attempt),
             [this, actions = std::move(actions), idx, attempt, learning,
@@ -410,7 +402,6 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
         ++stats_.tier_escalations;
         obs::emit(obs::EventKind::kTierEscalated, obs::Origin::kSim,
                   {.action = static_cast<std::uint8_t>(actions[idx + 1])});
-        obs::count("seed.tier_escalations");
       }
     }
     run_actions(std::move(actions), idx + 1, 1, learning, cause, escalated);
@@ -478,7 +469,6 @@ void SeedApplet::report_failure(const proto::FailureReport& report) {
     ++stats_.reports_suppressed_conflict;
     SLOG(kDebug, "applet") << "delivery report suppressed (conflict window)";
     obs::emit(obs::EventKind::kConflictSuppressed, obs::Origin::kSim);
-    obs::count("seed.conflict_suppressed");
     return;
   }
   if (mode_ == core::DeviceMode::kSeedR && !collab_uplink_dead_) {
@@ -521,12 +511,10 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
         // Fall back to the local Table 3 plan; after a streak, declare
         // the collab uplink dead so future reports go local directly.
         ++stats_.uplink_report_failures;
-        obs::count("seed.collab.uplink_failed");
         SLOG(kWarn, "applet") << "uplink report failed";
         if (++uplink_fail_streak_ >= 3 && !collab_uplink_dead_) {
           collab_uplink_dead_ = true;
           obs::emit(obs::EventKind::kDegraded, obs::Origin::kSim);
-          obs::count("seed.collab_dead");
           SLOG(kWarn, "applet") << "collab uplink declared dead";
         }
         core::HandlingPlan plan = core::decide_for_report(report, mode_);
@@ -540,7 +528,6 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
       obs::emit(obs::EventKind::kCollabUplink, obs::Origin::kSim,
                 {.prep_ms = report_prep_ms_.back(),
                  .trans_ms = report_trans_ms_.back()});
-      obs::count("seed.collab.uplink");
       // Give the network a beat to apply a config-only fix (modification
       // command); if service is still down, run the Fig. 6 fast reset.
       sim_.schedule_after(sim::ms(120), [this] {
@@ -560,7 +547,6 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
           obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
                     {.action = static_cast<std::uint8_t>(
                          proto::ResetAction::kB3DPlaneReset)});
-          obs::count("seed.rate_limited");
         }
       });
     });

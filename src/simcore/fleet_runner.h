@@ -3,7 +3,7 @@
 // Fleet experiments (Table 4 sweeps, ablations, online-learning waves) are
 // embarrassingly parallel: every shard owns its Simulator, its RNG stream
 // (derived from the fleet base seed and the shard index), and — because
-// the obs singletons are thread-local — its own Tracer/Registry world.
+// the obs singletons are thread-local — its own observability world.
 // FleetRunner executes N shard bodies on a work-stealing thread pool and
 // hands results back **in shard order**, so merged outcomes, metric dumps,
 // and trace exports are byte-identical no matter how many workers ran or

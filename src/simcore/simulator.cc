@@ -82,9 +82,6 @@ bool Simulator::pop_one() {
   if (processed_ > budget_) {
     throw std::runtime_error("Simulator: event budget exhausted");
   }
-  if (probe_ && processed_ % probe_every_ == 0) {
-    probe_(live_count_, processed_);
-  }
   current_tag_ = tag;
   current_label_ = label;
   {

@@ -82,16 +82,6 @@ class Simulator {
   /// when exceeded.
   void set_event_budget(std::uint64_t budget) { budget_ = budget; }
 
-  /// Periodic introspection hook, invoked every `every_n_events` processed
-  /// events with the live queue depth and the running event count. Used by
-  /// the observability layer for event-loop gauges; pass nullptr to remove.
-  using Probe = std::function<void(std::size_t queued,
-                                   std::uint64_t processed)>;
-  void set_probe(Probe probe, std::uint64_t every_n_events = 2048) {
-    probe_ = std::move(probe);
-    probe_every_ = every_n_events > 0 ? every_n_events : 1;
-  }
-
   // ----- context tag (per-UE attribution in multi-UE experiments)
   //
   // An opaque 32-bit tag that rides along the event graph: schedule_at
@@ -221,8 +211,6 @@ class Simulator {
   bool stopped_ = false;
   std::uint64_t processed_ = 0;
   std::uint64_t budget_ = 500'000'000;
-  Probe probe_;
-  std::uint64_t probe_every_ = 2048;
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_;  // recyclable slot indices (LIFO)
   std::vector<HeapKey> heap_;        // binary min-heap on (at, seq)

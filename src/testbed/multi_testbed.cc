@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "common/params.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "simcore/fleet_runner.h"
 #include "simcore/log.h"
@@ -41,7 +39,7 @@ std::string MultiTestbed::supi_of(std::size_t i) {
 }
 
 MultiTestbed::MultiTestbed(std::uint64_t seed, const MultiOptions& opts)
-    : rng_(seed), cpu_(params::kCoreServerCores), opts_(opts), seed_(seed) {
+    : rng_(seed), opts_(opts), seed_(seed) {
   obs::Tracer::instance().set_clock(&sim_.now_ref());
   // Per-UE span attribution: the tracer reads the simulator's context tag,
   // which TagScope sets around every root action below and schedule_at
@@ -51,11 +49,10 @@ MultiTestbed::MultiTestbed(std::uint64_t seed, const MultiOptions& opts)
   // seeds the simulator's label cell per injection, and the tracer stamps
   // it into every event of the cascade.
   obs::Tracer::instance().set_label_source(sim_.current_label_ref());
-  obs::observe_simulator(sim_);
 
   slots_.resize(opts.ue_count);
   for (auto& slot : slots_) slot.gnb = std::make_unique<ran::Gnb>(sim_, rng_);
-  core_ = std::make_unique<corenet::CoreNetwork>(sim_, rng_, db_, cpu_);
+  core_ = std::make_unique<corenet::CoreNetwork>(sim_, rng_, db_);
   core_->enable_seed(opts.scheme != Scheme::kLegacy);
   core_->set_learner(&learner_);
   core_->enable_diag_cache(opts.diag_cache);
@@ -269,7 +266,6 @@ void MultiTestbed::inject_cp(corenet::UeId ue, CpFailure f) {
     });
   }
   obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed);
-  obs::count(obs::ue_series("fleet.injections", ue + 1));
   slots_[ue].dev->modem().trigger_reattach();
 }
 
@@ -320,7 +316,6 @@ void MultiTestbed::inject_dp(corenet::UeId ue, DpFailure f) {
 
   obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
             {.plane = 1});
-  obs::count(obs::ue_series("fleet.injections", ue + 1));
   core_->drop_sessions(ue);
   dev.modem().restart_data_session();
 }
@@ -356,7 +351,6 @@ void MultiTestbed::inject_delivery(corenet::UeId ue, DeliveryFailure f) {
   if (f != DeliveryFailure::kStaleSession) schedule_policy_desk_fix(ue);
   obs::emit(obs::EventKind::kFailureInjected, obs::Origin::kTestbed,
             {.plane = 1});
-  obs::count(obs::ue_series("fleet.injections", ue + 1));
   // An app daemon notices the dead flow and files a report through the
   // SEED report API (detection latency itself is Fig. 3's experiment).
   // SEED-U applets decide locally; SEED-R applets forward the report
@@ -412,7 +406,6 @@ void MultiTestbed::congestion_wave(sim::Duration period, sim::Duration dwell,
     sim::Simulator::TagScope tag(sim_, ue + 1);
     congest(ue, dwell);
   }
-  obs::count("fleet.congestion_waves");
   const std::size_t following =
       slots_.empty() ? 0 : (next_start + width) % slots_.size();
   sim_.schedule_after(period, [this, period, dwell, fraction, following] {

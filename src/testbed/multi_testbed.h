@@ -28,7 +28,6 @@
 #include "chaos/chaos.h"
 #include "corenet/core_network.h"
 #include "device/device.h"
-#include "metrics/meters.h"
 #include "ran/gnb.h"
 #include "seed/online_learning.h"
 #include "seedproto/failure_report.h"
@@ -180,7 +179,6 @@ class MultiTestbed {
   sim::Simulator sim_;
   sim::Rng rng_;
   corenet::SubscriberDb db_;
-  metrics::CpuMeter cpu_;
   core::NetRecord learner_;
   std::unique_ptr<corenet::CoreNetwork> core_;
   std::vector<UeSlot> slots_;

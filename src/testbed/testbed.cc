@@ -3,7 +3,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "obs/registry.h"
 #include "obs/trace.h"
 #include "simcore/log.h"
 
@@ -75,7 +74,6 @@ Outcome Testbed::await_recovery(sim::TimePoint t0, sim::Duration timeout) {
       SLOG(kDebug, "testbed") << "recovered after " << out.disruption_s
                               << " s";
       obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
-      obs::observe("seed.recovery_ms", (sim.now() - t0) / sim::ms(1));
       // Let trailing protocol actions (release completions, record
       // uploads, cancelled timers) settle before returning.
       sim.run_for(sim::seconds(6));
@@ -88,7 +86,6 @@ Outcome Testbed::await_recovery(sim::TimePoint t0, sim::Duration timeout) {
   out.user_action_required = dev().user_notifications() > 0;
   SLOG(kDebug, "testbed") << "recovery timeout after "
                           << sim::to_seconds(timeout) << " s";
-  obs::count("seed.recovery_timeouts");
   obs::Tracer::instance().end_span();
   return out;
 }

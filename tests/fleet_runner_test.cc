@@ -155,12 +155,10 @@ ObsDump run_obs_fleet(std::size_t threads) {
         simulator.schedule_after(sim::us(detect_us), [cause] {
           obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kSim,
                     {.plane = 0, .cause = cause});
-          obs::count("fleet.detected");
+          obs::Registry::instance().counter("fleet.detected").inc();
         });
-        simulator.schedule_after(sim::us(recover_us), [recover_us] {
+        simulator.schedule_after(sim::us(recover_us), [] {
           obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
-          obs::observe("fleet.recover_us",
-                       static_cast<std::uint64_t>(recover_us));
         });
         simulator.run();
         return obs::end_shard_obs();

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "testbed/multi_testbed.h"
 
@@ -182,6 +183,43 @@ TEST(MultiUe, TraceSpansCarryPerUeTags) {
   }
   tracer.enable(false);
   tracer.clear();
+}
+
+// Every count the stack keeps lives once, in a typed stats struct or a
+// trace event kind: a storm with the metrics registry switched on leaves
+// it empty, while the typed twins of the old registry series count.
+TEST(MultiUe, StormLeavesTheRegistryEmpty) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.clear();
+  reg.enable(true);
+  std::uint64_t diags = 0;
+  std::uint64_t actions = 0;
+  std::uint64_t rejects = 0;
+  {
+    MultiOptions opts;
+    opts.ue_count = 16;
+    MultiTestbed mt(808, opts);
+    mt.bring_up_all();
+    mt.start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.25);
+    for (corenet::UeId ue = 0; ue < 16; ++ue) {
+      mt.inject_sampled(ue);
+      mt.simulator().run_for(sim::seconds(5));
+    }
+    mt.simulator().run_for(sim::minutes(2));
+    for (std::size_t i = 0; i < mt.ue_count(); ++i) {
+      diags += mt.dev(i).applet().stats().diags_received;
+      actions += mt.dev(i).applet().stats().actions_run;
+    }
+    rejects = mt.core().stats().rejects_sent;
+  }
+  std::ostringstream json;
+  reg.dump_json(json);
+  reg.enable(false);
+  reg.clear();
+  EXPECT_EQ(json.str(), "{\"counters\":{}}\n");
+  EXPECT_GT(rejects, 0u);
+  EXPECT_GT(diags, 0u);
+  EXPECT_GT(actions, 0u);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "obs/trace.h"
 #include "simcore/log.h"
 #include "simcore/rng.h"
-#include "simcore/simulator.h"
+#include "simcore/time.h"
 
 namespace seed::obs {
 namespace {
@@ -188,9 +188,15 @@ TEST_F(ObsTest, ImportSkipsMalformedLines) {
   std::stringstream buf;
   buf << "not json at all\n"
       << "{\"kind\":\"no_such_kind\",\"at_us\":1}\n"
+      // A \u escape above 0xff is not a byte the exporter writes.
+      << "{\"kind\":\"log\",\"detail\":\"\\u0100\"}\n"
       << "{\"span\":3,\"kind\":\"recovered\",\"at_us\":42,\"origin\":"
          "\"testbed\"}\n";
-  const std::vector<Event> back = Tracer::import_jsonl(buf);
+  ImportStats stats;
+  const std::vector<Event> back = Tracer::import_jsonl(buf, &stats);
+  EXPECT_EQ(stats.lines, 4u);
+  EXPECT_EQ(stats.malformed, 2u);
+  EXPECT_EQ(stats.records, 1u);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].span, 3u);
   EXPECT_EQ(back[0].kind, EventKind::kRecovered);
@@ -210,87 +216,21 @@ TEST_F(ObsTest, LogLinesBridgeIntoTraceStream) {
   EXPECT_EQ(e.at_us, 2000000);  // same clock as the tracer
 }
 
-TEST_F(ObsTest, RegistryHelpersAreNoOpsWhenDisabled) {
-  count("seed.test.counter", 5);
-  observe("seed.test.hist", 1);
-  std::stringstream json;
-  Registry::instance().dump_json(json);
-  EXPECT_EQ(json.str(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n");
-}
-
 TEST_F(ObsTest, RegistryCountsAndDumps) {
   Registry& r = Registry::instance();
   r.enable(true);
-  count("seed.test.counter");
-  count("seed.test.counter", 2);
-  r.gauge("seed.test.gauge").set(1.5);
-  observe("seed.test.hist", 10);
-  observe("seed.test.hist", 20);
-  observe("seed.test.hist", 30);
-
+  r.counter("seed.test.counter").inc();
+  r.counter("seed.test.counter").inc(2);
   EXPECT_EQ(r.counter("seed.test.counter").value(), 3u);
-  EXPECT_DOUBLE_EQ(r.gauge("seed.test.gauge").value(), 1.5);
-  const Histogram& h = r.histogram("seed.test.hist");
-  EXPECT_EQ(h[4], 1u);  // 10 in [8, 15]
-  EXPECT_EQ(h[5], 2u);  // 20, 30 in [16, 31]
 
   std::stringstream prom;
   r.dump_prometheus(prom);
-  const std::string text = prom.str();
-  EXPECT_NE(text.find("# TYPE seed_test_counter counter\nseed_test_counter 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("seed_test_gauge 1.5"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE seed_test_hist histogram\n"
-                      "seed_test_hist_bucket{le=\"15\"} 1\n"
-                      "seed_test_hist_bucket{le=\"31\"} 3\n"
-                      "seed_test_hist_bucket{le=\"+Inf\"} 3\n"
-                      "seed_test_hist_sum 60\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("seed_test_hist_count 3"), std::string::npos);
+  EXPECT_EQ(prom.str(),
+            "# TYPE seed_test_counter counter\nseed_test_counter 3\n");
 
   std::stringstream json;
   r.dump_json(json);
-  EXPECT_NE(json.str().find("\"seed.test.counter\":3"), std::string::npos);
-  EXPECT_NE(json.str().find("\"seed.test.hist\":{\"count\":3,\"sum\":60,"
-                            "\"buckets\":[[4,1],[5,2]]}"),
-            std::string::npos);
-}
-
-TEST_F(ObsTest, SimulatorProbeExportsEventLoopGauges) {
-  sim::Simulator s;
-  observe_simulator(s, /*every_n=*/1);
-  Registry& r = Registry::instance();
-  r.enable(true);
-  for (int i = 1; i <= 5; ++i) {
-    s.schedule_after(sim::ms(i), [] {});
-  }
-  s.run_for(sim::ms(10));
-  EXPECT_GT(r.gauge("seed.sim.events_processed").value(), 0.0);
-  EXPECT_GE(r.histogram("seed.sim.queue_depth_hist").count(), 1u);
-}
-
-// Histograms are fixed-size, so a longer run only raises bucket counts:
-// the probe's series set does not depend on how many events it sampled.
-TEST_F(ObsTest, SimulatorProbeSeriesSetIsIndependentOfRunLength) {
-  Registry& r = Registry::instance();
-  r.enable(true);
-  const auto families_after = [&r](int events) {
-    r.clear();
-    sim::Simulator s;
-    observe_simulator(s, /*every_n=*/1);
-    for (int i = 1; i <= events; ++i) s.schedule_after(sim::ms(i), [] {});
-    s.run();
-    std::stringstream prom;
-    r.dump_prometheus(prom);
-    std::vector<std::string> types;
-    for (std::string line; std::getline(prom, line);) {
-      if (line.starts_with("# TYPE ")) types.push_back(line);
-    }
-    return types;
-  };
-  const std::vector<std::string> n = families_after(500);
-  EXPECT_EQ(n, families_after(1000));
-  EXPECT_EQ(n.size(), 3u);  // two gauges + the queue-depth histogram
+  EXPECT_EQ(json.str(), "{\"counters\":{\"seed.test.counter\":3}}\n");
 }
 
 // Regression: Samples::clear() used to leave the cached sorted copy (and
@@ -327,8 +267,10 @@ TEST_F(ObsTest, RegistryCapsLabelCardinality) {
   Registry& r = Registry::instance();
   r.enable(true);
   r.set_series_limit(2);
-  for (std::uint32_t ue = 1; ue <= 5; ++ue) {
-    r.counter(ue_series("core.rejects", ue)).inc();
+  for (const char* name :
+       {"core.rejects{ue=1}", "core.rejects{ue=2}", "core.rejects{ue=3}",
+        "core.rejects{ue=4}", "core.rejects{ue=5}"}) {
+    r.counter(name).inc();
   }
   // First two label values got their own series; the other three routed
   // to the shared overflow bucket and were counted as dropped.
@@ -337,13 +279,13 @@ TEST_F(ObsTest, RegistryCapsLabelCardinality) {
   EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 3u);
   EXPECT_EQ(r.series_dropped(), 3u);
   // Existing overflowed series stay routed on later increments.
-  r.counter(ue_series("core.rejects", 4)).inc();
+  r.counter("core.rejects{ue=4}").inc();
   EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 4u);
   // Admitted series are unaffected.
-  r.counter(ue_series("core.rejects", 1)).inc();
+  r.counter("core.rejects{ue=1}").inc();
   EXPECT_EQ(r.counter("core.rejects{ue=1}").value(), 2u);
   // Each base name has its own budget; unlabeled metrics are never capped.
-  r.counter(ue_series("fleet.injections", 9)).inc();
+  r.counter("fleet.injections{ue=9}").inc();
   EXPECT_EQ(r.counter("fleet.injections{ue=9}").value(), 1u);
   r.counter("plain.counter").inc();
   EXPECT_EQ(r.counter("plain.counter").value(), 1u);
@@ -357,13 +299,13 @@ TEST_F(ObsTest, PrometheusRendersLabeledSeriesAsLabels) {
   Registry& r = Registry::instance();
   r.enable(true);
   r.set_series_limit(2);
-  for (std::uint32_t ue = 1; ue <= 3; ++ue) {
-    r.counter(ue_series("core.rejects", ue)).inc();
+  for (const char* name :
+       {"core.rejects{ue=1}", "core.rejects{ue=2}", "core.rejects{ue=3}"}) {
+    r.counter(name).inc();
   }
   r.counter("core.rejects").inc(5);
   r.counter("core.rejects.cplane").inc(7);
-  r.gauge(label_series("sim.depth", "shard", "a")).set(2);
-  r.histogram(ue_series("seed.rtt", 1)).observe(3);
+  r.counter("sim.depth{shard=a}").inc(2);
   std::stringstream prom;
   r.dump_prometheus(prom);
   EXPECT_EQ(prom.str(),
@@ -376,13 +318,8 @@ TEST_F(ObsTest, PrometheusRendersLabeledSeriesAsLabels) {
             "core_rejects_cplane 7\n"
             "# TYPE obs_series_dropped counter\n"
             "obs_series_dropped 1\n"
-            "# TYPE sim_depth gauge\n"
-            "sim_depth{shard=\"a\"} 2\n"
-            "# TYPE seed_rtt histogram\n"
-            "seed_rtt_bucket{ue=\"1\",le=\"3\"} 1\n"
-            "seed_rtt_bucket{ue=\"1\",le=\"+Inf\"} 1\n"
-            "seed_rtt_sum{ue=\"1\"} 3\n"
-            "seed_rtt_count{ue=\"1\"} 1\n");
+            "# TYPE sim_depth counter\n"
+            "sim_depth{shard=\"a\"} 2\n");
   r.set_series_limit(0);
 }
 
@@ -391,7 +328,7 @@ TEST_F(ObsTest, RegistrySeriesLimitZeroIsUnlimited) {
   r.enable(true);
   ASSERT_EQ(r.series_limit(), 0u);
   for (std::uint32_t ue = 1; ue <= 64; ++ue) {
-    r.counter(ue_series("core.rejects", ue)).inc();
+    r.counter("core.rejects{ue=" + std::to_string(ue) + "}").inc();
   }
   EXPECT_EQ(r.series_dropped(), 0u);
   EXPECT_EQ(r.counter("core.rejects{ue=64}").value(), 1u);

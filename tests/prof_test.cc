@@ -176,7 +176,7 @@ TEST_F(ProfTest, AbsorbMergesByNameCommutatively) {
   EXPECT_NE(fwd.find("\"name\":\"t.zone\",\"calls\":15"), std::string::npos);
 }
 
-// ----- the log2 histogram shared by profiler zones and Registry series
+// ----- the log2 histogram behind profiler zones
 
 static_assert(std::is_trivially_copyable_v<Histogram>,
               "a histogram series must hold no heap storage");

@@ -418,7 +418,7 @@ TEST(TailRetention, ClearStartsAFreshCaptureKeepingThePolicy) {
   EXPECT_TRUE(fx.t.events().empty());
 }
 
-TEST(TailRetention, ShardCountersLandInTheRegistry) {
+TEST(TailRetention, ShardCaptureCarriesRetentionStats) {
   TracerFixture fx;
   obs::begin_shard_obs(/*traces=*/true, /*metrics=*/true);
   obs::RetentionPolicy p;
@@ -433,11 +433,6 @@ TEST(TailRetention, ShardCountersLandInTheRegistry) {
   EXPECT_EQ(shard.retention.events_aged_out, 5u);
   EXPECT_EQ(shard.retention.ues_retained, 1u);
   EXPECT_GT(shard.retention.bytes_retained, 0u);
-  EXPECT_EQ(shard.metrics.counter("trace.bytes_total").value(),
-            shard.retention.bytes_retained);
-  EXPECT_EQ(shard.metrics.counter("trace.events_retained").value(), 1u);
-  EXPECT_EQ(shard.metrics.counter("trace.events_aged_out").value(), 5u);
-  EXPECT_EQ(shard.metrics.counter("trace.ues_retained").value(), 1u);
   EXPECT_EQ(shard.trace_events.size(), 1u);
 }
 
