@@ -14,7 +14,6 @@
 //
 // Usage: bench_accuracy [--shards=N] [--seed=S] [--threads=N]
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -29,16 +28,6 @@
 using namespace seed;
 
 namespace {
-
-long long arg_of(int argc, char** argv, const char* key, long long fallback) {
-  const std::size_t n = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return std::strtoll(argv[i] + n + 1, nullptr, 10);
-    }
-  }
-  return fallback;
-}
 
 constexpr std::size_t kRounds = 2;
 /// Extra custom-cause injections after the pack: each confirmed recovery
@@ -90,9 +79,9 @@ obs::ShardObs run_shard(const sim::ShardInfo& info) {
 
 int main(int argc, char** argv) {
   const auto shards =
-      static_cast<std::size_t>(arg_of(argc, argv, "--shards", 4));
+      static_cast<std::size_t>(benchutil::arg_of(argc, argv, "--shards", 4));
   const auto seed =
-      static_cast<std::uint64_t>(arg_of(argc, argv, "--seed", 42));
+      static_cast<std::uint64_t>(benchutil::arg_of(argc, argv, "--seed", 42));
   const std::size_t workers = benchutil::fleet_threads(argc, argv);
 
   const sim::FleetRunner runner(workers, seed);

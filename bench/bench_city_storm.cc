@@ -8,15 +8,15 @@
 // Deterministic: for a fixed --seed the storm schedule, every recovery,
 // and the whole BENCH_city.json line are byte-identical run to run.
 //
-// The fleet health engine and per-UE flight recorder ride along as
-// strictly passive trace observers: they judge recovery/failure-rate/
-// collab/cache SLOs over rolling sim-time windows and capture blackboxes
-// for terminal failures, writing BENCH_health.json — without changing a
-// byte of BENCH_city.json.
+// The fleet health engine rides along as a strictly passive trace
+// observer: it judges recovery/failure-rate/collab/cache SLOs over
+// rolling sim-time windows, writing BENCH_health.json — without changing
+// a byte of BENCH_city.json. Its `blackboxes` field counts the storm's
+// kTerminalFailure events, one post-mortem blackbox each; dump them with
+// `trace_summary --blackbox` on the --trace capture.
 //
 // Usage: bench_city_storm [--ues=N] [--seed=S] [--storm-min=M]
 //                         [--no-cache] [--trace=city_trace.jsonl]
-//                         [--blackbox=city_blackbox.jsonl]
 
 #include <cstdio>
 #include <cstring>
@@ -25,7 +25,6 @@
 #include <string>
 
 #include "fleet_bench.h"
-#include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
@@ -37,16 +36,6 @@
 using namespace seed;
 
 namespace {
-
-long long arg_of(int argc, char** argv, const char* key, long long fallback) {
-  const std::size_t n = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return std::strtoll(argv[i] + n + 1, nullptr, 10);
-    }
-  }
-  return fallback;
-}
 
 bool flag_of(int argc, char** argv, const char* key) {
   for (int i = 1; i < argc; ++i) {
@@ -68,6 +57,7 @@ const char* str_of(int argc, char** argv, const char* key) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using benchutil::arg_of;
   const auto n_ues = static_cast<std::size_t>(arg_of(argc, argv, "--ues",
                                                      1000));
   const auto seed = static_cast<std::uint64_t>(arg_of(argc, argv, "--seed",
@@ -75,7 +65,6 @@ int main(int argc, char** argv) {
   const auto storm_min = arg_of(argc, argv, "--storm-min", 10);
   const bool cache_on = !flag_of(argc, argv, "--no-cache");
   const char* trace_path = str_of(argc, argv, "--trace");
-  const char* blackbox_path = str_of(argc, argv, "--blackbox");
 
   // The stack writes no registry series (its counts live in typed stats
   // and trace kinds), so series_dropped in BENCH_health.json pins 0: any
@@ -83,13 +72,12 @@ int main(int argc, char** argv) {
   obs::Registry::instance().clear();
   obs::Registry::instance().enable(true);
   obs::Registry::instance().set_series_limit(256);
-  // The health engine and flight recorder tap the tracer, so tracing is
-  // always on; --trace only controls whether the raw stream is dumped.
+  // The health engine taps the tracer and the blackbox count reads its
+  // capture, so tracing is always on; --trace only controls whether the
+  // raw stream is dumped.
   obs::Tracer::instance().enable(true);
   obs::HealthEngine health;
-  obs::FlightRecorder recorder(64);
   obs::Tracer::instance().add_observer(&health);
-  obs::Tracer::instance().add_observer(&recorder);
 
   testbed::MultiOptions opts;
   opts.ue_count = n_ues;
@@ -107,27 +95,8 @@ int main(int argc, char** argv) {
   // ---- the storm: every UE draws failures from the Table 1 mix at an
   // exponential-ish cadence, and a congestion wave rolls over 5% of the
   // city every 30 s.
-  auto& sim = city.simulator();
-  auto& rng = city.rng();
-  city.start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.05);
-
-  const auto storm_end = sim.now() + sim::minutes(storm_min);
-  // Mean one injection per UE per 2 simulated minutes: with 1k UEs that
-  // is ~8 injections/s citywide, far denser than any real cell ever sees.
-  const double mean_gap_s = 120.0;
-  std::uint64_t injections = 0;
-  while (sim.now() < storm_end) {
-    const auto ue = static_cast<corenet::UeId>(
-        rng.uniform_int(0, static_cast<int>(n_ues) - 1));
-    city.inject_sampled(ue);
-    ++injections;
-    const double gap = rng.uniform(0.0, 2.0 * mean_gap_s /
-                                            static_cast<double>(n_ues));
-    sim.run_for(sim::secs_f(gap));
-  }
-  // Drain: give in-flight recoveries time to settle.
-  sim.run_for(sim::minutes(3));
-
+  const std::uint64_t injections = city.run_storm(sim::minutes(storm_min));
+  const sim::Simulator& sim = city.simulator();
   const std::uint64_t events = sim.events_processed();
   const std::size_t healthy = city.healthy_count();
   const auto& cs = city.core().stats();
@@ -181,9 +150,11 @@ int main(int argc, char** argv) {
   health.flush(sim.now().time_since_epoch().count());
   std::size_t alerts_fired = 0;
   for (const obs::SloStatus& s : health.status()) alerts_fired += s.fired;
+  const std::size_t blackboxes = obs::Tracer::instance().event_count(
+      obs::EventKind::kTerminalFailure);
   std::cout << "health: " << health.alerts().size()
             << " alert transitions (" << alerts_fired << " fired), "
-            << recorder.blackboxes().size() << " blackboxes, "
+            << blackboxes << " blackboxes, "
             << obs::Registry::instance().series_dropped()
             << " label series observations dropped\n";
   std::ofstream health_json("BENCH_health.json", std::ios::trunc);
@@ -191,7 +162,7 @@ int main(int argc, char** argv) {
               << ",\"seed\":" << seed << ",\"storm_min\":" << storm_min
               << ",\"series_dropped\":"
               << obs::Registry::instance().series_dropped()
-              << ",\"blackboxes\":" << recorder.blackboxes().size()
+              << ",\"blackboxes\":" << blackboxes
               << ",\"health\":";
   health.dump_json(health_json);
   health_json << "}\n";
@@ -231,18 +202,12 @@ int main(int argc, char** argv) {
               << "times in BENCH_profile_full.json)\n";
   }
 
-  if (blackbox_path != nullptr) {
-    std::ofstream box_out(blackbox_path, std::ios::trunc);
-    recorder.dump_jsonl(box_out);
-    std::cout << "wrote " << blackbox_path << "\n";
-  }
   if (trace_path != nullptr) {
     std::ofstream trace_out(trace_path, std::ios::trunc);
     obs::Tracer::instance().export_jsonl(trace_out);
     std::cout << "wrote " << trace_path << "\n";
   }
   obs::Tracer::instance().remove_observer(&health);
-  obs::Tracer::instance().remove_observer(&recorder);
 
   // ---- the metro-scale proof: the 10k-UE sharded storm under
   // tail-based retention. Deterministic for any worker count (shard

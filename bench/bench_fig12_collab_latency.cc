@@ -4,50 +4,21 @@
 // Paper averages: downlink 12.8 ms prep + 41.2 ms trans; uplink 35.9 ms
 // prep + 46.3 ms trans.
 //
-// The reported latencies come from the lifecycle tracer's CollabDownlink/
-// CollabUplink events; the legacy inline bookkeeping (CoreNetwork's
-// diag_*_ms vectors, SeedApplet's report_*_ms vectors) is kept only to
-// cross-check that the two measurement paths agree. Set SEED_TRACE=<path>
-// to also export the raw event stream as JSONL.
-#include <cmath>
+// The latencies come from the lifecycle tracer's CollabDownlink/
+// CollabUplink events, each carrying its own transfer's prep and trans
+// times. Set SEED_TRACE=<path> to also export the raw event stream as
+// JSONL.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <vector>
 
 #include "metrics/stats.h"
 #include "metrics/table.h"
 #include "obs/trace.h"
 #include "testbed/testbed.h"
 
-namespace {
-
 using namespace seed;
 using namespace seed::testbed;
-
-// Tolerance for tracer-vs-inline agreement: 1 us of simulated time.
-constexpr double kToleranceMs = 1e-3;
-
-struct Agreement {
-  double max_delta_ms = 0.0;
-  std::size_t checks = 0;
-  bool count_mismatch = false;
-};
-
-void check(Agreement& agree, const std::vector<double>& traced,
-           const std::vector<double>& inline_ms) {
-  if (traced.size() != inline_ms.size()) {
-    agree.count_mismatch = true;
-    return;
-  }
-  for (std::size_t i = 0; i < traced.size(); ++i) {
-    agree.max_delta_ms =
-        std::max(agree.max_delta_ms, std::fabs(traced[i] - inline_ms[i]));
-    ++agree.checks;
-  }
-}
-
-}  // namespace
 
 int main() {
   constexpr std::uint64_t kSeed = 20220606;
@@ -60,15 +31,12 @@ int main() {
   if (const char* path = std::getenv("SEED_TRACE")) trace_out.open(path);
 
   metrics::Samples dl_prep, dl_trans, ul_prep, ul_trans;
-  Agreement agree;
 
   // Downlink: every injected cause triggers one assistance transfer.
   // Cause-only payloads fit one AUTN round; config-carrying ones (the
   // "more information with multiple transmission rounds" case of §4.5)
-  // take two. The inline per-testbed vectors accumulate in emit order,
-  // matching the tracer's event order.
+  // take two.
   tracer.clear();
-  std::vector<double> inline_prep, inline_trans;
   for (int i = 0; i < kRounds; ++i) {
     Testbed tb(kSeed + static_cast<std::uint64_t>(i), device::Scheme::kSeedU);
     tb.secondary_congestion_prob = 0;
@@ -78,20 +46,11 @@ int main() {
     } else {
       (void)tb.run_cp_failure(CpFailure::kIdentityDesync, sim::minutes(5));
     }
-    for (double v : tb.core().diag_prep_ms()) inline_prep.push_back(v);
-    for (double v : tb.core().diag_trans_ms()) inline_trans.push_back(v);
   }
-  {
-    std::vector<double> traced_prep, traced_trans;
-    for (const obs::Event& e : tracer.events()) {
-      if (e.kind != obs::EventKind::kCollabDownlink) continue;
-      traced_prep.push_back(e.prep_ms);
-      traced_trans.push_back(e.trans_ms);
-      dl_prep.add(e.prep_ms);
-      dl_trans.add(e.trans_ms);
-    }
-    check(agree, traced_prep, inline_prep);
-    check(agree, traced_trans, inline_trans);
+  for (const obs::Event& e : tracer.events()) {
+    if (e.kind != obs::EventKind::kCollabDownlink) continue;
+    dl_prep.add(e.prep_ms);
+    dl_trans.add(e.trans_ms);
   }
   if (trace_out.is_open()) tracer.export_jsonl(trace_out);
 
@@ -99,32 +58,17 @@ int main() {
   // can trigger extra downlink assists, so the phases are traced
   // separately and filtered by event kind.
   tracer.clear();
-  inline_prep.clear();
-  inline_trans.clear();
   for (int i = 0; i < kRounds; ++i) {
     Testbed tb(kSeed + 500 + static_cast<std::uint64_t>(i),
                device::Scheme::kSeedR);
     tb.bring_up();
     (void)tb.run_delivery_failure(DeliveryFailure::kStaleSession,
                                   sim::minutes(5));
-    for (double v : tb.dev().applet().report_prep_ms()) {
-      inline_prep.push_back(v);
-    }
-    for (double v : tb.dev().applet().report_trans_ms()) {
-      inline_trans.push_back(v);
-    }
   }
-  {
-    std::vector<double> traced_prep, traced_trans;
-    for (const obs::Event& e : tracer.events()) {
-      if (e.kind != obs::EventKind::kCollabUplink) continue;
-      traced_prep.push_back(e.prep_ms);
-      traced_trans.push_back(e.trans_ms);
-      ul_prep.add(e.prep_ms);
-      ul_trans.add(e.trans_ms);
-    }
-    check(agree, traced_prep, inline_prep);
-    check(agree, traced_trans, inline_trans);
+  for (const obs::Event& e : tracer.events()) {
+    if (e.kind != obs::EventKind::kCollabUplink) continue;
+    ul_prep.add(e.prep_ms);
+    ul_trans.add(e.trans_ms);
   }
   if (trace_out.is_open()) tracer.export_jsonl(trace_out);
 
@@ -146,18 +90,5 @@ int main() {
          metrics::Table::num(ul_trans.mean(), 1),
          metrics::Table::num(ul_trans.percentile(90), 1), "46.3 ms"});
   t.print(std::cout);
-
-  if (agree.count_mismatch) {
-    std::cout << "FAIL: tracer event count does not match inline samples\n";
-    return 1;
-  }
-  std::cout << "tracer vs inline: " << agree.checks
-            << " samples agree, max |delta| = " << agree.max_delta_ms
-            << " ms\n";
-  if (agree.max_delta_ms > kToleranceMs) {
-    std::cout << "FAIL: tracer/inline disagreement exceeds " << kToleranceMs
-              << " ms\n";
-    return 1;
-  }
   return 0;
 }

@@ -9,12 +9,17 @@
 //   ./build/examples/trace_summary --demo                   # generate one
 //   ./build/examples/trace_summary --prof BENCH_profile.json # zone report
 //   ./build/examples/trace_summary --accuracy labeled.jsonl # accuracy view
+//   ./build/examples/trace_summary --blackbox trace.jsonl   # post-mortems
 //   ./build/examples/trace_summary --to-binary t.jsonl > t.bin # encode TLV
 //   ./build/examples/trace_summary --convert t.bin > t.jsonl   # decode TLV
 //
 // --accuracy joins kGroundTruthLabel events (labeled scenario packs) to
 // the kDiagnosisVerdict stream and prints the per-cause confusion
 // matrix, precision/recall, and learner convergence curve.
+//
+// --blackbox writes only the post-mortem view to stdout: one JSONL
+// blackbox per kTerminalFailure, each a header line followed by that
+// UE's last 64 events (obs::blackboxes).
 //
 // --demo runs a SEED-U testbed through a control-plane and a data-plane
 // failure with the tracer on, exports the events through a JSONL
@@ -25,7 +30,7 @@
 // 2 so scripts notice partial input, while the valid records still
 // render.
 //
-// Binary captures (Tracer::export_binary, "SEEDTRC" magic) are
+// Binary captures (obs::export_binary, "SEEDTRC" magic) are
 // auto-detected and decode through the same views; --convert re-emits a
 // binary capture as JSONL on stdout for golden-diff tooling, and
 // --to-binary encodes a JSONL trace as a binary capture on stdout (the
@@ -196,6 +201,7 @@ int main(int argc, char** argv) {
   bool accuracy = false;
   bool convert = false;
   bool to_binary = false;
+  bool blackbox = false;
   const char* path = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -211,6 +217,8 @@ int main(int argc, char** argv) {
       convert = true;
     } else if (arg == "--to-binary") {
       to_binary = true;
+    } else if (arg == "--blackbox") {
+      blackbox = true;
     } else {
       path = argv[i];
     }
@@ -248,7 +256,7 @@ int main(int argc, char** argv) {
     } else if (convert) {
       std::cerr << "trace_summary: " << what
                 << ": not a binary trace capture (no SEEDTRC magic); "
-                   "--convert takes Tracer::export_binary output\n";
+                   "--convert takes obs::export_binary output\n";
       return binary_exit(obs::BinaryError::kBadMagic);
     } else {
       std::istringstream in(data);
@@ -297,6 +305,13 @@ int main(int argc, char** argv) {
     return stats.malformed != 0 ? 2 : 1;
   }
 
+  if (blackbox) {
+    const std::vector<obs::Blackbox> boxes = obs::blackboxes(events);
+    obs::export_blackboxes_jsonl(std::cout, boxes);
+    std::cerr << "trace_summary: " << boxes.size() << " blackbox(es) from "
+              << events.size() << " event(s)\n";
+    return stats.malformed != 0 ? 2 : 0;
+  }
   print_totals(std::cout, events);
   if (accuracy) {
     const eval::AccuracyReport report = eval::score(events);

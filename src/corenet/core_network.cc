@@ -764,7 +764,6 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
   const auto prep = sim::secs_f(rng_.lognormal_median(
       sim::to_seconds(params::kDownlinkPrepMedian), params::kPrepSigma));
   sim_.schedule_after(prep, [this, &ue] {
-    diag_prep_ms_.push_back(sim::to_ms(sim_.now() - ue.diag_prep_start));
     ue.diag_send_start = sim_.now();
     send_diag_fragments(ue);
   });
@@ -777,12 +776,12 @@ void CoreNetwork::send_diag_fragments(UeContext& ue) {
   }
   if (ue.next_frag >= ue.pending_frags.size()) {
     if (!ue.pending_frags.empty()) {
-      // Final fragment just got ACKed: transfer complete (Fig. 12 trans).
-      diag_trans_ms_.push_back(sim::to_ms(sim_.now() - ue.diag_send_start));
+      // Final fragment just got ACKed: transfer complete (Fig. 12).
       SLOG(kDebug, "core") << "assistance downlink delivered";
-      obs::emit(obs::EventKind::kCollabDownlink, obs::Origin::kInfra,
-                {.prep_ms = diag_prep_ms_.back(),
-                 .trans_ms = diag_trans_ms_.back()});
+      obs::emit(
+          obs::EventKind::kCollabDownlink, obs::Origin::kInfra,
+          {.prep_ms = sim::to_ms(ue.diag_send_start - ue.diag_prep_start),
+           .trans_ms = sim::to_ms(sim_.now() - ue.diag_send_start)});
     }
     ue.pending_frags.clear();
     ue.next_frag = 0;

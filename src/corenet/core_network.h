@@ -206,10 +206,6 @@ class CoreNetwork {
   /// Core-wide counters: every UE's UeStats summed.
   CoreStats stats() const;
   const UeStats& ue_stats(UeId ue) const;
-  /// Fig. 12 downlink instrumentation: per-transfer preparation and
-  /// transmission latencies in milliseconds (core-wide, append order).
-  const std::vector<double>& diag_prep_ms() const { return diag_prep_ms_; }
-  const std::vector<double>& diag_trans_ms() const { return diag_trans_ms_; }
   bool device_registered(UeId ue) const;
 
   /// Carrier LDNS / backup DNS addresses.
@@ -327,9 +323,6 @@ class CoreNetwork {
   /// validated against drives explicit invalidation.
   std::unique_ptr<core::DiagnosisCache> diag_cache_;
   std::uint64_t diag_cache_epoch_ = 0;
-
-  std::vector<double> diag_prep_ms_;
-  std::vector<double> diag_trans_ms_;
 
   /// Reusable wire buffers for send(): encode_message_into() writes into a
   /// recycled buffer, so steady-state TX performs no allocations.

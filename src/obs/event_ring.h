@@ -1,15 +1,14 @@
 // Bounded ring buffer — THE per-UE event-ring primitive.
 //
 // Both tail-based trace retention (Tracer's sampled capture) and the
-// flight recorder keep "the last N things that happened to a UE"; this
-// is the one ring implementation behind both. A fixed-capacity circular
-// store: push evicts (and returns) the oldest element once full, and
-// iteration order is always oldest-first, so a promoted ring replays a
-// UE's history in the order it happened.
+// post-mortem blackbox view (obs::blackboxes) keep "the last N things
+// that happened to a UE"; this is the one ring implementation behind
+// both. A fixed-capacity circular store: push evicts (and returns) the
+// oldest element once full, and iteration order is always oldest-first,
+// so a promoted ring replays a UE's history in the order it happened.
 //
-// Templated so the header has no dependency on the trace layer (trace.h
-// instantiates Ring<Event> for the Tracer's retention state; the flight
-// recorder does the same for blackboxes).
+// Templated so the header has no dependency on the trace layer (trace.cc
+// instantiates Ring<Event> for both).
 #pragma once
 
 #include <cstddef>

@@ -322,10 +322,8 @@ void HealthEngine::transition(SloState& s, AlertState to, std::int64_t at_us,
                 "slo=%s state=%s value=%.6g burn=%.6g/%.6g",
                 s.spec.id.c_str(), std::string(alert_state_name(to)).c_str(),
                 value, burn_short, burn_long);
-  if (config_.emit_trace_events) {
-    emit(EventKind::kSloAlert, Origin::kTestbed,
-         {.ok = to != AlertState::kFiring, .detail = detail.data()});
-  }
+  emit(EventKind::kSloAlert, Origin::kTestbed,
+       {.ok = to != AlertState::kFiring, .detail = detail.data()});
   if (config_.emit_slog) {
     SLOG(kInfo, "health") << detail.data();
   }
@@ -341,26 +339,6 @@ std::vector<SloStatus> HealthEngine::status() const {
     out.push_back(std::move(st));
   }
   return out;
-}
-
-void HealthEngine::merge_from(const HealthEngine& other) {
-  // Shard timelines are disjoint simulated runs; concatenating the alert
-  // records in shard order keeps the merged timeline deterministic for
-  // any worker count.
-  alerts_.insert(alerts_.end(), other.alerts_.begin(), other.alerts_.end());
-  for (const SloState& theirs : other.slos_) {
-    for (SloState& mine : slos_) {
-      if (mine.spec.id != theirs.spec.id) continue;
-      mine.totals.observations += theirs.totals.observations;
-      mine.totals.bad += theirs.totals.bad;
-      mine.totals.evals += theirs.totals.evals;
-      mine.totals.fired += theirs.totals.fired;
-      mine.totals.resolved += theirs.totals.resolved;
-      // A shard still burning wins the merged resting state.
-      if (mine.state == AlertState::kInactive) mine.state = theirs.state;
-      break;
-    }
-  }
 }
 
 void HealthEngine::dump_json(std::ostream& os) const {

@@ -12,8 +12,8 @@
 // timelines regardless of wall-clock or worker count.
 //
 // Alert transitions are emitted back into the trace as kSloAlert events
-// and as SLOG lines (both optional), and recorded in an append-only
-// timeline that fleet merges concatenate in shard order.
+// (which shard captures carry through the fleet merge) and as SLOG lines
+// (optional), and recorded in an append-only timeline.
 #pragma once
 
 #include <cstddef>
@@ -92,8 +92,7 @@ struct HealthConfig {
   int long_window_steps = 5;            // long window = 5 steps
   int fire_after = 2;    // consecutive burning evals: pending -> firing
   int resolve_after = 2; // consecutive clean evals: firing -> resolved
-  bool emit_trace_events = true;  // kSloAlert on each transition
-  bool emit_slog = true;          // SLOG(kInfo, "health") on each transition
+  bool emit_slog = true;  // SLOG(kInfo, "health") on each transition
   std::vector<SloSpec> slos;
 
   /// The stock SLO set used by bench_city_storm: per-plane failure-rate
@@ -103,7 +102,7 @@ struct HealthConfig {
 };
 
 /// Rolling per-SLO evaluation state plus lifetime totals (the totals
-/// survive window turnover and are what fleet merges accumulate).
+/// survive window turnover).
 struct SloStatus {
   std::string id;
   AlertState state = AlertState::kInactive;
@@ -133,11 +132,6 @@ class HealthEngine : public EventObserver {
   const std::vector<AlertRecord>& alerts() const { return alerts_; }
   std::vector<SloStatus> status() const;
   const HealthConfig& config() const { return config_; }
-
-  /// Folds another engine's alert timeline and lifetime totals into
-  /// this one (fleet merges call this in shard order; each shard ran its
-  /// own simulated timeline, so records concatenate, never interleave).
-  void merge_from(const HealthEngine& other);
 
   /// Deterministic JSON snapshot (BENCH_health.json): per-SLO status
   /// plus the full alert timeline. No wall-clock values.

@@ -491,6 +491,32 @@ void Tracer::export_jsonl(std::ostream& os) const {
   for (const Event& e : events_) export_event_jsonl(os, e);
 }
 
+std::vector<Blackbox> blackboxes(const std::vector<Event>& events) {
+  std::map<std::uint32_t, Ring<Event>> rings;
+  std::vector<Blackbox> out;
+  for (const Event& e : events) {
+    if (e.kind == EventKind::kLog || e.kind == EventKind::kSloAlert) continue;
+    Ring<Event>& ring = rings.try_emplace(e.ue, kBlackboxDepth).first->second;
+    ring.push(e);  // eviction is the point: only the tail survives
+    if (e.kind == EventKind::kTerminalFailure) {
+      ring.append_to(out.emplace_back());
+    }
+  }
+  return out;
+}
+
+void export_blackboxes_jsonl(std::ostream& os,
+                             const std::vector<Blackbox>& boxes) {
+  for (const Blackbox& box : boxes) {
+    const Event& terminal = box.back();
+    os << "{\"blackbox\":{\"ue\":" << terminal.ue
+       << ",\"at_us\":" << terminal.at_us << ",\"reason\":\"";
+    write_escaped(os, terminal.detail);
+    os << "\",\"events\":" << box.size() << "}}\n";
+    for (const Event& e : box) export_event_jsonl(os, e);
+  }
+}
+
 std::vector<Event> Tracer::import_jsonl(std::istream& is,
                                         ImportStats* stats) {
   std::vector<Event> out;

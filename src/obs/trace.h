@@ -62,7 +62,7 @@ enum class EventKind : std::uint8_t {
   kCacheLookup,      // Fig. 8 diagnosis-cache lookup (ok = hit); emitted
                      // only when a cache is attached
   kTerminalFailure,  // escalation ladder / watchdog hit a terminal state
-                     // (detail = reason); the flight recorder dumps a
+                     // (detail = reason); obs::blackboxes freezes a
                      // blackbox on it
   kSloAlert,         // health-engine SLO alert transition (ok = not
                      // firing, detail = payload)
@@ -239,8 +239,8 @@ struct RetentionStats {
   }
 };
 
-/// Passive tap on the tracer's recorded stream (health engine, flight
-/// recorder). Observers see each event after it is recorded; they must
+/// Passive tap on the tracer's recorded stream (the health engine).
+/// Observers see each event after it is recorded; they must
 /// not mutate tracer state, but MAY emit further events (reentrant
 /// record_now is safe — the nested event lands after the current one).
 class EventObserver {
@@ -333,8 +333,6 @@ class Tracer {
 
   // ----- export / import
   void export_jsonl(std::ostream& os) const;
-  /// Binary TLV capture of events() (see trace_binary.h for the format).
-  void export_binary(std::ostream& os) const;
   /// One minijson record per line. A line holding a '{' that does not
   /// parse, or whose `kind` is missing or unknown, counts as malformed;
   /// lines without one are skipped.
@@ -400,8 +398,28 @@ class Tracer {
 };
 
 /// Serializes one event as a single JSONL record (the unit
-/// Tracer::export_jsonl and the flight recorder's blackbox share).
+/// Tracer::export_jsonl and export_blackboxes_jsonl share).
 void export_event_jsonl(std::ostream& os, const Event& e);
+
+/// One frozen blackbox: a UE's last events up to and including a
+/// kTerminalFailure (oldest first; back() is the terminal event, whose
+/// detail is the reason).
+using Blackbox = std::vector<Event>;
+
+/// Events each blackbox holds at most.
+inline constexpr std::size_t kBlackboxDepth = 64;
+
+/// Post-mortem view of a capture: rolls each UE's events (kLog and
+/// kSloAlert skipped) through a kBlackboxDepth ring and freezes the ring
+/// on every kTerminalFailure, in stream order. The ring keeps rolling,
+/// so a UE that dies twice gets two boxes.
+std::vector<Blackbox> blackboxes(const std::vector<Event>& events);
+
+/// Writes each box as JSONL: a `blackbox` header line (ue, at_us,
+/// reason, event count) followed by its events as export_event_jsonl
+/// records.
+void export_blackboxes_jsonl(std::ostream& os,
+                             const std::vector<Blackbox>& boxes);
 
 /// Writes `s` as the body of a JSON string (no surrounding quotes); every
 /// byte outside printable ASCII becomes an escape, so the output is one

@@ -265,10 +265,6 @@ void export_binary(std::ostream& os, const std::vector<Event>& events) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-void Tracer::export_binary(std::ostream& os) const {
-  obs::export_binary(os, events_);
-}
-
 std::vector<Event> TraceReader::decode(std::string_view bytes,
                                        BinaryStats* stats) {
   BinaryStats local;

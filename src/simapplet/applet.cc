@@ -503,9 +503,9 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
                          frame_scratch_);
   const auto dnns = proto::DiagDnnCodec::pack(frame_scratch_);
   sim_.schedule_after(prep, [this, dnns, report, prep_start] {
-    report_prep_ms_.push_back(sim::to_ms(sim_.now() - prep_start));
     const auto send_start = sim_.now();
-    control_->send_diag_report(dnns, [this, report, send_start](bool acked) {
+    control_->send_diag_report(dnns, [this, report, prep_start,
+                                      send_start](bool acked) {
       if (!acked) {
         // The modem gave up on the transfer (chaos-impaired channel).
         // Fall back to the local Table 3 plan; after a streak, declare
@@ -523,11 +523,10 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
         return;
       }
       uplink_fail_streak_ = 0;
-      report_trans_ms_.push_back(sim::to_ms(sim_.now() - send_start));
       SLOG(kDebug, "applet") << "uplink report delivered";
       obs::emit(obs::EventKind::kCollabUplink, obs::Origin::kSim,
-                {.prep_ms = report_prep_ms_.back(),
-                 .trans_ms = report_trans_ms_.back()});
+                {.prep_ms = sim::to_ms(send_start - prep_start),
+                 .trans_ms = sim::to_ms(sim_.now() - send_start)});
       // Give the network a beat to apply a config-only fix (modification
       // command); if service is still down, run the Fig. 6 fast reset.
       sim_.schedule_after(sim::ms(120), [this] {

@@ -127,11 +127,6 @@ class SeedApplet : public modem::SimCard {
 
   // ----- introspection
   const AppletStats& stats() const { return stats_; }
-  /// Fig. 12 uplink instrumentation (milliseconds).
-  const std::vector<double>& report_prep_ms() const { return report_prep_ms_; }
-  const std::vector<double>& report_trans_ms() const {
-    return report_trans_ms_;
-  }
   /// EEPROM usage: applet code + cause registry + record store + configs.
   std::size_t storage_used_bytes() const;
   const core::SimRecordStore& records() const { return records_; }
@@ -189,8 +184,6 @@ class SeedApplet : public modem::SimCard {
   std::function<void(std::string)> notify_user_;
 
   AppletStats stats_;
-  std::vector<double> report_prep_ms_;
-  std::vector<double> report_trans_ms_;
 
   // ----- chaos hardening (inert under RetryPolicy::legacy() + no engine:
   // the extra timers are only armed by retries/deadlines, so unimpaired

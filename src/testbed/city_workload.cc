@@ -49,26 +49,10 @@ CityShard run_shard(const CityWorkload& w, const sim::ShardInfo& info) {
   MultiTestbed city(info.seed, o);
   city.bring_up_all();
 
-  // The bench_city_storm storm, shard-sized: Table 1 mix at one
-  // injection per UE per 2 simulated minutes plus the rolling
-  // congestion wave, then a drain for in-flight recoveries.
-  auto& sim = city.simulator();
-  auto& rng = city.rng();
-  city.start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.05);
-  const auto storm_end = sim.now() + sim::minutes(w.storm_min);
-  const double mean_gap_s = 120.0;
+  // The bench_city_storm storm, shard-sized.
   CityShard out;
-  while (sim.now() < storm_end) {
-    const auto ue = static_cast<corenet::UeId>(
-        rng.uniform_int(0, static_cast<int>(w.ues_per_shard) - 1));
-    city.inject_sampled(ue);
-    ++out.injections;
-    const double gap = rng.uniform(
-        0.0, 2.0 * mean_gap_s / static_cast<double>(w.ues_per_shard));
-    sim.run_for(sim::secs_f(gap));
-  }
-  sim.run_for(sim::minutes(3));
-
+  out.injections = city.run_storm(sim::minutes(w.storm_min));
+  const sim::Simulator& sim = city.simulator();
   if (health) {
     health->flush(sim.now().time_since_epoch().count());
     tracer.remove_observer(&*health);

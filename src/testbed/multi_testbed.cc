@@ -393,6 +393,27 @@ void MultiTestbed::start_rolling_congestion(sim::Duration period,
   congestion_wave(period, dwell, fraction, 0);
 }
 
+std::uint64_t MultiTestbed::run_storm(sim::Duration storm) {
+  start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.05);
+  const auto storm_end = sim_.now() + storm;
+  // Mean one injection per UE per 2 simulated minutes: with 1k UEs that
+  // is ~8 injections/s citywide, far denser than any real cell ever sees.
+  const double mean_gap_s = 120.0;
+  std::uint64_t injections = 0;
+  while (sim_.now() < storm_end) {
+    const auto ue = static_cast<corenet::UeId>(
+        rng_.uniform_int(0, static_cast<int>(slots_.size()) - 1));
+    inject_sampled(ue);
+    ++injections;
+    const double gap = rng_.uniform(
+        0.0, 2.0 * mean_gap_s / static_cast<double>(slots_.size()));
+    sim_.run_for(sim::secs_f(gap));
+  }
+  // Drain: give in-flight recoveries time to settle.
+  sim_.run_for(sim::minutes(3));
+  return injections;
+}
+
 void MultiTestbed::congestion_wave(sim::Duration period, sim::Duration dwell,
                                    double fraction, std::size_t next_start) {
   // Waves must not overlap on a UE (dwell <= period keeps disjoint

@@ -122,6 +122,13 @@ class MultiTestbed {
   void start_rolling_congestion(sim::Duration period, sim::Duration dwell,
                                 double fraction);
 
+  /// The city storm: starts the rolling congestion wave (5% of the UEs
+  /// every 30 s, 12 s dwell), injects the sampled mix on uniformly drawn
+  /// UEs at a mean of one injection per UE per 2 simulated minutes for
+  /// `storm`, then drains 3 simulated minutes. Returns the number of
+  /// injections. Needs at least one UE.
+  std::uint64_t run_storm(sim::Duration storm);
+
   std::size_t healthy_count() const;
   std::size_t ue_count() const { return slots_.size(); }
 

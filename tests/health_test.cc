@@ -1,6 +1,6 @@
 // Fleet health engine: sim-time window evaluation, multi-window
-// burn-rate alert lifecycle, shard merging, and the worker-count
-// determinism the fleet_runner wiring depends on.
+// burn-rate alert lifecycle, and the worker-count determinism the
+// fleet_runner wiring depends on.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,7 +17,6 @@
 namespace seed {
 namespace {
 
-using obs::AlertRecord;
 using obs::AlertState;
 using obs::Event;
 using obs::EventKind;
@@ -44,7 +43,6 @@ HealthConfig rate_config() {
   c.long_window_steps = 5;
   c.fire_after = 2;
   c.resolve_after = 2;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"cp_rate", SloSignal::kFailureRate, SloStat::kRatePerMin,
                     0, 0, 0, 60.0, 0.1});
@@ -102,7 +100,6 @@ TEST(HealthEngine_, ShortBlipStaysPendingAndClears) {
 TEST(HealthEngine_, RecoveryLatencyAttributesPerTier) {
   HealthConfig c;
   c.window_us = 1'000'000;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"rec_all", SloSignal::kRecoveryLatency, SloStat::kP95, 0,
                     0, 0, 100.0, 0.1});
@@ -144,7 +141,6 @@ TEST(HealthEngine_, RecoveryAttributionFollowsUeNotSpan) {
   // engine must attribute the latency to UE 1's injection regardless.
   HealthConfig c;
   c.window_us = 1'000'000;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"rec", SloSignal::kRecoveryLatency, SloStat::kP95, 0, 0,
                     0, 30.0, 0.1});
@@ -173,7 +169,6 @@ TEST(HealthEngine_, CacheHitRateCountsMissesAgainstBudget) {
   HealthConfig c;
   c.window_us = 1'000'000;
   c.fire_after = 1;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"cache", SloSignal::kCacheHitRate, SloStat::kMean, 0, 0,
                     0, 0.0, 0.5});
@@ -203,35 +198,6 @@ TEST(HealthEngine_, FlushIsIdempotentAtTheSameTime) {
   EXPECT_EQ(engine.status()[0].evals, evals);
 }
 
-TEST(HealthEngine_, MergeConcatenatesTimelinesAndSumsTotals) {
-  HealthEngine a(rate_config());
-  HealthEngine b(rate_config());
-  std::vector<Event> storm;
-  for (int s = 0; s < 3; ++s) {
-    for (int i = 0; i < 5; ++i) {
-      storm.push_back(at(s * 1'000'000 + i * 100'000,
-                         EventKind::kFailureDetected));
-    }
-  }
-  a.ingest(storm);
-  a.flush(3'000'000);
-  b.ingest(storm);
-  b.flush(3'000'000);
-  const std::size_t each = a.alerts().size();
-  ASSERT_GT(each, 0u);
-
-  HealthEngine merged(rate_config());
-  merged.merge_from(a);
-  merged.merge_from(b);
-  ASSERT_EQ(merged.alerts().size(), 2 * each);
-  for (std::size_t i = 0; i < each; ++i) {
-    EXPECT_EQ(merged.alerts()[i], a.alerts()[i]);
-    EXPECT_EQ(merged.alerts()[each + i], b.alerts()[i]);
-  }
-  EXPECT_EQ(merged.status()[0].observations,
-            a.status()[0].observations + b.status()[0].observations);
-}
-
 TEST(HealthEngine_, SloAlertEventsFeedBackIntoTheTrace) {
   obs::Tracer& t = obs::Tracer::instance();
   sim::TimePoint now{};
@@ -240,9 +206,7 @@ TEST(HealthEngine_, SloAlertEventsFeedBackIntoTheTrace) {
   t.reset_span_counter();
   t.set_clock(&now);
   t.enable(true);
-  HealthConfig c = rate_config();
-  c.emit_trace_events = true;
-  HealthEngine engine(c);
+  HealthEngine engine(rate_config());
   t.add_observer(&engine);
   for (int s = 0; s < 3; ++s) {
     for (int i = 0; i < 5; ++i) {
@@ -266,12 +230,12 @@ TEST(HealthEngine_, SloAlertEventsFeedBackIntoTheTrace) {
 // ---------------------------------------------- fleet determinism
 
 /// Each shard runs a real testbed failure with a local health engine
-/// attached to its thread-local tracer; merged timelines and the
-/// BENCH_health-style JSON dump must be byte-identical for any worker
-/// count (the ISSUE's determinism acceptance).
+/// attached to its thread-local tracer; the shards' BENCH_health-style
+/// JSON dumps, concatenated in shard order, must be byte-identical for
+/// any worker count.
 std::string run_health_fleet(std::size_t threads) {
   sim::FleetRunner fleet(threads, /*base_seed=*/2026);
-  auto engines = fleet.map<HealthEngine>(
+  const auto dumps = fleet.map<std::string>(
       16, [](const sim::ShardInfo& info) {
         obs::begin_shard_obs(/*traces=*/true, /*metrics=*/false);
         HealthConfig c;
@@ -298,22 +262,14 @@ std::string run_health_fleet(std::size_t threads) {
         engine.flush(end_us);
         obs::Tracer::instance().remove_observer(&engine);
         (void)obs::end_shard_obs();  // shard capture discarded: the
-                                     // engine itself is the result
-        return engine;
+                                     // engine's dump is the result
+        std::ostringstream os;
+        engine.dump_json(os);
+        return os.str();
       });
-  HealthEngine merged(HealthConfig::defaults());
-  // Merge ignores unmatched SLO ids, so seed the master with the shard
-  // config instead.
-  HealthConfig master;
-  master.slos.push_back({"cp_rate", SloSignal::kFailureRate,
-                         SloStat::kRatePerMin, 0, 0, 0, 6.0, 0.1});
-  master.slos.push_back({"recovery", SloSignal::kRecoveryLatency,
-                         SloStat::kP95, 0, 0, 0, 2000.0, 0.1});
-  HealthEngine master_engine(master);
-  for (const HealthEngine& e : engines) master_engine.merge_from(e);
-  std::ostringstream os;
-  master_engine.dump_json(os);
-  return os.str();
+  std::string merged;
+  for (const std::string& d : dumps) merged += d;
+  return merged;
 }
 
 TEST(HealthFleet, MergedDumpIdenticalAcrossWorkerCounts) {

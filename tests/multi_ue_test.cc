@@ -5,6 +5,8 @@
 // warms the next's).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "obs/registry.h"
@@ -117,6 +119,40 @@ TEST(MultiUe, DiagCacheWarmsAcrossSubscribers) {
   ASSERT_NE(cache, nullptr);
   EXPECT_GT(cache->stats().hits, 0u);  // cross-SUPI warm hit at bring-up
   EXPECT_GT(cache->stats().misses, 0u);
+}
+
+TEST(MultiUe, CollabDownlinkTimesItsOwnUesTransfer) {
+  // Every UE faces #33 at bring-up and power-ons are 20 ms apart, so the
+  // assistance downlinks overlap. Each kCollabDownlink's prep + trans
+  // must span exactly from its own UE's infra diagnosis to delivery.
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.enable(true);
+  {
+    MultiOptions opts = plain_options(16);
+    opts.outdated_dnn_population = true;
+    MultiTestbed mt(909, opts);
+    mt.bring_up_all();
+  }
+  tracer.enable(false);
+  std::map<std::uint32_t, std::int64_t> diagnosed_at;
+  std::set<std::uint32_t> ues_with_downlink;
+  for (const obs::Event& e : tracer.events()) {
+    if (e.origin == obs::Origin::kInfra &&
+        (e.kind == obs::EventKind::kCacheLookup ||
+         e.kind == obs::EventKind::kDiagnosisMade)) {
+      diagnosed_at[e.ue] = e.at_us;
+    }
+    if (e.kind != obs::EventKind::kCollabDownlink) continue;
+    ASSERT_TRUE(diagnosed_at.contains(e.ue)) << "ue " << e.ue;
+    ues_with_downlink.insert(e.ue);
+    EXPECT_NEAR(e.prep_ms + e.trans_ms,
+                static_cast<double>(e.at_us - diagnosed_at[e.ue]) / 1e3,
+                1e-3)
+        << "ue " << e.ue << " at " << e.at_us;
+  }
+  tracer.clear();
+  EXPECT_EQ(ues_with_downlink.size(), 16u);
 }
 
 TEST(MultiUe, OnlineLearningAggregatesAcrossUes) {
