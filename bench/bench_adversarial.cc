@@ -27,10 +27,7 @@
 
 #include "chaos/chaos.h"
 #include "fleet_bench.h"
-#include "metrics/stats.h"
 #include "metrics/table.h"
-#include "simcore/fleet_runner.h"
-#include "testbed/testbed.h"
 
 namespace {
 
@@ -69,7 +66,6 @@ std::vector<CellSpec> make_cells() {
 
 struct RunOut {
   Outcome out;
-  bool user_action_class = false;
   std::uint64_t injections = 0;
   std::uint64_t mutations = 0;      // semantic points only
   std::uint64_t decode_rejects = 0;
@@ -80,11 +76,7 @@ struct RunOut {
   std::uint64_t applet_crashes = 0;
 };
 
-struct CellResult {
-  int total = 0;
-  int recovered = 0;
-  int user_action = 0;
-  metrics::Samples disruption;
+struct CellResult : benchutil::OutcomeTally {
   std::uint64_t injections = 0;
   std::uint64_t mutations = 0;
   std::uint64_t decode_rejects = 0;
@@ -93,51 +85,16 @@ struct CellResult {
   std::uint64_t suspect_dropped = 0;
   std::uint64_t malformed_downlinks = 0;
   std::uint64_t applet_crashes = 0;
-
-  double recovery_rate() const {
-    // User-action failures (unauthorized / expired plan) are terminal by
-    // design in every scheme; the rate is over the recoverable runs.
-    const int recoverable = total - user_action;
-    return recoverable > 0 ? static_cast<double>(recovered) / recoverable
-                           : 1.0;
-  }
 };
 
 CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
                     std::uint64_t seed) {
-  struct Job {
-    SampledFailure f;
-    std::uint64_t tb_seed;
-  };
-  std::vector<Job> jobs;
-  sim::Rng mix_rng(seed);
-  for (int k = 0; k < kRuns; ++k) {
-    jobs.push_back(Job{sample_table1_failure(mix_rng),
-                       seed * 131 + static_cast<std::uint64_t>(k + 1)});
-  }
-
+  const std::vector<Scenario> jobs = table1_scenarios(seed, kRuns);
   const auto outs = fleet.map<RunOut>(
       jobs.size(), [&](const sim::ShardInfo& info) {
-        const Job& job = jobs[info.index];
-        Testbed tb(job.tb_seed, device::Scheme::kSeedR);
-        if (job.f.control_plane && job.f.cp == CpFailure::kCustomUnknown) {
-          tb.core().faults(tb.dev().ue_id()).custom_action_known =
-              proto::ResetAction::kB2CPlaneReattach;
-        }
-        if (!job.f.control_plane && job.f.dp == DpFailure::kCustomUnknown) {
-          tb.core().faults(tb.dev().ue_id()).custom_action_known =
-              proto::ResetAction::kB3DPlaneReset;
-        }
+        Testbed tb(jobs[info.index].tb_seed, device::Scheme::kSeedR);
         if (cell.chaos) tb.enable_chaos(cell.config);
-        tb.bring_up();
-        RunOut r;
-        r.out = job.f.control_plane
-                    ? tb.run_cp_failure(job.f.cp, sim::minutes(40))
-                    : tb.run_dp_failure(job.f.dp, sim::minutes(80));
-        r.user_action_class =
-            r.out.user_action_required ||
-            (job.f.control_plane && job.f.cp == CpFailure::kUnauthorized) ||
-            (!job.f.control_plane && job.f.dp == DpFailure::kExpiredPlan);
+        RunOut r{run_scenario(tb, jobs[info.index])};
         if (tb.chaos() != nullptr) {
           const chaos::ChaosStats& cs = tb.chaos()->stats();
           r.injections = cs.total();
@@ -156,8 +113,9 @@ CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
       });
 
   CellResult res;
-  for (const RunOut& r : outs) {
-    ++res.total;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const RunOut& r = outs[i];
+    res.add(r.out, jobs[i]);
     res.injections += r.injections;
     res.mutations += r.mutations;
     res.decode_rejects += r.decode_rejects;
@@ -166,12 +124,6 @@ CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
     res.suspect_dropped += r.suspect_dropped;
     res.malformed_downlinks += r.malformed_downlinks;
     res.applet_crashes += r.applet_crashes;
-    if (r.out.recovered) {
-      ++res.recovered;
-      res.disruption.add(r.out.disruption_s);
-    } else if (r.user_action_class) {
-      ++res.user_action;
-    }
   }
   return res;
 }

@@ -17,18 +17,13 @@ int main() {
   sim::Rng mix_rng(kSeed);
   for (int i = 0; i < kRunsPerPlane * 2; ++i) {
     const SampledFailure f = sample_table1_failure(mix_rng);
-    Testbed tb(kSeed + 1000 + static_cast<std::uint64_t>(i),
-               device::Scheme::kLegacy);
-    tb.bring_up();
-    if (f.control_plane) {
-      if (f.cp == CpFailure::kUnauthorized) continue;  // no recovery path
-      const Outcome out = tb.run_cp_failure(f.cp, sim::minutes(40));
-      if (out.recovered) cp.add(out.disruption_s);
-    } else {
-      if (f.dp == DpFailure::kExpiredPlan) continue;
-      const Outcome out = tb.run_dp_failure(f.dp, sim::minutes(80));
-      if (out.recovered) dp.add(out.disruption_s);
-    }
+    const Scenario s{f.control_plane ? Scenario::Klass::kCp
+                                     : Scenario::Klass::kDp,
+                     f, kSeed + 1000 + static_cast<std::uint64_t>(i)};
+    Testbed tb(s.tb_seed, device::Scheme::kLegacy);
+    // #3 and #29 runs never recover here: the CDF is over the rest.
+    const Outcome out = run_scenario(tb, s);
+    if (out.recovered) (f.control_plane ? cp : dp).add(out.disruption_s);
   }
 
   metrics::print_banner(std::cout,

@@ -257,4 +257,62 @@ Outcome Testbed::run_custom_failure(nas::Plane plane, core::CustomCause code,
   return out;
 }
 
+std::vector<Scenario> table1_scenarios(std::uint64_t seed, int runs,
+                                       std::optional<bool> control_plane) {
+  std::vector<Scenario> out;
+  sim::Rng mix_rng(seed);
+  while (out.size() < static_cast<std::size_t>(runs)) {
+    const SampledFailure f = sample_table1_failure(mix_rng);
+    if (control_plane && f.control_plane != *control_plane) continue;
+    out.push_back({f.control_plane ? Scenario::Klass::kCp
+                                   : Scenario::Klass::kDp,
+                   f, seed * 131 + out.size() + 1});
+  }
+  return out;
+}
+
+std::vector<Scenario> delivery_scenarios(std::uint64_t seed, int runs) {
+  std::vector<Scenario> out;
+  for (int i = 0; i < runs; ++i) {
+    out.push_back({Scenario::Klass::kDelivery, {},
+                   seed * 977 + static_cast<std::uint64_t>(i)});
+  }
+  return out;
+}
+
+Outcome run_scenario(Testbed& tb, const Scenario& s) {
+  auto& known = tb.core().faults(tb.dev().ue_id()).custom_action_known;
+  if (s.klass == Scenario::Klass::kCp &&
+      s.f.cp == CpFailure::kCustomUnknown) {
+    known = proto::ResetAction::kB2CPlaneReattach;
+  }
+  if (s.klass == Scenario::Klass::kDp &&
+      s.f.dp == DpFailure::kCustomUnknown) {
+    known = proto::ResetAction::kB3DPlaneReset;
+  }
+  tb.bring_up();
+  switch (s.klass) {
+    case Scenario::Klass::kCp:
+      return tb.run_cp_failure(s.f.cp, sim::minutes(40));
+    case Scenario::Klass::kDp:
+      return tb.run_dp_failure(s.f.dp, sim::minutes(80));
+    case Scenario::Klass::kDelivery:
+      // Table 4's delivery rows use the reconnection-recoverable class
+      // (outdated gateway status in mobility, §7.1.1).
+      return tb.run_delivery_failure(DeliveryFailure::kStaleSession,
+                                     sim::minutes(40));
+  }
+  return {};
+}
+
+OutcomeClass classify(const Outcome& out, const Scenario& s) {
+  if (out.recovered) return OutcomeClass::kRecovered;
+  const bool user_must_act =
+      (s.klass == Scenario::Klass::kCp &&
+       s.f.cp == CpFailure::kUnauthorized) ||
+      (s.klass == Scenario::Klass::kDp && s.f.dp == DpFailure::kExpiredPlan);
+  return out.user_action_required || user_must_act ? OutcomeClass::kUserAction
+                                                   : OutcomeClass::kFailed;
+}
+
 }  // namespace seed::testbed
