@@ -13,6 +13,7 @@
 // fold back in shard order, so the output is byte-identical for any
 // thread count.
 #include <iostream>
+#include <stdexcept>
 
 #include "common/params.h"
 #include "fleet_bench.h"
@@ -108,28 +109,34 @@ int main(int argc, char** argv) {
           {
             Testbed tb(kSeed + 100 + i, device::Scheme::kSeedR);
             tb.bring_up();
-            const auto t0 = tb.simulator().now();
+            auto& sim = tb.simulator();
+            const auto t0 = sim.now();
             bool done = false;
             tb.dev().modem().fast_dplane_reset([&done](bool) { done = true; });
-            while (!done) tb.simulator().run_for(sim::ms(20));
-            r.fig6_s = sim::to_seconds(tb.simulator().now() - t0);
+            if (!sim.poll_until([&done] { return done; }, sim::ms(20),
+                                t0 + sim::minutes(5))) {
+              throw std::runtime_error("fast_dplane_reset never completed");
+            }
+            r.fig6_s = sim::to_seconds(sim.now() - t0);
           }
           // Naive: release DATA (last bearer!) then re-request.
           {
             Testbed tb(kSeed + 200 + i, device::Scheme::kLegacy);
             tb.bring_up();
-            const auto t0 = tb.simulator().now();
+            auto& sim = tb.simulator();
+            const auto t0 = sim.now();
             bool released = false;
             tb.dev().modem().release_data_session(
                 [&released] { released = true; });
-            while (!released) tb.simulator().run_for(sim::ms(20));
+            if (!sim.poll_until([&released] { return released; },
+                                sim::ms(20), t0 + sim::minutes(5))) {
+              throw std::runtime_error("release_data_session never completed");
+            }
             r.lost_context = !tb.core().device_registered(tb.dev().ue_id());
             tb.dev().modem().request_data_session();
-            while (!tb.dev().traffic().path_healthy()) {
-              tb.simulator().run_for(sim::ms(50));
-              if (tb.simulator().now() - t0 > sim::minutes(5)) break;
-            }
-            r.naive_s = sim::to_seconds(tb.simulator().now() - t0);
+            sim.poll_until([&tb] { return tb.dev().traffic().path_healthy(); },
+                           sim::ms(50), t0 + sim::minutes(5));
+            r.naive_s = sim::to_seconds(sim.now() - t0);
           }
           return r;
         });

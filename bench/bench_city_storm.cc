@@ -19,7 +19,6 @@
 //                         [--no-cache] [--trace=city_trace.jsonl]
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,29 +34,10 @@
 
 using namespace seed;
 
-namespace {
-
-bool flag_of(int argc, char** argv, const char* key) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) return true;
-  }
-  return false;
-}
-
-const char* str_of(int argc, char** argv, const char* key) {
-  const std::size_t n = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return argv[i] + n + 1;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using benchutil::arg_of;
+  using benchutil::flag_of;
+  using benchutil::str_of;
   const auto n_ues = static_cast<std::size_t>(arg_of(argc, argv, "--ues",
                                                      1000));
   const auto seed = static_cast<std::uint64_t>(arg_of(argc, argv, "--seed",

@@ -14,6 +14,7 @@
 // within 1 us of simulated time.
 #include <cmath>
 #include <iostream>
+#include <stdexcept>
 
 #include "metrics/stats.h"
 #include "metrics/table.h"
@@ -49,11 +50,14 @@ double time_action(std::uint64_t seed, device::Scheme scheme,
   sim::TimePoint t_done = t0;
   trigger(tb, [&](bool) {
     done = true;
-    // Capture the completion instant exactly; the run_for() loop below
-    // only advances on a 20 ms grid and would overshoot.
+    // Capture the completion instant exactly; the poll below only
+    // advances on a 20 ms grid and would overshoot.
     t_done = tb.simulator().now();
   });
-  while (!done) tb.simulator().run_for(sim::ms(20));
+  if (!tb.simulator().poll_until([&done] { return done; }, sim::ms(20),
+                                 t0 + sim::minutes(10))) {
+    throw std::runtime_error("reset action never completed");
+  }
   const double inline_s = sim::to_seconds(t_done - t0);
 
   std::int64_t first_issue_us = -1;
@@ -113,10 +117,8 @@ LegacyTimes measure_legacy(std::uint64_t seed) {
   const auto& stats = tb.dev().os().stats();
   // Force a quick detection by probing: portal probe fails -> stall.
   const auto wait_until = [&](auto pred) {
-    const auto deadline = tb.simulator().now() + sim::minutes(10);
-    while (tb.simulator().now() < deadline && !pred()) {
-      tb.simulator().run_for(sim::ms(100));
-    }
+    tb.simulator().poll_until(pred, sim::ms(100),
+                              tb.simulator().now() + sim::minutes(10));
   };
   wait_until([&] { return stats.stalls_detected > 0; });
   const auto t0 = *tb.dev().os().last_stall_at();

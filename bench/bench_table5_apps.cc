@@ -46,10 +46,9 @@ double run_once(device::Scheme scheme, const apps::AppSpec& spec,
   }
   if (!out.recovered) return sim::to_seconds(sim::minutes(40));
   // Run until the app itself sees data again.
-  for (int guard = 0; guard < 600; ++guard) {
-    if (app.perceived_disruption(t0)) break;
-    tb.simulator().run_for(sim::seconds(1));
-  }
+  auto& sim = tb.simulator();
+  sim.poll_until([&] { return app.perceived_disruption(t0).has_value(); },
+                 sim::seconds(1), sim.now() + sim::minutes(10));
   return app.perceived_disruption(t0).value_or(0.0);
 }
 

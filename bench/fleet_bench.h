@@ -1,5 +1,5 @@
-// Shared plumbing for fleet benches: `--key=N` arguments, thread-count
-// selection and the per-cell outcome tally.
+// Shared plumbing for fleet benches: `--flag` and `--key=value`
+// arguments, thread-count selection and the per-cell outcome tally.
 //
 // Thread count resolution order: SEED_FLEET_THREADS env var, then a
 // `--threads=N` argument, then hardware_concurrency — so CI and the
@@ -46,16 +46,30 @@ struct OutcomeTally {
   }
 };
 
-/// Value of the first `key=N` argument, or `fallback` when absent.
-inline long long arg_of(int argc, char** argv, const char* key,
-                        long long fallback) {
+/// True when the bare argument `key` is present.
+inline bool flag_of(int argc, char** argv, const char* key) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], key) == 0) return true;
+  }
+  return false;
+}
+
+/// Value of the first `key=value` argument, or nullptr when absent.
+inline const char* str_of(int argc, char** argv, const char* key) {
   const std::size_t n = std::strlen(key);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return std::strtoll(argv[i] + n + 1, nullptr, 10);
+      return argv[i] + n + 1;
     }
   }
-  return fallback;
+  return nullptr;
+}
+
+/// Value of the first `key=N` argument, or `fallback` when absent.
+inline long long arg_of(int argc, char** argv, const char* key,
+                        long long fallback) {
+  const char* v = str_of(argc, argv, key);
+  return v ? std::strtoll(v, nullptr, 10) : fallback;
 }
 
 inline std::size_t fleet_threads(int argc, char** argv) {

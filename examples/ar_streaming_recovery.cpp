@@ -35,9 +35,9 @@ int main() {
         /*immediate_detection=*/scheme != device::Scheme::kLegacy);
 
     // Give the app a beat to see fresh frames after recovery.
-    for (int guard = 0; guard < 30 && !ar.perceived_disruption(t0); ++guard) {
-      tb.simulator().run_for(sim::seconds(1));
-    }
+    tb.simulator().poll_until(
+        [&] { return ar.perceived_disruption(t0).has_value(); },
+        sim::seconds(1), tb.simulator().now() + sim::seconds(30));
     const double outage = ar.perceived_disruption(t0).value_or(
         sim::to_seconds(tb.simulator().now() - t0));
 

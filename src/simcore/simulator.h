@@ -67,6 +67,17 @@ class Simulator {
 
   void run_for(Duration d) { run_until(now_ + d); }
 
+  /// Evaluates `done()` at now() and after each run_for(step) until it
+  /// holds or now() >= deadline; returns the last result. Precondition:
+  /// `done()` is a pure function of state that only events change.
+  template <class Done>
+  bool poll_until(Done done, Duration step, TimePoint deadline) {
+    for (;; run_for(step)) {
+      if (done()) return true;
+      if (now_ >= deadline) return false;
+    }
+  }
+
   /// Stops the run loop after the current event returns.
   void stop() { stopped_ = true; }
 

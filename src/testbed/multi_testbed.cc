@@ -99,7 +99,7 @@ MultiTestbed::~MultiTestbed() {
   obs::Tracer::instance().set_label_source(nullptr);
 }
 
-void MultiTestbed::bring_up_all(sim::Duration deadline) {
+void MultiTestbed::bring_up_all() {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     // Tag the power-on (and its entire attach cascade) with the UE index.
     sim::Simulator::TagScope tag(sim_, static_cast<std::uint32_t>(i) + 1);
@@ -107,11 +107,8 @@ void MultiTestbed::bring_up_all(sim::Duration deadline) {
     sim_.schedule_after(kPowerOnStagger * static_cast<int>(i),
                         [dev] { dev->power_on(); });
   }
-  const auto until = sim_.now() + deadline;
-  while (sim_.now() < until && healthy_count() < slots_.size()) {
-    sim_.run_for(sim::seconds(1));
-  }
-  if (healthy_count() < slots_.size()) {
+  if (!sim_.poll_until([this] { return healthy_count() == slots_.size(); },
+                       sim::seconds(1), sim_.now() + sim::minutes(30))) {
     throw std::runtime_error("MultiTestbed::bring_up_all: " +
                              std::to_string(slots_.size() - healthy_count()) +
                              " UE(s) failed to reach data-healthy");

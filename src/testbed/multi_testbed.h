@@ -96,8 +96,8 @@ class MultiTestbed {
   ~MultiTestbed();
 
   /// Powers every device on (staggered) and runs until the whole fleet is
-  /// data-healthy. Throws if stragglers remain after the deadline.
-  void bring_up_all(sim::Duration deadline = sim::minutes(30));
+  /// data-healthy. Throws if stragglers remain after 30 simulated minutes.
+  void bring_up_all();
 
   // ----- storm injections (fire-and-continue; recovery runs on its own).
   // Each injection executes under the UE's TagScope so the entire failure

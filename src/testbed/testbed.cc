@@ -50,42 +50,34 @@ Testbed::Testbed(std::uint64_t seed, Scheme scheme)
 
 void Testbed::bring_up() {
   dev().power_on();
-  auto& sim = simulator();
-  const auto deadline = sim.now() + sim::minutes(5);
-  while (sim.now() < deadline && !dev().traffic().path_healthy()) {
-    sim.run_for(sim::ms(100));
-  }
-  if (!dev().traffic().path_healthy()) {
+  if (!simulator().poll_until(
+          [this] { return dev().traffic().path_healthy(); }, sim::ms(100),
+          simulator().now() + sim::minutes(5))) {
     throw std::runtime_error("Testbed::bring_up: device failed to attach");
   }
-  // Let things settle (timers, probes).
-  sim.run_for(sim::seconds(2));
+  simulator().run_for(sim::seconds(2));  // let timers and probes settle
 }
 
 Outcome Testbed::await_recovery(sim::TimePoint t0, sim::Duration timeout) {
   auto& sim = simulator();
   Outcome out;
-  const auto deadline = t0 + timeout;
-  while (sim.now() < deadline) {
-    sim.run_for(sim::ms(50));
-    if (dev().traffic().path_healthy()) {
-      out.recovered = true;
-      out.disruption_s = sim::to_seconds(sim.now() - t0);
-      SLOG(kDebug, "testbed") << "recovered after " << out.disruption_s
-                              << " s";
-      obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
-      // Let trailing protocol actions (release completions, record
-      // uploads, cancelled timers) settle before returning.
-      sim.run_for(sim::seconds(6));
-      obs::Tracer::instance().end_span();
-      return out;
-    }
+  sim.run_for(sim::ms(50));
+  out.recovered = sim.poll_until(
+      [this] { return dev().traffic().path_healthy(); }, sim::ms(50),
+      t0 + timeout);
+  if (out.recovered) {
+    out.disruption_s = sim::to_seconds(sim.now() - t0);
+    SLOG(kDebug, "testbed") << "recovered after " << out.disruption_s << " s";
+    obs::emit(obs::EventKind::kRecovered, obs::Origin::kTestbed);
+    // Let trailing protocol actions (release completions, record
+    // uploads, cancelled timers) settle before returning.
+    sim.run_for(sim::seconds(6));
+  } else {
+    out.disruption_s = sim::to_seconds(timeout);
+    out.user_action_required = dev().user_notifications() > 0;
+    SLOG(kDebug, "testbed") << "recovery timeout after " << out.disruption_s
+                            << " s";
   }
-  out.recovered = false;
-  out.disruption_s = sim::to_seconds(timeout);
-  out.user_action_required = dev().user_notifications() > 0;
-  SLOG(kDebug, "testbed") << "recovery timeout after "
-                          << sim::to_seconds(timeout) << " s";
   obs::Tracer::instance().end_span();
   return out;
 }

@@ -55,7 +55,7 @@ class Testbed : public MultiTestbed {
   device::Device& dev() { return MultiTestbed::dev(0); }
 
  private:
-  /// Runs until the end-to-end path is healthy; returns seconds from t0.
+  /// Polls the end-to-end path every 50 ms until healthy or t0 + timeout.
   Outcome await_recovery(sim::TimePoint t0, sim::Duration timeout);
 };
 

@@ -164,7 +164,9 @@ std::vector<obs::Event> run_fig13_ladder() {
   const auto run_action = [&](auto member) {
     bool done = false;
     (tb.dev().modem().*member)([&](bool) { done = true; });
-    while (!done) tb.simulator().run_for(sim::ms(20));
+    ASSERT_TRUE(tb.simulator().poll_until(
+        [&done] { return done; }, sim::ms(20),
+        tb.simulator().now() + sim::minutes(10)));
   };
   run_action(&modem::Modem::fast_dplane_reset);  // B3
   run_action(&modem::Modem::at_reattach);        // B2

@@ -28,12 +28,8 @@ MultiOptions plain_options(std::size_t n) {
 bool run_until_healthy(MultiTestbed& mt, std::size_t i,
                        sim::Duration timeout = sim::minutes(20)) {
   auto& sim = mt.simulator();
-  const auto deadline = sim.now() + timeout;
-  while (sim.now() < deadline) {
-    if (mt.dev(i).traffic().path_healthy()) return true;
-    sim.run_for(sim::ms(200));
-  }
-  return mt.dev(i).traffic().path_healthy();
+  return sim.poll_until([&] { return mt.dev(i).traffic().path_healthy(); },
+                        sim::ms(200), sim.now() + timeout);
 }
 
 TEST(MultiUe, FleetAttachesWithDistinctIdentities) {

@@ -220,6 +220,52 @@ TEST(Simulator, EventBudgetThrowMidHeapConsumesThrowingEvent) {
   EXPECT_EQ(count, 19);
 }
 
+TEST(PollUntil, HoldingAtTheCallTakesNoStep) {
+  Simulator sim;
+  bool fired = false;
+  sim.schedule_after(ms(10), [&] { fired = true; });
+  EXPECT_TRUE(sim.poll_until([] { return true; }, ms(50), kTimeZero + ms(1)));
+  EXPECT_EQ(sim.now(), kTimeZero);
+  EXPECT_FALSE(fired);
+}
+
+TEST(PollUntil, OffGridEventExitsAtTheNextGridInstant) {
+  Simulator sim;
+  sim.run_for(seconds(1));
+  const TimePoint t0 = sim.now();
+  bool done = false;
+  int evals = 0;
+  sim.schedule_after(ms(130), [&] { done = true; });
+  EXPECT_TRUE(sim.poll_until([&] { ++evals; return done; }, ms(50),
+                             t0 + seconds(1)));
+  EXPECT_EQ(sim.now(), t0 + ms(150));
+  EXPECT_EQ(evals, 4);  // once per grid instant: +0, +50, +100, +150 ms
+}
+
+TEST(PollUntil, NeverTrueStopsAtTheFirstGridInstantPastTheDeadline) {
+  Simulator sim;
+  int ticks = 0;
+  int evals = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    sim.schedule_after(ms(7), tick);
+  };
+  sim.schedule_after(ms(7), tick);
+  EXPECT_FALSE(sim.poll_until([&] { ++evals; return false; }, ms(50),
+                              kTimeZero + ms(120)));
+  EXPECT_EQ(sim.now(), kTimeZero + ms(150));
+  EXPECT_EQ(evals, 4);   // 0, 50, 100, 150 ms
+  EXPECT_EQ(ticks, 21);  // every tick up to 147 ms ran
+}
+
+TEST(PollUntil, EmptyQueueWithADeadlineTerminates) {
+  Simulator sim;
+  EXPECT_FALSE(sim.poll_until([] { return false; }, ms(100),
+                              kTimeZero + minutes(10)));
+  EXPECT_EQ(sim.now(), kTimeZero + minutes(10));
+  EXPECT_EQ(sim.queued(), 0u);
+}
+
 TEST(Timer, RearmCancelsPrevious) {
   Simulator sim;
   Timer t(sim);

@@ -43,10 +43,9 @@ TEST(ModemSystem, T3511PacesRetries) {
   tb.core().faults(tb.dev().ue_id()).transient_reject_count = 3;
   const auto t0 = tb.simulator().now();
   tb.dev().modem().trigger_reattach();
-  while (!tb.dev().modem().registered()) {
-    tb.simulator().run_for(sim::ms(200));
-    if (tb.simulator().now() - t0 > sim::minutes(3)) break;
-  }
+  ASSERT_TRUE(tb.simulator().poll_until(
+      [&tb] { return tb.dev().modem().registered(); }, sim::ms(200),
+      t0 + sim::minutes(3)));
   const double took = sim::to_seconds(tb.simulator().now() - t0);
   // Rejects at ~0s (attempt 1) and ~0.2s (immediate retry), then T3511
   // (10 s) paces attempt 3 which also fails, T3511 again, success.
@@ -73,7 +72,9 @@ TEST(ModemSystem, Fig6KeepsRegistrationAcrossDataReset) {
   const std::uint64_t gen_before = tb.core().registration_generation(ue);
   bool done = false;
   tb.dev().modem().fast_dplane_reset([&done](bool ok) { done = ok; });
-  while (!done) tb.simulator().run_for(sim::ms(50));
+  ASSERT_TRUE(tb.simulator().poll_until(
+      [&done] { return done; }, sim::ms(50),
+      tb.simulator().now() + sim::minutes(5)));
   // The DIAG companion bearer kept the UE context: no re-registration.
   EXPECT_EQ(tb.core().registration_generation(ue), gen_before);
   EXPECT_TRUE(tb.dev().modem().data_connected());
@@ -87,7 +88,9 @@ TEST(ModemSystem, NaiveDataResetWithoutDiagSessionLosesContext) {
   tb.bring_up();
   bool released = false;
   tb.dev().modem().release_data_session([&released] { released = true; });
-  while (!released) tb.simulator().run_for(sim::ms(50));
+  ASSERT_TRUE(tb.simulator().poll_until(
+      [&released] { return released; }, sim::ms(50),
+      tb.simulator().now() + sim::minutes(5)));
   tb.simulator().run_for(sim::ms(200));
   EXPECT_FALSE(tb.core().device_registered(tb.dev().ue_id()));
   EXPECT_EQ(tb.gnb(0).bearer_count(), 0u);
