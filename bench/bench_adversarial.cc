@@ -12,8 +12,8 @@
 //
 // Survival criteria (CI compares BENCH_adversarial.json byte for byte
 // with the committed copy):
-//   - zero applet/decoder crashes in every cell (ASan/UBSan CI job runs
-//     this bench too, giving the no-crash claim teeth)
+//   - no process crash in any cell: the ASan/UBSan CI job runs this
+//     bench, so a decoder memory fault fails the job
 //   - 100% recovery of recoverable failures under the storm
 //   - deterministic mutation/reject/quarantine counts, byte-identical
 //     for any fleet worker count (jobs pre-sampled, merged in order)
@@ -73,7 +73,6 @@ struct RunOut {
   std::uint64_t quarantine_drops = 0;
   std::uint64_t suspect_dropped = 0;
   std::uint64_t malformed_downlinks = 0;
-  std::uint64_t applet_crashes = 0;
 };
 
 struct CellResult : benchutil::OutcomeTally {
@@ -84,7 +83,6 @@ struct CellResult : benchutil::OutcomeTally {
   std::uint64_t quarantine_drops = 0;
   std::uint64_t suspect_dropped = 0;
   std::uint64_t malformed_downlinks = 0;
-  std::uint64_t applet_crashes = 0;
 };
 
 CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
@@ -106,9 +104,7 @@ CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
         r.malformed_rx = core.malformed_rx;
         r.quarantine_drops = core.quarantine_drops;
         r.suspect_dropped = core.suspect_reports_dropped;
-        const applet::AppletStats& ap = tb.dev().applet().stats();
-        r.malformed_downlinks = ap.malformed_downlinks;
-        r.applet_crashes = ap.applet_crashes;
+        r.malformed_downlinks = tb.dev().applet().stats().malformed_downlinks;
         return r;
       });
 
@@ -123,7 +119,6 @@ CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
     res.quarantine_drops += r.quarantine_drops;
     res.suspect_dropped += r.suspect_dropped;
     res.malformed_downlinks += r.malformed_downlinks;
-    res.applet_crashes += r.applet_crashes;
   }
   return res;
 }
@@ -141,7 +136,7 @@ void append_cell_json(std::ostream& os, const CellSpec& cell,
      << ",\"quarantine_drops\":" << r.quarantine_drops
      << ",\"suspect_dropped\":" << r.suspect_dropped
      << ",\"malformed_downlinks\":" << r.malformed_downlinks
-     << ",\"applet_crashes\":" << r.applet_crashes << ",\"disruption_s\":{"
+     << ",\"disruption_s\":{"
      << "\"p50\":" << r.disruption.median()
      << ",\"p90\":" << r.disruption.percentile(90)
      << ",\"p99\":" << r.disruption.percentile(99) << "}}";
@@ -164,7 +159,7 @@ int main(int argc, char** argv) {
        << ",\"runs_per_cell\":" << kRuns << ",\"cells\":{";
 
   metrics::Table t({"Cell", "Recovery", "Median (s)", "99th (s)",
-                    "Mutations", "Malformed", "Quarantined", "Crashes"});
+                    "Mutations", "Malformed", "Quarantined"});
   double clean_median = 0.0;
   bool first = true;
   for (const CellSpec& cell : cells) {
@@ -181,8 +176,7 @@ int main(int argc, char** argv) {
            metrics::Table::num(r.disruption.median(), 1),
            metrics::Table::num(r.disruption.percentile(99), 1),
            std::to_string(r.mutations), std::to_string(r.malformed_rx),
-           std::to_string(r.quarantine_drops),
-           std::to_string(r.applet_crashes)});
+           std::to_string(r.quarantine_drops)});
     if (cell.chaos && clean_median > 0.0) {
       std::cout << "  [" << cell.name << "] median/clean = "
                 << metrics::Table::num(r.disruption.median() / clean_median,

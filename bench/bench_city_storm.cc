@@ -195,10 +195,11 @@ int main(int argc, char** argv) {
   // BENCH_city.json next to the 1k counters, which stay untouched.
   {
     const testbed::CityWorkload cw;
+    const std::size_t ring_depth = obs::RetentionPolicy{}.ring_depth;
     const auto total_ues =
         static_cast<std::uint64_t>(cw.shards * cw.ues_per_shard);
     std::cout << "sampled city storm: " << total_ues << " UEs across "
-              << cw.shards << " shards (ring depth " << cw.ring_depth
+              << cw.shards << " shards (ring depth " << ring_depth
               << ")...\n";
     const testbed::CityRun cr = testbed::run_city_workload(cw, workers);
     const std::uint64_t bytes_per_ue =
@@ -214,7 +215,7 @@ int main(int argc, char** argv) {
     city_json << ",\"sampled10k\":{\"ues\":" << total_ues
               << ",\"shards\":" << cw.shards
               << ",\"storm_min\":" << cw.storm_min
-              << ",\"ring_depth\":" << cw.ring_depth
+              << ",\"ring_depth\":" << ring_depth
               << ",\"injections\":" << cr.injections
               << ",\"sim_events\":" << cr.sim_events
               << ",\"healthy\":" << cr.healthy

@@ -66,5 +66,17 @@ int main() {
   }
   table.print(std::cout);
   std::cout << "undecodable records: " << res.undecodable << " (expect 0)\n";
+
+  std::size_t config_related = 0;
+  for (const auto& c : res.causes) {
+    if (nas::config_kind_for(c.plane, c.cause) != nas::ConfigKind::kNone) {
+      config_related += c.count;
+    }
+  }
+  std::cout << "config-related causes (paper Appendix A): "
+            << metrics::Table::pct(static_cast<double>(config_related) /
+                                   res.failures)
+            << " of failures could ship a fresh configuration with the "
+               "cause code\n";
   return 0;
 }

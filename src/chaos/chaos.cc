@@ -10,13 +10,10 @@ namespace seed::chaos {
 std::string_view point_name(Point p) {
   switch (p) {
     case Point::kDownlinkDrop: return "downlink-drop";
-    case Point::kDownlinkDup: return "downlink-dup";
     case Point::kDownlinkCorrupt: return "downlink-corrupt";
     case Point::kUplinkDrop: return "uplink-drop";
-    case Point::kUplinkDup: return "uplink-dup";
     case Point::kUplinkCorrupt: return "uplink-corrupt";
-    case Point::kResetOutcome: return "reset-outcome";
-    case Point::kAppletCrash: return "applet-crash";
+    case Point::kResetFail: return "reset-fail";
     case Point::kSemanticDownlink: return "semantic-downlink";
     case Point::kSemanticUplink: return "semantic-uplink";
     case Point::kReplayDownlink: return "replay-downlink";
@@ -87,7 +84,6 @@ std::array<sim::Rng, sizeof...(I)> make_streams(std::uint64_t seed,
 
 ChaosEngine::ChaosEngine(const ChaosConfig& config, std::uint64_t seed)
     : config_(config),
-      seed_(seed),
       streams_(make_streams(
           seed,
           std::make_index_sequence<static_cast<std::size_t>(Point::kCount)>{})) {
@@ -110,13 +106,6 @@ bool ChaosEngine::drop_downlink() {
   return true;
 }
 
-bool ChaosEngine::duplicate_downlink() {
-  if (!roll(Point::kDownlinkDup, config_.downlink_dup)) return false;
-  ++stats_.downlink_duplicated;
-  note(Point::kDownlinkDup);
-  return true;
-}
-
 bool ChaosEngine::corrupt_downlink(BitFlip* flip) {
   if (!roll(Point::kDownlinkCorrupt, config_.downlink_corrupt)) return false;
   sim::Rng& s = stream(Point::kDownlinkCorrupt);
@@ -134,13 +123,6 @@ bool ChaosEngine::drop_uplink() {
   return true;
 }
 
-bool ChaosEngine::duplicate_uplink() {
-  if (!roll(Point::kUplinkDup, config_.uplink_dup)) return false;
-  ++stats_.uplink_duplicated;
-  note(Point::kUplinkDup);
-  return true;
-}
-
 bool ChaosEngine::corrupt_uplink(BitFlip* flip) {
   if (!roll(Point::kUplinkCorrupt, config_.uplink_corrupt)) return false;
   sim::Rng& s = stream(Point::kUplinkCorrupt);
@@ -151,37 +133,15 @@ bool ChaosEngine::corrupt_uplink(BitFlip* flip) {
   return true;
 }
 
-ResetOutcome ChaosEngine::reset_outcome(std::uint8_t action) {
-  // A per-action override pins the outcome regardless of the AT knobs.
-  const double pinned =
+bool ChaosEngine::fail_reset(std::uint8_t action) {
+  // A per-action override pins the outcome regardless of at_fail, which
+  // covers only the B-tier AT commands (CFUN/CGATT/CGACT, codes 4-6).
+  double p =
       action < config_.action_fail.size() ? config_.action_fail[action] : 0.0;
-  if (pinned > 0.0) {
-    if (roll(Point::kResetOutcome, pinned)) {
-      ++stats_.resets_failed;
-      note(Point::kResetOutcome);
-      return ResetOutcome::kFail;
-    }
-    return ResetOutcome::kNormal;
-  }
-  // The AT knobs cover the B-tier commands (CFUN/CGATT/CGACT, codes 4-6).
-  if (action < 4 || action > 6) return ResetOutcome::kNormal;
-  if (roll(Point::kResetOutcome, config_.at_fail)) {
-    ++stats_.resets_failed;
-    note(Point::kResetOutcome);
-    return ResetOutcome::kFail;
-  }
-  if (roll(Point::kResetOutcome, config_.at_timeout)) {
-    ++stats_.resets_timed_out;
-    note(Point::kResetOutcome);
-    return ResetOutcome::kTimeout;
-  }
-  return ResetOutcome::kNormal;
-}
-
-bool ChaosEngine::crash_applet() {
-  if (!roll(Point::kAppletCrash, config_.applet_crash)) return false;
-  ++stats_.applet_crashes;
-  note(Point::kAppletCrash);
+  if (p <= 0.0 && action >= 4 && action <= 6) p = config_.at_fail;
+  if (!roll(Point::kResetFail, p)) return false;
+  ++stats_.resets_failed;
+  note(Point::kResetFail);
   return true;
 }
 

@@ -2,10 +2,12 @@
 //
 // The testbed's corenet::Faults injects the paper's network failures;
 // this layer impairs the recovery path itself: the §4.5 collaboration
-// channel (drop/duplicate/corrupt downlink AUTN fragments and uplink
-// DIAG-DNN fragments), the Table 3 reset actions (AT commands that fail
-// or time out), and the SIM applet (crash/restart mid-handling, declared
-// dead after repeated crashes).
+// channel (drop or bit-flip downlink AUTN fragments and uplink DIAG-DNN
+// fragments, plus 5Greplay-style semantic mutation, stale replay and
+// unsolicited injection) and the Table 3 reset actions (commands that
+// return ERROR). Attaching an engine also turns on the hardening that
+// copes with it: the applet's retry/deadline/escalation ladder, the
+// device's recovery watchdog and the ack-guards on both collab ends.
 //
 // Determinism: every injection point owns its own RNG stream derived
 // from the engine seed with the same splitmix64 finalizer the fleet
@@ -23,38 +25,25 @@
 
 #include "common/bytes.h"
 #include "simcore/rng.h"
-#include "simcore/time.h"
 
 namespace seed::chaos {
 
 struct ChaosConfig {
   // ----- collaboration channel, downlink (core -> SIM AUTN fragments)
   double downlink_drop = 0.0;     // fragment lost before the SIM sees it
-  double downlink_dup = 0.0;      // fragment delivered (and ACKed) twice
   double downlink_corrupt = 0.0;  // one bit flipped in the AUTN field
 
   // ----- collaboration channel, uplink (DIAG-DNN report fragments)
   double uplink_drop = 0.0;       // PDU request lost on the air
-  double uplink_dup = 0.0;        // PDU request delivered twice
   double uplink_corrupt = 0.0;    // one bit flipped in a payload label
 
   // ----- reset-action execution (AT+CFUN / CGATT / CGACT, B-tier)
   double at_fail = 0.0;           // command returns ERROR
-  double at_timeout = 0.0;        // command never completes
-  sim::Duration at_fail_latency = sim::ms(300);
 
   /// Per-action failure override, indexed by the proto::ResetAction code
-  /// (1..6 = A1,A2,A3,B1,B2,B3). Takes precedence over at_fail /
-  /// at_timeout when non-zero; this is how a test pins "A2 always
-  /// fails".
+  /// (1..6 = A1,A2,A3,B1,B2,B3). Takes precedence over at_fail when
+  /// non-zero; this is how a test pins "A2 always fails".
   std::array<double, 8> action_fail{};
-
-  // ----- SIM applet
-  double applet_crash = 0.0;      // crash while handling a diagnosis
-  sim::Duration applet_restart_time = sim::seconds(2);
-  /// Crashes before the applet is declared dead (device degrades to
-  /// legacy handling).
-  int applet_max_crashes = 3;
 
   // ----- semantic (protocol-aware) adversarial injection
   // Field-aware mutations in the 5Greplay style: instead of flipping a
@@ -68,21 +57,21 @@ struct ChaosConfig {
 };
 
 /// Injection decision points; each owns an independent RNG stream so
-/// enabling one impairment never shifts another's sequence.
+/// enabling one impairment never shifts another's sequence. The numbers
+/// are stable: each seeds its point's stream and rides in a
+/// kChaosInjected event's `cause`. 1, 4 and 7 are retired points
+/// (downlink duplicate, uplink duplicate, applet crash) and stay unused.
 enum class Point : std::uint8_t {
   kDownlinkDrop = 0,
-  kDownlinkDup,
-  kDownlinkCorrupt,
-  kUplinkDrop,
-  kUplinkDup,
-  kUplinkCorrupt,
-  kResetOutcome,
-  kAppletCrash,
-  kSemanticDownlink,
-  kSemanticUplink,
-  kReplayDownlink,
-  kUnsolicitedDownlink,
-  kCount,
+  kDownlinkCorrupt = 2,
+  kUplinkDrop = 3,
+  kUplinkCorrupt = 5,
+  kResetFail = 6,
+  kSemanticDownlink = 8,
+  kSemanticUplink = 9,
+  kReplayDownlink = 10,
+  kUnsolicitedDownlink = 11,
+  kCount = 12,
 };
 
 /// Stable name of an injection point; decodes a kChaosInjected trace
@@ -119,24 +108,18 @@ void apply_semantic_dnn(SemanticMutation m, std::vector<Bytes>& labels);
 
 struct ChaosStats {
   std::uint64_t downlink_dropped = 0;
-  std::uint64_t downlink_duplicated = 0;
   std::uint64_t downlink_corrupted = 0;
   std::uint64_t uplink_dropped = 0;
-  std::uint64_t uplink_duplicated = 0;
   std::uint64_t uplink_corrupted = 0;
   std::uint64_t resets_failed = 0;
-  std::uint64_t resets_timed_out = 0;
-  std::uint64_t applet_crashes = 0;
   std::uint64_t downlink_mutated = 0;
   std::uint64_t uplink_mutated = 0;
   std::uint64_t downlink_replayed = 0;
   std::uint64_t unsolicited_injected = 0;
   std::uint64_t total() const {
-    return downlink_dropped + downlink_duplicated + downlink_corrupted +
-           uplink_dropped + uplink_duplicated + uplink_corrupted +
-           resets_failed + resets_timed_out + applet_crashes +
-           downlink_mutated + uplink_mutated + downlink_replayed +
-           unsolicited_injected;
+    return downlink_dropped + downlink_corrupted + uplink_dropped +
+           uplink_corrupted + resets_failed + downlink_mutated +
+           uplink_mutated + downlink_replayed + unsolicited_injected;
   }
 };
 
@@ -147,33 +130,25 @@ struct BitFlip {
   std::uint8_t bit = 0;    // 0..7
 };
 
-enum class ResetOutcome : std::uint8_t { kNormal, kFail, kTimeout };
-
 class ChaosEngine {
  public:
   ChaosEngine(const ChaosConfig& config, std::uint64_t seed);
 
-  const ChaosConfig& config() const { return config_; }
   const ChaosStats& stats() const { return stats_; }
-  std::uint64_t seed() const { return seed_; }
 
   // ----- downlink AUTN fragment (modem -> SIM APDU boundary)
   bool drop_downlink();
-  bool duplicate_downlink();
   /// Returns the flip to apply to the 16-byte AUTN field, or nothing.
   bool corrupt_downlink(BitFlip* flip);
 
   // ----- uplink DIAG-DNN fragment (modem -> core)
   bool drop_uplink();
-  bool duplicate_uplink();
   /// Returns the flip to apply to the fragment's payload bytes.
   bool corrupt_uplink(BitFlip* flip);
 
   // ----- reset actions (action = proto::ResetAction code 1..6)
-  ResetOutcome reset_outcome(std::uint8_t action);
-
-  // ----- applet
-  bool crash_applet();
+  /// True when the command should return ERROR instead of running.
+  bool fail_reset(std::uint8_t action);
 
   // ----- semantic adversarial injection
   /// Picks a field-aware mutation for the outbound AUTN fragment.
@@ -201,7 +176,6 @@ class ChaosEngine {
   void note(Point point);
 
   ChaosConfig config_;
-  std::uint64_t seed_;
   std::array<sim::Rng, static_cast<std::size_t>(Point::kCount)> streams_;
   ChaosStats stats_;
   // Stale-fragment replay ring: the most recent downlink captures, oldest

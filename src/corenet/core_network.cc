@@ -354,9 +354,10 @@ void CoreNetwork::complete_registration(UeContext& ue) {
 void CoreNetwork::handle_auth_failure(UeContext& ue,
                                       const nas::AuthenticationFailure& m) {
   if (m.cause == mm(MmCause::kSynchFailure) && ue.next_frag > 0) {
-    // SEED downlink ACK for the previous fragment (Fig. 7a). A duplicated
-    // fragment (impaired channel) earns two ACKs; only the first may
-    // advance the transfer or the core would skip fragments.
+    // SEED downlink ACK for the previous fragment (Fig. 7a). A guard
+    // retransmit or a replayed fragment (impaired channel) earns a second
+    // ACK; only the first may advance the transfer or the core would skip
+    // fragments.
     if (ue.frag_outstanding) {
       ue.frag_outstanding = false;
       ue.frag_retries = 0;

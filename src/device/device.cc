@@ -6,6 +6,14 @@
 
 namespace seed::device {
 
+namespace {
+// Recovery watchdog (chaos hardening): first deadline, its growth per
+// refire, and the refires before degrading to legacy retry.
+constexpr sim::Duration kWatchdogDeadline = sim::seconds(45);
+constexpr double kWatchdogFactor = 1.5;
+constexpr int kWatchdogMaxRefires = 4;
+}  // namespace
+
 std::string_view scheme_name(Scheme s) {
   switch (s) {
     case Scheme::kLegacy: return "Legacy";
@@ -97,15 +105,15 @@ void Device::power_on() {
   android_->start();
 }
 
-void Device::enable_recovery_watchdog(const WatchdogConfig& cfg) {
-  watchdog_cfg_ = cfg;
+void Device::set_chaos(chaos::ChaosEngine* chaos) {
+  modem_->set_chaos(chaos);
+  applet_->set_chaos(chaos);
   if (!watchdog_) watchdog_ = std::make_unique<sim::Timer>(sim_);
-  applet_->set_death_notifier([this] { degrade_to_legacy(); });
 }
 
 void Device::arm_watchdog() {
-  if (!watchdog_cfg_ || degraded_ || watchdog_->armed()) return;
-  watchdog_->arm(watchdog_cfg_->deadline, [this] { on_watchdog(); });
+  if (!watchdog_ || degraded_ || watchdog_->armed()) return;
+  watchdog_->arm(kWatchdogDeadline, [this] { on_watchdog(); });
 }
 
 void Device::on_watchdog() {
@@ -117,34 +125,29 @@ void Device::on_watchdog() {
                         << watchdog_refires_ << ")";
   obs::emit(obs::EventKind::kWatchdogFired, obs::Origin::kOs,
             {.cause = static_cast<std::uint8_t>(watchdog_refires_)});
-  if (applet_->dead() || watchdog_refires_ >= watchdog_cfg_->max_refires) {
-    degrade_to_legacy();
+  if (watchdog_refires_ >= kWatchdogMaxRefires) {
+    // The SEED path is unusable: degrade to Android's legacy sequential
+    // retry and, since the path is still broken, restart the recovery
+    // under it now instead of waiting for the next detection pass.
+    degraded_ = true;
+    SLOG(kWarn, "device") << "SEED path unusable, degrading to legacy "
+                             "sequential retry";
+    obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kOs,
+              {.detail = "watchdog exhausted"});
+    obs::emit(obs::EventKind::kDegraded, obs::Origin::kOs);
+    android_->set_sequential_retry_enabled(true);
+    android_->force_stall();
     return;
   }
   ++watchdog_refires_;
   // Re-announce the stall: the SEED report path gets another shot with
   // whatever state the applet has now (fresh config, escalated tier...).
   carrier_->on_data_stall();
-  auto deadline = watchdog_cfg_->deadline;
+  auto deadline = kWatchdogDeadline;
   for (int i = 0; i < watchdog_refires_; ++i) {
-    deadline = sim::secs_f(sim::to_seconds(deadline) * watchdog_cfg_->factor);
+    deadline = sim::secs_f(sim::to_seconds(deadline) * kWatchdogFactor);
   }
   watchdog_->arm(deadline, [this] { on_watchdog(); });
-}
-
-void Device::degrade_to_legacy() {
-  if (degraded_) return;
-  degraded_ = true;
-  if (watchdog_) watchdog_->cancel();
-  SLOG(kWarn, "device") << "SEED path unusable, degrading to legacy "
-                           "sequential retry";
-  obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kOs,
-            {.detail = applet_->dead() ? "applet dead" : "watchdog exhausted"});
-  obs::emit(obs::EventKind::kDegraded, obs::Origin::kOs);
-  android_->set_sequential_retry_enabled(true);
-  // If the path is still broken, restart the recovery under the legacy
-  // scheme immediately instead of waiting for the next detection pass.
-  if (!traffic_->path_healthy()) android_->force_stall();
 }
 
 apps::App& Device::add_app(const apps::AppSpec& spec) {

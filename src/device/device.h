@@ -3,7 +3,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,19 +61,14 @@ class Device {
   corenet::UeId ue_id() const { return ue_id_; }
   std::uint64_t user_notifications() const { return user_notifications_; }
 
-  /// Recovery watchdog (chaos hardening): when a handled failure has not
-  /// reached service-healthy by the deadline, the failure is re-announced
-  /// to the SIM; the deadline grows by `factor` per refire. After
-  /// `max_refires` — or when the applet is declared dead — the device
-  /// degrades to Android's legacy sequential retry so an impaired SEED
-  /// path can never leave the device wedged.
-  struct WatchdogConfig {
-    sim::Duration deadline = sim::seconds(45);
-    double factor = 1.5;
-    int max_refires = 4;
-  };
-  void enable_recovery_watchdog(const WatchdogConfig& cfg);
-  void enable_recovery_watchdog() { enable_recovery_watchdog(WatchdogConfig{}); }
+  /// Attaches a chaos engine to the modem and the applet and turns on the
+  /// hardening that copes with it: the applet's retry ladder and the
+  /// recovery watchdog. The watchdog re-announces a handled failure to
+  /// the SIM when service is not healthy by its deadline (45 s, growing
+  /// 1.5x per refire); after 4 refires the device degrades to Android's
+  /// legacy sequential retry, so an impaired SEED path can never leave
+  /// the device wedged.
+  void set_chaos(chaos::ChaosEngine* chaos);
   bool degraded_to_legacy() const { return degraded_; }
   int watchdog_refires() const { return watchdog_refires_; }
 
@@ -87,7 +81,6 @@ class Device {
   void battery_tick();
   void arm_watchdog();
   void on_watchdog();
-  void degrade_to_legacy();
 
   sim::Simulator& sim_;
   sim::Rng& rng_;
@@ -101,9 +94,8 @@ class Device {
   std::unique_ptr<metrics::EnergyMeter> battery_;
   std::vector<std::unique_ptr<apps::App>> apps_;
   std::uint64_t user_notifications_ = 0;
-  // Recovery watchdog (only allocated/armed when enabled, so unhardened
+  // Recovery watchdog (only allocated/armed under chaos, so unhardened
   // devices keep the event loop untouched).
-  std::optional<WatchdogConfig> watchdog_cfg_;
   std::unique_ptr<sim::Timer> watchdog_;
   int watchdog_refires_ = 0;
   bool degraded_ = false;

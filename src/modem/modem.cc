@@ -35,6 +35,8 @@ ModemControl::Done trace_reset(std::uint8_t action, ModemControl::Done done) {
 // is attached (an unimpaired reject-ACK always arrives).
 constexpr sim::Duration kReportAckGuard = sim::seconds(2);
 constexpr int kMaxReportRetries = 5;
+// Round trip of an AT command the chaos engine fails with ERROR.
+constexpr sim::Duration kAtFailLatency = sim::ms(300);
 
 // Flips one bit in the payload labels (1..) of a DIAG DNN fragment; the
 // header label stays intact so the fragment still routes to the SEED
@@ -312,9 +314,8 @@ void Modem::handle_auth_request(const nas::AuthenticationRequest& m) {
   PROF_BYTES(m.rand.size() + m.autn.size());
   if (chaos_ != nullptr && proto::is_dflag(m.rand)) {
     // Impaired collaboration channel: the downlink AUTN diag fragment may
-    // be lost (core's ack-guard retransmits), bit-flipped (the SIM's MAC
-    // check discards the frame), or delivered twice (the duplicate ACK is
-    // absorbed upstream and the reassembler ignores the re-send).
+    // be lost (core's ack-guard retransmits) or bit-flipped (the SIM's MAC
+    // check discards the frame).
     if (chaos_->drop_downlink()) return;
     nas::AuthenticationRequest eff = m;
     chaos::BitFlip flip;
@@ -330,7 +331,6 @@ void Modem::handle_auth_request(const nas::AuthenticationRequest& m) {
     }
     chaos_->capture_downlink(eff.autn.data(), eff.autn.size());
     deliver_auth(eff);
-    if (chaos_->duplicate_downlink()) deliver_auth(eff);
     // Stale-fragment replay: re-deliver a fragment captured earlier in
     // the run, as a recorded-and-replayed downlink would arrive.
     std::array<std::uint8_t, 16> stale;
@@ -451,8 +451,8 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
   // Uplink diagnosis report path: the reject is the ACK (Fig. 7b).
   if (psi == kDiagPsi && !pending_report_.empty()) {
     if (chaos_ != nullptr) {
-      // A duplicated fragment earns two reject-ACKs; only the first may
-      // advance the transfer.
+      // A guard retransmit whose original got through earns a second
+      // reject-ACK; only the first may advance the transfer.
       if (!report_outstanding_) return;
       report_outstanding_ = false;
       report_retries_ = 0;
@@ -594,28 +594,15 @@ void Modem::on_downlink(BytesView wire) {
 // ------------------------------------------------- SEED ModemControl
 
 bool Modem::chaos_intercept(std::uint8_t action, Done& done) {
-  if (chaos_ == nullptr) return false;
-  switch (chaos_->reset_outcome(action)) {
-    case chaos::ResetOutcome::kNormal:
-      return false;
-    case chaos::ResetOutcome::kFail:
-      // The command returns ERROR after a short round trip and leaves the
-      // modem state untouched.
-      SLOG(kDebug, "modem") << "chaos: reset action " << int(action)
-                            << " returns ERROR";
-      sim_.schedule_after(chaos_->config().at_fail_latency,
-                          [done = std::move(done)] {
-                            if (done) done(false);
-                          });
-      return true;
-    case chaos::ResetOutcome::kTimeout:
-      // Swallowed entirely: only the applet's action deadline catches it.
-      SLOG(kDebug, "modem") << "chaos: reset action " << int(action)
-                            << " times out";
-      done = nullptr;
-      return true;
-  }
-  return false;
+  if (chaos_ == nullptr || !chaos_->fail_reset(action)) return false;
+  // The command returns ERROR after a short round trip and leaves the
+  // modem state untouched.
+  SLOG(kDebug, "modem") << "chaos: reset action " << int(action)
+                        << " returns ERROR";
+  sim_.schedule_after(kAtFailLatency, [done = std::move(done)] {
+    if (done) done(false);
+  });
+  return true;
 }
 
 void Modem::refresh_profile(Done done) {
@@ -791,7 +778,6 @@ void Modem::transmit_report_fragment(std::size_t idx) {
   nas::PduSessionEstablishmentRequest req;
   req.hdr = {kDiagPsi, next_pti_++};
   req.dnn = pending_report_[idx];
-  bool duplicate = false;
   if (chaos_ != nullptr) {
     chaos::BitFlip flip;
     if (chaos_->corrupt_uplink(&flip)) {
@@ -805,14 +791,8 @@ void Modem::transmit_report_fragment(std::size_t idx) {
       chaos::apply_semantic_dnn(mut, labels);
       req.dnn = nas::Dnn::from_labels(std::move(labels));
     }
-    duplicate = chaos_->duplicate_uplink();
   }
   send(nas::NasMessage(req));
-  if (duplicate) {
-    ++stats_.pdu_attempted;
-    req.hdr.pti = next_pti_++;
-    send(nas::NasMessage(req));
-  }
 }
 
 void Modem::on_report_guard(std::size_t idx) {

@@ -168,8 +168,8 @@ class Modem : public ModemControl {
   void deliver_auth(const nas::AuthenticationRequest& m);
 
   // chaos hooks
-  /// True when the chaos engine swallowed or failed the reset action;
-  /// `done` is consumed (scheduled with false, or dropped on timeout).
+  /// True when the chaos engine failed the reset action; `done` is
+  /// consumed (scheduled with false).
   bool chaos_intercept(std::uint8_t action, Done& done);
   void transmit_report_fragment(std::size_t idx);
   void on_report_guard(std::size_t idx);

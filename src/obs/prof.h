@@ -25,8 +25,7 @@
 // thread-local (each fleet worker owns an isolated world; shard captures
 // fold back by zone *name*, so global registration order never matters)
 // and OFF by default. A disabled PROF_ZONE costs one thread-local bool
-// load and a branch; compiling with -DSEED_PROF_COMPILED=0 removes every
-// zone entirely.
+// load and a branch.
 #pragma once
 
 #include <array>
@@ -37,10 +36,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef SEED_PROF_COMPILED
-#define SEED_PROF_COMPILED 1
-#endif
 
 namespace seed::obs {
 
@@ -214,7 +209,6 @@ class ProfZone {
 
 }  // namespace seed::obs
 
-#if SEED_PROF_COMPILED
 #define SEED_PROF_CAT2(a, b) a##b
 #define SEED_PROF_CAT(a, b) SEED_PROF_CAT2(a, b)
 /// Opens a zone for the rest of the enclosing scope. `name` must be a
@@ -229,8 +223,3 @@ class ProfZone {
 #define PROF_BYTES(n) ::seed::obs::prof_bytes(static_cast<std::uint64_t>(n))
 #define PROF_ALLOC(bytes) \
   ::seed::obs::prof_alloc(static_cast<std::uint64_t>(bytes))
-#else
-#define PROF_ZONE(name) static_cast<void>(0)
-#define PROF_BYTES(n) static_cast<void>(n)
-#define PROF_ALLOC(bytes) static_cast<void>(bytes)
-#endif

@@ -57,7 +57,7 @@ enum class EventKind : std::uint8_t {
                      // (action = the rung escalated *to*)
   kWatchdogFired,    // recovery watchdog deadline hit, handling re-armed
                      // (cause = refires so far)
-  kDegraded,         // fell back to legacy handling (applet/channel dead)
+  kDegraded,         // fell back to legacy handling (uplink/watchdog)
   // Health-engine / post-mortem events.
   kCacheLookup,      // Fig. 8 diagnosis-cache lookup (ok = hit); emitted
                      // only when a cache is attached

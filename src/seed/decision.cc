@@ -165,11 +165,10 @@ std::vector<ResetAction> learning_trial_order(DeviceMode mode) {
           ResetAction::kA2CPlaneConfigUpdate, ResetAction::kA1ProfileReload};
 }
 
-sim::Duration backoff_delay(const RetryPolicy& policy, int attempt) {
-  double d = sim::to_seconds(policy.backoff_initial);
-  for (int i = 1; i < attempt; ++i) d *= policy.backoff_factor;
-  const double cap = sim::to_seconds(policy.backoff_cap);
-  return sim::secs_f(d < cap ? d : cap);
+sim::Duration backoff_delay(int attempt) {
+  double d = 0.5;
+  for (int i = 1; i < attempt; ++i) d *= 2.0;
+  return sim::secs_f(d < 8.0 ? d : 8.0);
 }
 
 std::vector<ResetAction> escalation_ladder(

@@ -61,48 +61,20 @@ HandlingPlan decide_for_report(const proto::FailureReport& report,
 std::vector<proto::ResetAction> learning_trial_order(DeviceMode mode);
 
 /// How the decision module reacts when a reset action fails (chaos-layer
-/// hardening). The defaults reproduce the original behaviour exactly —
-/// one attempt per action, no deadline, no escalation beyond the plan —
-/// so unhardened runs stay byte-identical; Testbed::enable_chaos()
-/// switches the applet to hardened().
-struct RetryPolicy {
-  /// Attempts per action before moving to the next Table 3 rung.
-  int max_attempts_per_action = 1;
-  /// Exponential backoff between attempts of the same action:
-  /// backoff_initial * backoff_factor^(attempt-1), capped.
-  sim::Duration backoff_initial = sim::ms(500);
-  double backoff_factor = 2.0;
-  sim::Duration backoff_cap = sim::seconds(8);
-  /// Outstanding-action deadline; a command that neither completes nor
-  /// fails within it (AT timeout) is treated as failed. 0 disables.
-  sim::Duration action_deadline{0};
-  /// When the plan's actions are exhausted, continue down the Table 3
-  /// ladder (escalation_ladder) before giving up.
-  bool escalate_beyond_plan = false;
-  /// Terminal fallback: surface a user notification once every rung
-  /// (plan + escalation ladder) has failed.
-  bool notify_user_on_exhaust = false;
-  /// A *failed* reset refunds its rate-limit charge so the follow-up
-  /// retry is not suppressed by the 5 s conflict window / per-action
-  /// rate-limit interaction. Off in legacy() only to keep unhardened
-  /// runs byte-identical to the original charge-at-issue behaviour.
-  bool refund_failed_actions = false;
-
-  static RetryPolicy legacy() { return {}; }
-  static RetryPolicy hardened() {
-    RetryPolicy p;
-    p.max_attempts_per_action = 3;
-    p.action_deadline = sim::seconds(20);
-    p.escalate_beyond_plan = true;
-    p.notify_user_on_exhaust = true;
-    p.refund_failed_actions = true;
-    return p;
-  }
-};
+/// hardening). The applet is hardened exactly when a chaos engine is
+/// attached; unhardened, it makes one attempt per action with no
+/// deadline, no escalation beyond the plan and no rate-limit refund, so
+/// unimpaired runs stay byte-identical to the original behaviour.
+/// Hardened, it makes kHardenedAttempts per action with backoff_delay()
+/// between them, treats a command outstanding past kActionDeadline as
+/// failed, walks escalation_ladder() once the plan is exhausted, then
+/// notifies the user, and refunds a failed reset's rate-limit charge.
+inline constexpr int kHardenedAttempts = 3;
+inline constexpr sim::Duration kActionDeadline = sim::seconds(20);
 
 /// Attempt is 1-based: the delay before attempt `attempt + 1` after
-/// attempt `attempt` failed.
-sim::Duration backoff_delay(const RetryPolicy& policy, int attempt);
+/// attempt `attempt` failed — 500 ms, doubling per attempt, capped at 8 s.
+sim::Duration backoff_delay(int attempt);
 
 /// Tier escalation (chaos hardening): the Table-3-ordered actions that
 /// remain *after* `plan` failed — learning_trial_order(mode) minus the

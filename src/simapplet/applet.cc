@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "chaos/chaos.h"
 #include "common/codec.h"
 #include "common/params.h"
 #include "obs/trace.h"
@@ -51,9 +50,8 @@ modem::AuthResult SeedApplet::authenticate(
   ++stats_.auths_performed;
 
   if (proto::is_dflag(rand)) {
-    if (!enabled_ || applet_down()) {
-      // A legacy SIM — or a crashed/dead applet — runs Milenage on the
-      // garbage RAND and fails the MAC.
+    if (!enabled_) {
+      // A legacy SIM runs Milenage on the garbage RAND and fails the MAC.
       modem::AuthResult r;
       r.kind = modem::AuthResult::Kind::kMacFailure;
       return r;
@@ -132,39 +130,9 @@ void SeedApplet::notify_recovered() {
   }
 }
 
-bool SeedApplet::applet_down() const {
-  return dead_ || sim_.now() < down_until_;
-}
-
 void SeedApplet::note_malformed_downlink(const char* what) {
   ++stats_.malformed_downlinks;
   SLOG(kDebug, "applet") << "discarding " << what;
-}
-
-void SeedApplet::crash() {
-  ++stats_.applet_crashes;
-  // Volatile state is lost: partial reassembly, in-flight plan, timers.
-  reassembler_.reset();
-  last_diag_frame_.clear();
-  pending_wait_.cancel();
-  retry_timer_.cancel();
-  action_deadline_.cancel();
-  ++action_epoch_;  // outstanding action completions are stale
-  plan_in_flight_ = false;
-  pending_dp_config_dnn_.reset();
-  ++crash_count_;
-  if (crash_count_ >= chaos_->config().applet_max_crashes) {
-    dead_ = true;
-    SLOG(kWarn, "applet") << "applet dead after " << crash_count_
-                          << " crashes";
-    obs::emit(obs::EventKind::kDegraded, obs::Origin::kSim);
-    if (on_dead_) on_dead_();
-    return;
-  }
-  down_until_ = sim_.now() + chaos_->config().applet_restart_time;
-  SLOG(kWarn, "applet") << "applet crashed, restart in "
-                        << sim::to_ms(chaos_->config().applet_restart_time)
-                        << " ms";
 }
 
 std::size_t SeedApplet::storage_used_bytes() const {
@@ -176,13 +144,6 @@ std::size_t SeedApplet::storage_used_bytes() const {
 
 void SeedApplet::handle_diag(const proto::DiagInfo& info) {
   if (!enabled_) return;
-  if (chaos_ != nullptr) {
-    if (applet_down()) return;  // diagnosis lost while crashed/dead
-    if (chaos_->crash_applet()) {
-      crash();
-      return;
-    }
-  }
   ++stats_.diags_received;
   SLOG(kInfo, "applet") << "diagnosis: "
                         << nas::cause_name(info.plane, info.cause) << " (#"
@@ -294,7 +255,7 @@ void SeedApplet::charge_rate_limit(proto::ResetAction a) {
 
 void SeedApplet::refund_rate_limit(proto::ResetAction a,
                                    sim::TimePoint issued_at) {
-  if (!retry_policy_.refund_failed_actions) return;
+  if (!hardened()) return;
   // A failed reset must not consume rate-limit budget and suppress the
   // follow-up retry; erase the charge unless a newer issue of the same
   // action has overwritten it.
@@ -308,9 +269,9 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
                              std::size_t idx, int attempt, bool learning,
                              std::uint8_t cause, bool escalated) {
   if (idx >= actions.size()) {
-    // Plan exhausted. Hardened policy walks the rest of the Table 3
+    // Plan exhausted. A hardened applet walks the rest of the Table 3
     // ladder once, then falls back to the terminal rung: the user.
-    if (retry_policy_.escalate_beyond_plan && !escalated) {
+    if (hardened() && !escalated) {
       std::vector<proto::ResetAction> ladder =
           core::escalation_ladder(actions, mode_);
       if (!ladder.empty()) {
@@ -324,7 +285,7 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
         return;
       }
     }
-    if (retry_policy_.notify_user_on_exhaust) {
+    if (hardened()) {
       ++stats_.user_notifications;
       obs::emit(obs::EventKind::kTerminalFailure, obs::Origin::kSim,
                 {.cause = cause, .detail = "recovery actions exhausted"});
@@ -354,8 +315,8 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
   const std::uint64_t epoch = ++action_epoch_;
   auto complete = [this, actions, idx, attempt, learning, cause, escalated,
                    action, issued_at, epoch](bool ok) mutable {
-    if (epoch != action_epoch_) return;  // stale (deadline already fired,
-                                         // a crash, or a newer action)
+    if (epoch != action_epoch_) return;  // stale (deadline already fired
+                                         // or a newer action)
     ++action_epoch_;                     // first completion wins
     action_deadline_.cancel();
     // A2 is a pure config write: done(true) confirms the write landed,
@@ -379,13 +340,13 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     }
     if (!ok) {
       refund_rate_limit(action, issued_at);
-      if (attempt < retry_policy_.max_attempts_per_action) {
+      if (hardened() && attempt < core::kHardenedAttempts) {
         ++stats_.actions_retried;
         obs::emit(obs::EventKind::kActionRetry, obs::Origin::kSim,
                   {.plane = static_cast<std::uint8_t>(attempt + 1),
                    .action = static_cast<std::uint8_t>(action)});
         retry_timer_.arm(
-            core::backoff_delay(retry_policy_, attempt),
+            core::backoff_delay(attempt),
             [this, actions = std::move(actions), idx, attempt, learning,
              cause, escalated]() mutable {
               if (recovery_probe_ && recovery_probe_()) {
@@ -398,7 +359,7 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
             });
         return;
       }
-      if (retry_policy_.escalate_beyond_plan && idx + 1 < actions.size()) {
+      if (hardened() && idx + 1 < actions.size()) {
         ++stats_.tier_escalations;
         obs::emit(obs::EventKind::kTierEscalated, obs::Origin::kSim,
                   {.action = static_cast<std::uint8_t>(actions[idx + 1])});
@@ -407,9 +368,9 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     run_actions(std::move(actions), idx + 1, 1, learning, cause, escalated);
   };
 
-  if (retry_policy_.action_deadline.count() > 0) {
+  if (hardened()) {
     // AT-command hang guard: treat a command that never answers as failed.
-    action_deadline_.arm(retry_policy_.action_deadline,
+    action_deadline_.arm(core::kActionDeadline,
                          [complete]() mutable { complete(false); });
   }
   issue_action(action, std::move(complete));
@@ -456,13 +417,6 @@ void SeedApplet::issue_action(proto::ResetAction action,
 
 void SeedApplet::report_failure(const proto::FailureReport& report) {
   if (!enabled_) return;
-  if (chaos_ != nullptr) {
-    if (applet_down()) return;  // report lost while crashed/dead
-    if (chaos_->crash_applet()) {
-      crash();
-      return;
-    }
-  }
   ++stats_.reports_received;
   // Conflict window: an ongoing cause-based handling supersedes (§4.4.2).
   if (sim_.now() - last_cause_time_ < params::kSeedConflictWindow) {

@@ -53,7 +53,6 @@ struct AppletStats {
   // chaos-hardening counters (zero on unimpaired runs)
   std::uint64_t actions_retried = 0;
   std::uint64_t tier_escalations = 0;
-  std::uint64_t applet_crashes = 0;
   std::uint64_t uplink_report_failures = 0;
   /// AUTN-channel downlinks the applet refused (reassembly reject,
   /// integrity failure, or undecodable assistance payload); benign lost-
@@ -84,22 +83,12 @@ class SeedApplet : public modem::SimCard {
   void set_user_notifier(std::function<void(std::string)> fn) {
     notify_user_ = std::move(fn);
   }
-  /// Chaos fault injection (testbed-only); with no engine attached the
-  /// applet never crashes and every code path matches the seed behaviour.
+  /// Chaos fault injection (testbed-only). An attached engine also
+  /// hardens the handling of failed reset actions (see
+  /// core::kHardenedAttempts); with none, every code path matches the
+  /// seed behaviour.
   void set_chaos(chaos::ChaosEngine* chaos) { chaos_ = chaos; }
-  /// Retry/backoff/escalation behaviour for failed reset actions. The
-  /// default (RetryPolicy::legacy()) reproduces the original
-  /// one-attempt-per-action semantics exactly.
-  void set_retry_policy(const core::RetryPolicy& policy) {
-    retry_policy_ = policy;
-  }
-  const core::RetryPolicy& retry_policy() const { return retry_policy_; }
-  /// Fired once when the applet is declared dead (crash budget exhausted);
-  /// the device degrades to legacy handling.
-  void set_death_notifier(std::function<void()> fn) {
-    on_dead_ = std::move(fn);
-  }
-  bool dead() const { return dead_; }
+  bool hardened() const { return chaos_ != nullptr; }
   bool collab_uplink_dead() const { return collab_uplink_dead_; }
 
   /// SEED on/off (off = plain legacy SIM for baselines).
@@ -144,9 +133,6 @@ class SeedApplet : public modem::SimCard {
   void charge_rate_limit(proto::ResetAction a);
   void refund_rate_limit(proto::ResetAction a, sim::TimePoint issued_at);
   void send_report_uplink(const proto::FailureReport& report);
-  /// Chaos: true when the applet is dead or mid-restart after a crash.
-  bool applet_down() const;
-  void crash();
   void note_malformed_downlink(const char* what);
 
   sim::Simulator& sim_;
@@ -185,15 +171,10 @@ class SeedApplet : public modem::SimCard {
 
   AppletStats stats_;
 
-  // ----- chaos hardening (inert under RetryPolicy::legacy() + no engine:
-  // the extra timers are only armed by retries/deadlines, so unimpaired
-  // runs keep the event loop byte-identical)
-  core::RetryPolicy retry_policy_;
+  // ----- chaos hardening (inert with no engine: the extra timers are
+  // only armed by retries/deadlines, so unimpaired runs keep the event
+  // loop byte-identical)
   chaos::ChaosEngine* chaos_ = nullptr;
-  std::function<void()> on_dead_;
-  bool dead_ = false;
-  sim::TimePoint down_until_{};  // restart window after a crash
-  int crash_count_ = 0;
   int uplink_fail_streak_ = 0;
   bool collab_uplink_dead_ = false;
   sim::Timer retry_timer_;

@@ -1,6 +1,5 @@
 #include "testbed/city_workload.h"
 
-#include <optional>
 #include <utility>
 
 #include "obs/fleet_obs.h"
@@ -26,20 +25,16 @@ CityShard run_shard(const CityWorkload& w, const sim::ShardInfo& info) {
   obs::Tracer& tracer = obs::Tracer::instance();
   if (w.retention) {
     obs::RetentionPolicy retain;
-    retain.ring_depth = w.ring_depth;
     retain.trigger = core::verdict_mismatch;
     tracer.set_retention(retain);
   }
   // The health engine sees the full stream (observers are notified for
   // every event, retained or not); its firing alerts are themselves a
   // retention trigger. SLOG echo off: shard stdout must stay quiet.
-  std::optional<obs::HealthEngine> health;
-  if (w.health) {
-    obs::HealthConfig hc = obs::HealthConfig::defaults();
-    hc.emit_slog = false;
-    health.emplace(hc);
-    tracer.add_observer(&*health);
-  }
+  obs::HealthConfig hc = obs::HealthConfig::defaults();
+  hc.emit_slog = false;
+  obs::HealthEngine health(hc);
+  tracer.add_observer(&health);
 
   MultiOptions o;
   o.ue_count = w.ues_per_shard;
@@ -53,10 +48,8 @@ CityShard run_shard(const CityWorkload& w, const sim::ShardInfo& info) {
   CityShard out;
   out.injections = city.run_storm(sim::minutes(w.storm_min));
   const sim::Simulator& sim = city.simulator();
-  if (health) {
-    health->flush(sim.now().time_since_epoch().count());
-    tracer.remove_observer(&*health);
-  }
+  health.flush(sim.now().time_since_epoch().count());
+  tracer.remove_observer(&health);
   out.sim_events = sim.events_processed();
   out.healthy = city.healthy_count();
   out.diag_reports_rx = city.core().stats().diag_reports_rx;

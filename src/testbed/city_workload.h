@@ -23,13 +23,10 @@ struct CityWorkload {
   std::size_t ues_per_shard = 1250;  // 8 x 1250 = the 10k-UE city
   long long storm_min = 6;
   std::uint64_t base_seed = 42;
-  /// Tail retention (the sampled capture). `retention = false` keeps
-  /// every event — the full-capture oracle tests diff against.
+  /// Tail retention (the sampled capture, at the default
+  /// obs::RetentionPolicy ring depth). `retention = false` keeps every
+  /// event — the full-capture oracle tests diff against.
   bool retention = true;
-  std::size_t ring_depth = 32;
-  /// Per-shard HealthEngine riding as a trace observer: its firing
-  /// alerts are the SLO-breach retention trigger.
-  bool health = true;
 };
 
 /// Merged output plus the deterministic counters the bench commits.

@@ -131,15 +131,10 @@ chaos::ChaosEngine& MultiTestbed::enable_chaos(
   chaos_ = std::make_unique<chaos::ChaosEngine>(
       config, sim::shard_seed(seed_, 0x5eedc4a0));
   core_->set_chaos(chaos_.get());
-  for (auto& slot : slots_) {
-    slot.dev->modem().set_chaos(chaos_.get());
-    slot.dev->applet().set_chaos(chaos_.get());
-    // The hardening that copes with the impairments (and nothing else —
-    // an engine with an all-zero config plus this policy still recovers
-    // through the ordinary paths).
-    slot.dev->applet().set_retry_policy(core::RetryPolicy::hardened());
-    slot.dev->enable_recovery_watchdog();
-  }
+  // The device arms the hardening that copes with the impairments (and
+  // nothing else: an all-zero config still recovers through the ordinary
+  // paths).
+  for (auto& slot : slots_) slot.dev->set_chaos(chaos_.get());
   return *chaos_;
 }
 

@@ -132,9 +132,10 @@ class MultiTestbed {
   std::size_t healthy_count() const;
   std::size_t ue_count() const { return slots_.size(); }
 
-  /// Attaches a chaos engine impairing SEED's own recovery path and arms,
-  /// on every device, the hardening that copes with it: hardened retry
-  /// policy, recovery watchdog, ack-guards on both collab directions. The
+  /// Attaches a chaos engine impairing SEED's own recovery path to the
+  /// core and every device, which arms the hardening that copes with it:
+  /// the applet's retry ladder, the recovery watchdog, and ack-guards on
+  /// both collab directions. The
   /// engine's streams are seeded from the harness seed (sim::shard_seed),
   /// so a run is byte-reproducible per (seed, config).
   chaos::ChaosEngine& enable_chaos(const chaos::ChaosConfig& config);

@@ -19,9 +19,7 @@ obs::ShardObs run_shard(const ProfileWorkload& w, const sim::ShardInfo& info) {
   // are unaffected.
   obs::begin_shard_obs(/*traces=*/true, /*metrics=*/false,
                        /*profile=*/true);
-  obs::RetentionPolicy retain;
-  retain.ring_depth = w.trace_ring_depth;
-  obs::Tracer::instance().set_retention(retain);
+  obs::Tracer::instance().set_retention(obs::RetentionPolicy{});
 
   MultiOptions o;
   o.ue_count = w.ues_per_shard;

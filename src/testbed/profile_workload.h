@@ -24,9 +24,6 @@ struct ProfileWorkload {
   std::size_t ues_per_shard = 4;
   std::size_t injections_per_shard = 24;
   std::uint64_t base_seed = 4242;
-  /// Per-UE ring depth for the shards' tail-retention tracer (the
-  /// trace-volume half of the canonical workload).
-  std::size_t trace_ring_depth = 32;
 };
 
 /// Merged output: profile rows plus the summed per-shard trace-volume
