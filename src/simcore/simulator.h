@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "simcore/time.h"
@@ -68,13 +69,24 @@ class Simulator {
   void run_for(Duration d) { run_until(now_ + d); }
 
   /// Evaluates `done()` at now() and after each run_for(step) until it
-  /// holds or now() >= deadline; returns the last result. Precondition:
-  /// `done()` is a pure function of state that only events change.
+  /// holds or now() >= deadline; returns the last result. Grid instants
+  /// before the next live event are skipped unevaluated: exact only because
+  /// `done()` must be a pure function of state that only events change (a
+  /// `done()` reading now() is wrong). Throws std::invalid_argument if
+  /// `step` is not positive.
   template <class Done>
   bool poll_until(Done done, Duration step, TimePoint deadline) {
+    if (step <= Duration{0}) {
+      throw std::invalid_argument("poll_until: step must be positive");
+    }
     for (;; run_for(step)) {
       if (done()) return true;
       if (now_ >= deadline) return false;
+      // No event before `horizon`: skip the grid instants short of it.
+      const auto next = peek_next_live_time();
+      const TimePoint horizon = next && *next < deadline ? *next : deadline;
+      const auto k = (horizon - now_ - Duration{1}) / step;
+      if (k > 0) now_ += k * step;
     }
   }
 

@@ -55,7 +55,7 @@ class Testbed : public MultiTestbed {
   device::Device& dev() { return MultiTestbed::dev(0); }
 
  private:
-  /// Polls the end-to-end path every 50 ms until healthy or t0 + timeout.
+  /// Polls the path on a 50 ms grid, idle stretches skipped, to t0 + timeout.
   Outcome await_recovery(sim::TimePoint t0, sim::Duration timeout);
 };
 

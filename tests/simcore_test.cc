@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "metrics/stats.h"
@@ -239,7 +242,34 @@ TEST(PollUntil, OffGridEventExitsAtTheNextGridInstant) {
   EXPECT_TRUE(sim.poll_until([&] { ++evals; return done; }, ms(50),
                              t0 + seconds(1)));
   EXPECT_EQ(sim.now(), t0 + ms(150));
-  EXPECT_EQ(evals, 4);  // once per grid instant: +0, +50, +100, +150 ms
+  EXPECT_EQ(evals, 2);  // +0 and +150 ms; +50 and +100 ms precede the event
+}
+
+TEST(PollUntil, IdleGapIsSkipped) {
+  Simulator sim;
+  sim.run_for(ms(3));
+  const TimePoint t0 = sim.now();
+  bool done = false;
+  int evals = 0;
+  sim.schedule_after(minutes(40), [&] { done = true; });
+  EXPECT_TRUE(sim.poll_until([&] { ++evals; return done; }, ms(50),
+                             t0 + minutes(41)));
+  // Same exit instant as evaluating at all 48,001 grid instants.
+  EXPECT_EQ(sim.now(), t0 + minutes(40));
+  EXPECT_EQ(evals, 2);
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(PollUntil, NonPositiveStepThrows) {
+  Simulator sim;
+  int evals = 0;
+  const auto done = [&] { ++evals; return false; };
+  EXPECT_THROW(sim.poll_until(done, Duration{0}, kTimeZero + seconds(1)),
+               std::invalid_argument);
+  EXPECT_THROW(sim.poll_until(done, us(-1), kTimeZero + seconds(1)),
+               std::invalid_argument);
+  EXPECT_EQ(evals, 0);
+  EXPECT_EQ(sim.now(), kTimeZero);
 }
 
 TEST(PollUntil, NeverTrueStopsAtTheFirstGridInstantPastTheDeadline) {
@@ -264,6 +294,171 @@ TEST(PollUntil, EmptyQueueWithADeadlineTerminates) {
                               kTimeZero + minutes(10)));
   EXPECT_EQ(sim.now(), kTimeZero + minutes(10));
   EXPECT_EQ(sim.queued(), 0u);
+}
+
+// Reference for poll_until: evaluates done() at every grid instant.
+template <class Done>
+bool poll_every_instant(Simulator& sim, Done done, Duration step,
+                        TimePoint deadline) {
+  for (;; sim.run_for(step)) {
+    if (done()) return true;
+    if (sim.now() >= deadline) return false;
+  }
+}
+
+// A random schedule that replays identically on any simulator. Times are
+// offsets from t0, the (off-grid) instant the poll starts.
+struct PollSchedule {
+  struct Event {
+    Duration at{0};
+    bool cancelled = false;  // cancelled before the poll starts
+    int cancels = -1;        // index of an event this one cancels
+    bool stop = false;       // calls Simulator::stop()
+    int chain = 0;           // follow-up events, each `chain_gap` later
+    Duration chain_gap{0};
+  };
+  Duration lead{0};
+  Duration step{1};
+  Duration horizon{0};  // deadline - t0
+  int target = 0;       // done() once this many events ran
+  std::vector<Event> events;
+};
+
+PollSchedule random_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  PollSchedule s;
+  s.lead = us(rng.uniform_int(0, 3'000'000));
+  const Duration kSteps[] = {us(1), us(7), ms(1), ms(20), ms(50), seconds(1)};
+  s.step = rng.chance(0.5) ? kSteps[rng.uniform_int(0, 5)]
+                           : us(rng.uniform_int(1, 1'500'000));
+  // At most 20,001 grid instants before the deadline keeps the reference
+  // loop cheap; a handful of events in that span leaves long idle gaps.
+  s.horizon = s.step * rng.uniform_int(0, 20'000);
+  if (rng.chance(0.5)) s.horizon += us(rng.uniform_int(0, s.step.count() - 1));
+  const auto random_at = [&] {
+    const double u = rng.uniform();
+    if (u < 0.25) return s.step * rng.uniform_int(0, s.horizon / s.step + 2);
+    if (u < 0.35) return s.horizon;
+    if (u < 0.45) return Duration{0};  // pending at now() when the call starts
+    if (u < 0.85) return us(rng.uniform_int(0, s.horizon.count()));
+    return s.horizon + us(rng.uniform_int(1, 10 * s.step.count()));
+  };
+  const int n = rng.chance(0.1) ? 0 : static_cast<int>(rng.uniform_int(1, 30));
+  for (int i = 0; i < n; ++i) {
+    PollSchedule::Event e;
+    e.at = random_at();
+    e.stop = rng.chance(0.05);
+    if (rng.chance(0.15)) {
+      e.chain = static_cast<int>(rng.uniform_int(1, 5));
+      e.chain_gap = rng.chance(0.5) ? us(rng.uniform_int(0, s.step.count()))
+                                    : us(rng.uniform_int(0, s.horizon.count()));
+    }
+    s.events.push_back(e);
+  }
+  // Cancel storm: at least 64 heap keys, most of them tombstones, which
+  // makes the simulator compact its heap.
+  if (rng.chance(0.3)) {
+    const int fill = static_cast<int>(rng.uniform_int(64, 200));
+    for (int i = 0; i < fill; ++i) {
+      PollSchedule::Event e;
+      e.at = random_at();
+      e.cancelled = rng.chance(0.8);
+      s.events.push_back(e);
+    }
+  }
+  const int total = static_cast<int>(s.events.size());
+  for (auto& e : s.events) {
+    if (total > 0 && rng.chance(0.1)) {
+      e.cancels = static_cast<int>(rng.uniform_int(0, total - 1));
+    }
+  }
+  const double u = rng.uniform();
+  s.target = u < 0.15   ? 0                        // holds at the call
+             : u < 0.3  ? std::numeric_limits<int>::max()  // never holds
+                        : static_cast<int>(rng.uniform_int(1, total + 4));
+  return s;
+}
+
+struct PollRun {
+  bool result = false;
+  Duration exit{0};  // now() - t0 when the poll returned
+  std::uint64_t processed = 0;
+  std::vector<int> order;  // event ids in execution order at the return
+  int evals = 0;
+  std::uint64_t drained = 0;  // events_processed() once the queue is empty
+  std::vector<int> drained_order;
+};
+
+template <class Poll>
+PollRun replay(const PollSchedule& s, Poll poll) {
+  Simulator sim;
+  sim.run_for(s.lead);
+  const TimePoint t0 = sim.now();
+  PollRun r;
+  std::vector<int> log;  // event ids in execution order
+  std::vector<TimerId> ids(s.events.size());
+  std::function<void(int, int, Duration)> follow = [&](int id, int left,
+                                                        Duration gap) {
+    log.push_back(id);
+    if (left > 0) {
+      sim.schedule_after(gap, [&, id, left, gap] {
+        follow(id + 1000, left - 1, gap);
+      });
+    }
+  };
+  for (std::size_t i = 0; i < s.events.size(); ++i) {
+    const auto& e = s.events[i];
+    ids[i] = sim.schedule_at(t0 + e.at, [&, i] {
+      const auto& ev = s.events[i];
+      if (ev.cancels >= 0) sim.cancel(ids[static_cast<std::size_t>(ev.cancels)]);
+      if (ev.stop) sim.stop();
+      follow(static_cast<int>(i), ev.chain, ev.chain_gap);
+    });
+  }
+  for (std::size_t i = 0; i < s.events.size(); ++i) {
+    if (s.events[i].cancelled) sim.cancel(ids[i]);
+  }
+  const auto done = [&] {
+    ++r.evals;
+    return static_cast<int>(log.size()) >= s.target;
+  };
+  r.result = poll(sim, done, s.step, t0 + s.horizon);
+  r.exit = sim.now() - t0;
+  r.processed = sim.events_processed();
+  r.order = log;
+  while (sim.queued() > 0) sim.run();
+  r.drained = sim.events_processed();
+  r.drained_order = log;
+  return r;
+}
+
+TEST(PollUntil, MatchesEvaluatingAtEveryGridInstant) {
+  std::int64_t fast_evals = 0;
+  std::int64_t naive_evals = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    const PollSchedule s = random_schedule(seed);
+    const PollRun naive = replay(s, [](Simulator& sim, auto done, Duration step,
+                                       TimePoint deadline) {
+      return poll_every_instant(sim, done, step, deadline);
+    });
+    const PollRun fast = replay(s, [](Simulator& sim, auto done, Duration step,
+                                      TimePoint deadline) {
+      return sim.poll_until(done, step, deadline);
+    });
+    ASSERT_EQ(fast.result, naive.result);
+    ASSERT_EQ(fast.exit.count(), naive.exit.count());
+    ASSERT_EQ(fast.processed, naive.processed);
+    ASSERT_EQ(fast.order, naive.order);
+    ASSERT_EQ(fast.drained, naive.drained);
+    ASSERT_EQ(fast.drained_order, naive.drained_order);
+    // Every evaluation past the first follows a step that ran an event or
+    // reached the deadline: no idle instant is evaluated.
+    ASSERT_LE(fast.evals, static_cast<int>(fast.processed) + 2);
+    fast_evals += fast.evals;
+    naive_evals += naive.evals;
+  }
+  EXPECT_LT(fast_evals * 10, naive_evals);
 }
 
 TEST(Timer, RearmCancelsPrevious) {
