@@ -80,9 +80,9 @@ inline constexpr Duration kSeedCplaneWait = seconds(2);
 inline constexpr Duration kSeedConflictWindow = seconds(5);
 /// Rate limit: min interval between identical reset actions (§4.4.2).
 inline constexpr Duration kSeedActionRateLimit = seconds(30);
-/// Chaos hardening: ack-guard on a downlink diag fragment before the core
-/// retransmits it, and how often before abandoning the transfer. Only
-/// active on impaired (chaos) testbeds.
+/// Chaos hardening: ack-guard on a collab fragment (either direction)
+/// before the sender retransmits it, and how often before abandoning the
+/// transfer. Only active on impaired (chaos) testbeds.
 inline constexpr Duration kDiagFragAckGuard = seconds(2);
 inline constexpr int kDiagFragMaxRetries = 5;
 

@@ -15,8 +15,6 @@ using nas::MmCause;
 using nas::SmCause;
 
 namespace {
-constexpr std::uint8_t kSeedBearer = 7;  // logical channel id for SEED crypto
-
 std::uint8_t mm(MmCause c) { return static_cast<std::uint8_t>(c); }
 std::uint8_t sm(SmCause c) { return static_cast<std::uint8_t>(c); }
 }  // namespace
@@ -48,7 +46,7 @@ UeId CoreNetwork::attach_device(const std::string& supi, ran::Gnb& gnb,
   ue->gnb = &gnb;
   ue->downlink = std::move(downlink);
   if (Subscriber* sub = db_.find(supi)) {
-    ue->seed_ctx.emplace(sub->seed_key, kSeedBearer);
+    ue->seed_ctx.emplace(sub->seed_key, proto::kSeedBearer);
   }
   return ue->id;
 }
@@ -278,11 +276,10 @@ void CoreNetwork::handle_registration(UeContext& ue,
     }
   }
   ue.registration_pending = true;
-  start_authentication(ue, true);
+  start_authentication(ue);
 }
 
-void CoreNetwork::start_authentication(UeContext& ue,
-                                       bool /*for_registration*/) {
+void CoreNetwork::start_authentication(UeContext& ue) {
   Subscriber* sub = sub_of(ue);
   if (sub == nullptr) return;
   ++ue.stats.auth_vectors;
@@ -353,21 +350,13 @@ void CoreNetwork::complete_registration(UeContext& ue) {
 
 void CoreNetwork::handle_auth_failure(UeContext& ue,
                                       const nas::AuthenticationFailure& m) {
-  if (m.cause == mm(MmCause::kSynchFailure) && ue.next_frag > 0) {
-    // SEED downlink ACK for the previous fragment (Fig. 7a). A guard
-    // retransmit or a replayed fragment (impaired channel) earns a second
-    // ACK; only the first may advance the transfer or the core would skip
-    // fragments.
-    if (ue.frag_outstanding) {
-      ue.frag_outstanding = false;
-      ue.frag_retries = 0;
-      ue.frag_guard.cancel();
-      send_diag_fragments(ue);
-    }
+  if (m.cause == mm(MmCause::kSynchFailure) && ue.diag_tx.sending()) {
+    // SEED downlink ACK for the previous fragment (Fig. 7a).
+    send_diag_fragments(ue);
     return;
   }
   // Genuine synch failure: restart authentication with a fresh vector.
-  if (ue.registration_pending) start_authentication(ue, true);
+  if (ue.registration_pending) start_authentication(ue);
 }
 
 void CoreNetwork::handle_service_request(UeContext& ue,
@@ -435,31 +424,16 @@ void CoreNetwork::handle_pdu_request(
       ++ue.stats.quarantine_drops;
       return;
     }
-    const auto frame = ue.report_reassembler.feed_view(m.dnn);
-    if (frame) {
-      if (ue.seed_ctx->unprotect_into(*frame, crypto::Direction::kUplink,
-                                      collab_plain_)) {
-        const auto report = proto::FailureReport::decode(collab_plain_);
-        if (report) {
-          ++ue.stats.diag_reports_rx;
-          ue.last_report_frame.assign(frame->begin(), frame->end());
-          handle_diag_report(ue, *report, m.hdr);
-          return;
-        }
-        note_malformed(ue, "undecodable failure report");
-      } else if (frame->size() == ue.last_report_frame.size() &&
-                 std::equal(frame->begin(), frame->end(),
-                            ue.last_report_frame.begin())) {
-        // Exact replay of the last accepted frame: a retransmit whose
-        // ACK was lost. The reject-ACK below re-acknowledges it; no
-        // strike for the benign peer.
-      } else {
-        note_malformed(ue, "integrity-failed report frame");
-      }
-    } else if (ue.report_reassembler.last_rejected()) {
-      note_malformed(ue, "malformed DIAG fragment");
+    const auto rx = ue.report_rx.feed(m.dnn, *ue.seed_ctx,
+                                      crypto::Direction::kUplink,
+                                      collab_plain_);
+    if (rx.msg) {
+      ++ue.stats.diag_reports_rx;
+      handle_diag_report(ue, *rx.msg, m.hdr);
+      return;
     }
-    // Mid-fragment or bad frame: ACK with a reject either way (Fig. 7b).
+    if (rx.malformed) note_malformed(ue, rx.malformed);
+    // Mid-fragment, replay or bad frame: ACK with a reject (Fig. 7b).
     reject_pdu(ue, m.hdr, sm(SmCause::kRequestRejectedUnspecified));
     return;
   }
@@ -752,14 +726,11 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
   diag_scratch_ = std::move(w).take();
   ue.seed_ctx->protect_into(diag_scratch_, crypto::Direction::kDownlink,
                             frame_scratch_);
-  proto::AutnCodec::fragment_into(frame_scratch_, ue.pending_frags);
+  auto& frags = ue.diag_tx.restart(DiagLink{this, &ue});
+  proto::AutnCodec::fragment_into(frame_scratch_, frags);
   SLOG(kInfo, "core") << "assistance -> SIM (cause #"
-                      << int(advice.diag->cause) << ", "
-                      << ue.pending_frags.size() << " AUTN fragment(s))";
-  ue.next_frag = 0;
-  ue.frag_outstanding = false;
-  ue.frag_retries = 0;
-  ue.frag_guard.cancel();
+                      << int(advice.diag->cause) << ", " << frags.size()
+                      << " AUTN fragment(s))";
   ue.diag_prep_start = sim_.now();
   // Downlink prep latency (metric collection + encode + crypto), Fig. 12.
   const auto prep = sim::secs_f(rng_.lognormal_median(
@@ -772,58 +743,30 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
 
 void CoreNetwork::send_diag_fragments(UeContext& ue) {
   PROF_ZONE("core.collab_tx");
-  if (ue.next_frag < ue.pending_frags.size()) {
-    PROF_BYTES(ue.pending_frags[ue.next_frag].size());
-  }
-  if (ue.next_frag >= ue.pending_frags.size()) {
-    if (!ue.pending_frags.empty()) {
-      // Final fragment just got ACKed: transfer complete (Fig. 12).
-      SLOG(kDebug, "core") << "assistance downlink delivered";
-      obs::emit(
-          obs::EventKind::kCollabDownlink, obs::Origin::kInfra,
-          {.prep_ms = sim::to_ms(ue.diag_send_start - ue.diag_prep_start),
-           .trans_ms = sim::to_ms(sim_.now() - ue.diag_send_start)});
-    }
-    ue.pending_frags.clear();
-    ue.next_frag = 0;
-    return;
-  }
-  nas::AuthenticationRequest req;
-  req.ngksi = 0;
-  req.rand = proto::kDFlag;
-  req.autn = ue.pending_frags[ue.next_frag++];
-  ue.frag_outstanding = true;
-  send(ue, nas::NasMessage(req));
-  if (chaos_ != nullptr) {
-    // Impaired channel: the fragment (or its ACK) may be lost; retransmit
-    // if the synch-failure ACK does not arrive in time.
-    ue.frag_guard.arm(params::kDiagFragAckGuard,
-                      [this, &ue] { on_frag_guard(ue); });
-  }
-  // Last fragment: once ACKed the transfer is complete; cleared on the
-  // next synch-failure ACK via handle_auth_failure -> send_diag_fragments.
+  if (const auto* autn = ue.diag_tx.peek()) PROF_BYTES(autn->size());
+  ue.diag_tx.pump(DiagLink{this, &ue});
 }
 
-void CoreNetwork::on_frag_guard(UeContext& ue) {
-  if (ue.pending_frags.empty() || !ue.frag_outstanding) return;
-  if (++ue.frag_retries > params::kDiagFragMaxRetries) {
-    SLOG(kWarn, "core") << "assistance downlink abandoned (fragment "
-                        << ue.next_frag << "/" << ue.pending_frags.size()
-                        << " unacked after " << params::kDiagFragMaxRetries
-                        << " retries)";
-    ue.pending_frags.clear();
-    ue.next_frag = 0;
-    ue.frag_outstanding = false;
-    ue.frag_retries = 0;
-    return;
-  }
+void CoreNetwork::DiagLink::transmit(
+    const std::array<std::uint8_t, 16>& autn) const {
   nas::AuthenticationRequest req;
   req.ngksi = 0;
   req.rand = proto::kDFlag;
-  req.autn = ue.pending_frags[ue.next_frag - 1];
-  send(ue, nas::NasMessage(req));
-  ue.frag_guard.arm(params::kDiagFragAckGuard,
-                    [this, &ue] { on_frag_guard(ue); });
+  req.autn = autn;
+  core->send(*ue, nas::NasMessage(req));
+}
+
+void CoreNetwork::DiagLink::done(bool ok) const {
+  if (!ok) {
+    SLOG(kWarn, "core") << "assistance downlink to UE " << ue->id
+                        << " abandoned unacked";
+    return;
+  }
+  // Final fragment ACKed: transfer complete (Fig. 12).
+  SLOG(kDebug, "core") << "assistance downlink delivered";
+  obs::emit(obs::EventKind::kCollabDownlink, obs::Origin::kInfra,
+            {.prep_ms = sim::to_ms(ue->diag_send_start - ue->diag_prep_start),
+             .trans_ms = sim::to_ms(core->sim_.now() - ue->diag_send_start)});
 }
 
 void CoreNetwork::handle_diag_report(UeContext& ue,

@@ -37,6 +37,7 @@
 #include "ran/gnb.h"
 #include "seed/infra_assist.h"
 #include "seed/online_learning.h"
+#include "seedproto/collab_channel.h"
 #include "seedproto/diag_payload.h"
 #include "seedproto/failure_report.h"
 #include "simcore/rng.h"
@@ -134,10 +135,9 @@ class CoreNetwork {
 
   /// Enables the SEED plugin (diagnosis assistance + report handling).
   void enable_seed(bool on) { seed_enabled_ = on; }
-  /// Impaired-channel mode (testbed chaos): arms an ack-guard that
-  /// retransmits downlink diag fragments whose synch-failure ACK never
-  /// arrives. With no engine the guard is never armed and the downlink
-  /// event sequence matches the unimpaired core exactly.
+  /// Impaired-channel mode (testbed chaos): arms the downlink sender's
+  /// ack guard, which retransmits a fragment whose synch-failure ACK
+  /// never arrives. With no engine the guard is never armed.
   void set_chaos(chaos::ChaosEngine* chaos) { chaos_ = chaos; }
   /// Online learner shared across the operator's network (§5.3) — and,
   /// on a multi-UE core, across every attached subscriber.
@@ -215,7 +215,7 @@ class CoreNetwork {
  private:
   /// Everything the AMF/SMF/SEED plugin keeps per attached subscriber.
   struct UeContext {
-    UeContext(sim::Simulator& sim, UeId id) : id(id), frag_guard(sim) {}
+    UeContext(sim::Simulator& sim, UeId id) : id(id), diag_tx(sim) {}
 
     UeId id;
     std::string supi;
@@ -235,20 +235,12 @@ class CoreNetwork {
 
     // SEED plugin state
     std::optional<crypto::SecurityContext> seed_ctx;
-    std::vector<std::array<std::uint8_t, 16>> pending_frags;
-    std::size_t next_frag = 0;
-    /// True while the latest fragment awaits its synch-failure ACK; a
-    /// duplicated fragment earns two ACKs and only the first advances.
-    bool frag_outstanding = false;
-    int frag_retries = 0;
+    proto::FragmentSender<std::array<std::uint8_t, 16>> diag_tx;
     sim::TimePoint diag_prep_start{};
     sim::TimePoint diag_send_start{};
-    proto::DiagDnnCodec::Reassembler report_reassembler;
-    /// Bytes of the last successfully processed report frame: an exact
-    /// replay (retransmit after a lost ACK) fails the integrity check
-    /// benignly and must not count as malformed.
-    Bytes last_report_frame;
-    sim::Timer frag_guard;  // armed only when a chaos engine is attached
+    proto::FrameReceiver<proto::DiagDnnCodec::Reassembler,
+                         proto::FailureReport>
+        report_rx;
 
     // UPF / faults
     Faults faults;
@@ -281,9 +273,17 @@ class CoreNetwork {
                                const nas::PduSessionModificationRequest& m);
 
   // SEED plugin
+  /// The core end of one UE's assistance downlink (FragmentSender link).
+  struct DiagLink {
+    CoreNetwork* core;
+    UeContext* ue;
+    auto& sender() const { return ue->diag_tx; }
+    bool guarded() const { return core->chaos_ != nullptr; }
+    void transmit(const std::array<std::uint8_t, 16>& autn) const;
+    void done(bool ok) const;
+  };
   void assist(UeContext& ue, const core::FailureEvent& event);
   void send_diag_fragments(UeContext& ue);
-  void on_frag_guard(UeContext& ue);
   void handle_diag_report(UeContext& ue, const proto::FailureReport& report,
                           const nas::SmHeader& hdr);
 
@@ -300,7 +300,7 @@ class CoreNetwork {
   Subscriber* sub_of(const UeContext& ue) { return db_.find(ue.supi); }
   std::optional<proto::ConfigPayload> config_for(
       nas::Plane plane, std::uint8_t cause, const Subscriber& sub) const;
-  void start_authentication(UeContext& ue, bool for_registration);
+  void start_authentication(UeContext& ue);
   void complete_registration(UeContext& ue);
   UeContext& context(UeId ue);
   const UeContext& context(UeId ue) const;

@@ -31,10 +31,6 @@ ModemControl::Done trace_reset(std::uint8_t action, ModemControl::Done done) {
   };
 }
 
-// Ack-guard for uplink DIAG-DNN fragments: only armed when a chaos engine
-// is attached (an unimpaired reject-ACK always arrives).
-constexpr sim::Duration kReportAckGuard = sim::seconds(2);
-constexpr int kMaxReportRetries = 5;
 // Round trip of an AT command the chaos engine fails with ERROR.
 constexpr sim::Duration kAtFailLatency = sim::ms(300);
 
@@ -69,7 +65,7 @@ Modem::Modem(sim::Simulator& sim, sim::Rng& rng, SimCard& sim_card,
       t3511_(sim),
       t3502_(sim),
       t3580_(sim),
-      report_guard_(sim) {}
+      report_tx_(sim) {}
 
 SmState Modem::sm(std::uint8_t psi) const {
   const auto it = sessions_.find(psi);
@@ -449,16 +445,8 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
   const std::uint8_t psi = m.hdr.pdu_session_id;
 
   // Uplink diagnosis report path: the reject is the ACK (Fig. 7b).
-  if (psi == kDiagPsi && !pending_report_.empty()) {
-    if (chaos_ != nullptr) {
-      // A guard retransmit whose original got through earns a second
-      // reject-ACK; only the first may advance the transfer.
-      if (!report_outstanding_) return;
-      report_outstanding_ = false;
-      report_retries_ = 0;
-      report_guard_.cancel();
-    }
-    send_diag_report({}, nullptr);  // advances / completes the transfer
+  if (psi == kDiagPsi && report_tx_.sending()) {
+    report_tx_.pump(ReportLink{this});
     return;
   }
 
@@ -745,73 +733,45 @@ void Modem::at_reattach(Done done) {
 }
 
 void Modem::send_diag_report(const std::vector<nas::Dnn>& dnns, Done done) {
-  if (!dnns.empty()) {
-    pending_report_ = dnns;
-    next_report_ = 0;
-    report_done_ = std::move(done);
-    report_retries_ = 0;
-  }
-  if (next_report_ >= pending_report_.size()) {
-    // All fragments ACKed.
-    pending_report_.clear();
-    next_report_ = 0;
-    report_outstanding_ = false;
-    report_guard_.cancel();
-    auto cb = std::move(report_done_);
-    report_done_ = nullptr;
-    if (cb) cb(true);
-    return;
-  }
-  transmit_report_fragment(next_report_++);
+  const ReportLink link{this};
+  report_tx_.restart(link) = dnns;
+  report_done_ = std::move(done);
+  report_tx_.pump(link);
 }
 
-void Modem::transmit_report_fragment(std::size_t idx) {
+void Modem::ReportLink::transmit(const nas::Dnn& dnn) const {
   PROF_ZONE("modem.collab_tx");
-  PROF_BYTES(pending_report_[idx].wire_size());
-  if (chaos_ != nullptr) {
-    report_outstanding_ = true;
-    report_guard_.arm(kReportAckGuard,
-                      [this, idx] { on_report_guard(idx); });
-    if (chaos_->drop_uplink()) return;  // lost on the air; guard retransmits
-  }
-  ++stats_.pdu_attempted;
+  PROF_BYTES(dnn.wire_size());
+  chaos::ChaosEngine* chaos = modem->chaos_;
+  if (chaos != nullptr && chaos->drop_uplink()) return;  // guard retransmits
+  ++modem->stats_.pdu_attempted;
   nas::PduSessionEstablishmentRequest req;
-  req.hdr = {kDiagPsi, next_pti_++};
-  req.dnn = pending_report_[idx];
-  if (chaos_ != nullptr) {
+  req.hdr = {kDiagPsi, modem->next_pti_++};
+  req.dnn = dnn;
+  if (chaos != nullptr) {
     chaos::BitFlip flip;
-    if (chaos_->corrupt_uplink(&flip)) {
+    if (chaos->corrupt_uplink(&flip)) {
       req.dnn = corrupt_diag_dnn(req.dnn, flip);
     }
     // Semantic adversary: rewrite the DIAG header label (fragment count /
     // sequence / framing) instead of flipping payload bits.
     chaos::SemanticMutation mut;
-    if (chaos_->mutate_uplink(&mut)) {
+    if (chaos->mutate_uplink(&mut)) {
       std::vector<Bytes> labels = req.dnn.labels();
       chaos::apply_semantic_dnn(mut, labels);
       req.dnn = nas::Dnn::from_labels(std::move(labels));
     }
   }
-  send(nas::NasMessage(req));
+  modem->send(nas::NasMessage(req));
 }
 
-void Modem::on_report_guard(std::size_t idx) {
-  if (pending_report_.empty() || !report_outstanding_) return;
-  if (++report_retries_ > kMaxReportRetries) {
-    // Uplink collab channel unusable for this transfer: abort and let the
-    // applet fall back to a local plan.
-    SLOG(kWarn, "modem") << "diag report fragment " << idx
-                         << " unacked after " << kMaxReportRetries
-                         << " retries, aborting transfer";
-    pending_report_.clear();
-    next_report_ = 0;
-    report_outstanding_ = false;
-    auto cb = std::move(report_done_);
-    report_done_ = nullptr;
-    if (cb) cb(false);
-    return;
-  }
-  transmit_report_fragment(idx);
+void Modem::ReportLink::done(bool ok) const {
+  // On false (retries exhausted, or displaced by a newer report) the
+  // applet falls back to a local plan.
+  if (!ok) SLOG(kWarn, "modem") << "diag report transfer ended unacked";
+  auto cb = std::move(modem->report_done_);
+  modem->report_done_ = nullptr;
+  if (cb) cb(ok);
 }
 
 void Modem::at_dplane_modify(const std::string& dnn, Done done) {

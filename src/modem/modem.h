@@ -16,6 +16,7 @@
 #include "modem/sim_iface.h"
 #include "nas/messages.h"
 #include "ran/gnb.h"
+#include "seedproto/collab_channel.h"
 #include "simcore/rng.h"
 #include "simcore/simulator.h"
 
@@ -171,8 +172,15 @@ class Modem : public ModemControl {
   /// True when the chaos engine failed the reset action; `done` is
   /// consumed (scheduled with false).
   bool chaos_intercept(std::uint8_t action, Done& done);
-  void transmit_report_fragment(std::size_t idx);
-  void on_report_guard(std::size_t idx);
+
+  /// The modem end of the report uplink (FragmentSender link).
+  struct ReportLink {
+    Modem* modem;
+    auto& sender() const { return modem->report_tx_; }
+    bool guarded() const { return modem->chaos_ != nullptr; }
+    void transmit(const nas::Dnn& dnn) const;
+    void done(bool ok) const;
+  };
 
   sim::Simulator& sim_;
   sim::Rng& rng_;
@@ -214,17 +222,12 @@ class Modem : public ModemControl {
   std::function<void()> on_modification_;
   bool last_notified_state_ = false;
 
-  // diag report plumbing
-  std::vector<nas::Dnn> pending_report_;
-  std::size_t next_report_ = 0;
+  // diag report uplink (its ack guard is armed only when a chaos engine
+  // is attached, so the unimpaired event loop stays untouched)
+  proto::FragmentSender<nas::Dnn> report_tx_;
   Done report_done_;
 
-  // chaos (null outside impaired testbeds; the ack-guard timer is only
-  // armed when an engine is attached, so the event loop stays untouched)
-  chaos::ChaosEngine* chaos_ = nullptr;
-  sim::Timer report_guard_;
-  int report_retries_ = 0;
-  bool report_outstanding_ = false;
+  chaos::ChaosEngine* chaos_ = nullptr;  // null outside impaired testbeds
 };
 
 }  // namespace seed::modem

@@ -79,7 +79,9 @@ class ModemControl {
   /// B2: AT+CGATT detach/attach without cell re-search.
   virtual void at_reattach(Done done) = 0;
   /// B3 (report): send an uplink diagnosis report as DIAG DNN PDU
-  /// session requests (Fig. 7b); done(true) when all fragments ACKed.
+  /// session requests (Fig. 7b); done(true) when all fragments ACKed,
+  /// done(false) when the transfer is given up or a newer report
+  /// displaces it.
   virtual void send_diag_report(const std::vector<nas::Dnn>& dnns,
                                 Done done) = 0;
   /// B3 (reset): Fig. 6 fast data-plane reset — bring up DIAG session,

@@ -142,27 +142,6 @@ void AutnCodec::fragment_into(BytesView frame,
   fragment_core(frame, out);
 }
 
-void AutnCodec::Reassembler::reset() {
-  buffer_.clear();
-  expected_total_ = 0;
-  received_ = 0;
-  last_len_ = 0;
-  last_completed_total_ = 0;
-}
-
-std::optional<Bytes> AutnCodec::Reassembler::feed(
-    const std::array<std::uint8_t, 16>& autn) {
-  const auto view = feed_view(autn);
-  if (!view) return std::nullopt;
-  return Bytes(view->begin(), view->end());
-}
-
-std::optional<BytesView> AutnCodec::Reassembler::reject() {
-  reset();
-  last_rejected_ = true;
-  return std::nullopt;
-}
-
 std::optional<BytesView> AutnCodec::Reassembler::feed_view(
     const std::array<std::uint8_t, 16>& autn) {
   PROF_ZONE("seedproto.reassemble");
@@ -170,23 +149,10 @@ std::optional<BytesView> AutnCodec::Reassembler::feed_view(
   last_rejected_ = false;
   const std::uint8_t seq = autn[0] >> 4;
   const std::uint8_t total = autn[0] & 0x0f;
-  if (total == 0 || seq >= total) return reject();
-  if (received_ == 0) {
-    if (seq != 0) {
-      if (total == last_completed_total_ && seq == total - 1) {
-        // Retransmit of the final fragment of the transfer that just
-        // completed (its ACK was lost in flight): a benign duplicate,
-        // not a malformed fragment. The completed frame's view stays
-        // untouched.
-        return std::nullopt;
-      }
-      return reject();
-    }
-    // Lazily drop the previous transfer's bytes (kept alive so the view
-    // returned at its completion stayed valid). clear() keeps capacity, so
-    // steady-state reassembly allocates nothing.
-    buffer_.clear();
-    expected_total_ = total;
+  const Admit admitted = admit(seq, total);
+  if (admitted == Admit::kReject) return reject();
+  if (admitted == Admit::kDuplicate) return std::nullopt;
+  if (seq == 0) {
     last_len_ = autn[1];
     // Audit hardening: the declared frame length must be *consistent with
     // the declared fragment count* — a `total`-fragment transfer only
@@ -203,24 +169,10 @@ std::optional<BytesView> AutnCodec::Reassembler::feed_view(
     }
     for (std::size_t i = 2; i < 16; ++i) buffer_.push_back(autn[i]);
   } else {
-    if (seq == received_ - 1 && total == expected_total_) {
-      // Duplicate of the fragment just consumed (retransmitted or
-      // duplicated Authentication Request): ACKed upstream but ignored
-      // here, keeping the in-progress transfer intact.
-      return std::nullopt;
-    }
-    if (seq != received_ || total != expected_total_) return reject();
     for (std::size_t i = 1; i < 16; ++i) buffer_.push_back(autn[i]);
   }
-  ++received_;
-  if (received_ < expected_total_) return std::nullopt;
+  if (!complete()) return std::nullopt;
   if (last_len_ > buffer_.size()) return reject();
-  // Transfer complete. The buffer is kept (cleared lazily at the start of
-  // the next transfer) so the returned view stays valid until the next
-  // feed()/feed_view()/reset() call.
-  last_completed_total_ = expected_total_;
-  expected_total_ = 0;
-  received_ = 0;
   return BytesView(buffer_.data(), last_len_);
 }
 

@@ -18,6 +18,7 @@
 #include "common/codec.h"
 #include "nas/causes.h"
 #include "nas/ie.h"
+#include "seedproto/reassembly.h"
 
 namespace seed::proto {
 
@@ -100,32 +101,18 @@ class AutnCodec {
   /// Streaming reassembler. Feed fragments in order; returns the full
   /// frame once complete. Out-of-order or inconsistent fragments reset
   /// the state and return nullopt.
-  class Reassembler {
+  class Reassembler : public Reassembly {
    public:
-    std::optional<Bytes> feed(const std::array<std::uint8_t, 16>& autn);
+    std::optional<Bytes> feed(const std::array<std::uint8_t, 16>& autn) {
+      return copy(feed_view(autn));
+    }
     /// Zero-copy variant: the returned view aliases the reassembler's
     /// internal buffer and stays valid until the next feed()/feed_view()/
     /// reset() call.
     std::optional<BytesView> feed_view(const std::array<std::uint8_t, 16>& autn);
-    void reset();
-    std::size_t pending_fragments() const { return received_; }
-    /// True when the most recent feed()/feed_view() *rejected* its input
-    /// (malformed or inconsistent fragment). False for the benign nullopt
-    /// cases — mid-transfer progress and duplicate-of-last — so receivers
-    /// can account for genuinely malformed traffic.
-    bool last_rejected() const { return last_rejected_; }
 
    private:
-    std::optional<BytesView> reject();
-
-    Bytes buffer_;
-    std::uint8_t expected_total_ = 0;
-    std::uint8_t received_ = 0;
-    std::uint8_t last_len_ = 0;
-    /// Fragment count of the transfer that last completed; a retransmit
-    /// of its final fragment (lost ACK) is a benign duplicate.
-    std::uint8_t last_completed_total_ = 0;
-    bool last_rejected_ = false;
+    std::uint8_t last_len_ = 0;  // frame length declared by fragment 0
   };
 };
 

@@ -122,25 +122,6 @@ std::vector<nas::Dnn> DiagDnnCodec::pack(BytesView frame) {
   return out;
 }
 
-void DiagDnnCodec::Reassembler::reset() {
-  buffer_.clear();
-  expected_total_ = 0;
-  received_ = 0;
-  last_completed_total_ = 0;
-}
-
-std::optional<Bytes> DiagDnnCodec::Reassembler::feed(const nas::Dnn& dnn) {
-  const auto view = feed_view(dnn);
-  if (!view) return std::nullopt;
-  return Bytes(view->begin(), view->end());
-}
-
-std::optional<BytesView> DiagDnnCodec::Reassembler::reject() {
-  reset();
-  last_rejected_ = true;
-  return std::nullopt;
-}
-
 std::optional<BytesView> DiagDnnCodec::Reassembler::feed_view(
     const nas::Dnn& dnn) {
   PROF_ZONE("seedproto.reassemble");
@@ -152,36 +133,13 @@ std::optional<BytesView> DiagDnnCodec::Reassembler::feed_view(
   const std::uint8_t header = dnn.labels()[0][kDiagTag.size()];
   const std::uint8_t seq = header >> 4;
   const std::uint8_t total = header & 0x0f;
-  if (total == 0 || seq >= total) return reject();
   // A multi-fragment frame always carries payload labels; a bare header
   // mid-stream is a truncated fragment — drop the transfer rather than
   // mis-assemble (the sender re-requests on the next ACK round).
   if (total > 1 && dnn.labels().size() < 2) return reject();
-  if (received_ == 0) {
-    if (seq != 0) {
-      if (total == last_completed_total_ && seq == total - 1) {
-        // Retransmit of the final fragment of the transfer that just
-        // completed (its ACK was lost in flight): a benign duplicate,
-        // not a malformed fragment. The completed frame's view stays
-        // untouched.
-        return std::nullopt;
-      }
-      return reject();
-    }
-    // Lazily drop the previous transfer's bytes (kept alive so the view
-    // returned at its completion stayed valid). clear() keeps capacity, so
-    // steady-state reassembly allocates nothing.
-    buffer_.clear();
-    expected_total_ = total;
-  } else if (seq == received_ - 1 && total == expected_total_) {
-    // Exact re-send of the fragment just consumed (duplicated PDU
-    // request): ignore it without disturbing the in-progress transfer.
-    return std::nullopt;
-  } else if (seq != received_ || total != expected_total_) {
-    // Reordered or cross-transfer fragment: drop the partial frame and
-    // resynchronize on the next seq-0 fragment.
-    return reject();
-  }
+  const Admit admitted = admit(seq, total);
+  if (admitted == Admit::kReject) return reject();
+  if (admitted == Admit::kDuplicate) return std::nullopt;
   // Audit hardening: pack() emits at most kPerDnnPayload (92) payload
   // bytes per DNN in labels of <= kMaxLabel bytes. Without the bound a
   // forged fragment could grow the frame far past any packed report and
@@ -197,14 +155,7 @@ std::optional<BytesView> DiagDnnCodec::Reassembler::feed_view(
     const Bytes& l = dnn.labels()[i];
     buffer_.insert(buffer_.end(), l.begin(), l.end());
   }
-  ++received_;
-  if (received_ < expected_total_) return std::nullopt;
-  // Transfer complete. The buffer is kept (cleared lazily at the start of
-  // the next transfer) so the returned view stays valid until the next
-  // feed()/feed_view()/reset() call.
-  last_completed_total_ = expected_total_;
-  expected_total_ = 0;
-  received_ = 0;
+  if (!complete()) return std::nullopt;
   return BytesView(buffer_.data(), buffer_.size());
 }
 

@@ -19,6 +19,7 @@
 #include "common/bytes.h"
 #include "common/codec.h"
 #include "nas/ie.h"
+#include "seedproto/reassembly.h"
 
 namespace seed::proto {
 
@@ -63,31 +64,16 @@ class DiagDnnCodec {
   static std::vector<nas::Dnn> pack(BytesView frame);
 
   /// Streaming reassembly across consecutive requests.
-  class Reassembler {
+  class Reassembler : public Reassembly {
    public:
     /// Returns the full frame when the final fragment arrives.
-    std::optional<Bytes> feed(const nas::Dnn& dnn);
+    std::optional<Bytes> feed(const nas::Dnn& dnn) {
+      return copy(feed_view(dnn));
+    }
     /// Zero-copy variant: the returned view aliases the reassembler's
     /// internal buffer and stays valid until the next feed()/feed_view()/
     /// reset() call.
     std::optional<BytesView> feed_view(const nas::Dnn& dnn);
-    void reset();
-    /// True when the most recent feed()/feed_view() *rejected* its input
-    /// (malformed or inconsistent fragment). False for the benign nullopt
-    /// cases — mid-transfer progress and duplicate-of-last — so receivers
-    /// can account for genuinely malformed traffic.
-    bool last_rejected() const { return last_rejected_; }
-
-   private:
-    std::optional<BytesView> reject();
-
-    Bytes buffer_;
-    std::uint8_t expected_total_ = 0;
-    std::uint8_t received_ = 0;
-    /// Fragment count of the transfer that last completed; a retransmit
-    /// of its final fragment (lost ACK) is a benign duplicate.
-    std::uint8_t last_completed_total_ = 0;
-    bool last_rejected_ = false;
   };
 };
 

@@ -1,7 +1,5 @@
 #include "simapplet/applet.h"
 
-#include <algorithm>
-
 #include "common/codec.h"
 #include "common/params.h"
 #include "obs/trace.h"
@@ -11,7 +9,6 @@
 namespace seed::applet {
 
 namespace {
-constexpr std::uint8_t kSeedBearer = 7;
 // Emulated footprint of the applet code itself (the paper's applet is
 // 1244 lines of Java; Javacard bytecode ~30 KB installed).
 constexpr std::size_t kAppletCodeBytes = 30 * 1024;
@@ -39,7 +36,7 @@ SeedApplet::SeedApplet(sim::Simulator& sim, sim::Rng& rng,
       rng_(rng),
       profile_(std::move(profile)),
       milenage_(crypto::Milenage::from_opc(k, opc)),
-      seed_ctx_(seed_key, kSeedBearer),
+      seed_ctx_(seed_key, proto::kSeedBearer),
       pending_wait_(sim),
       retry_timer_(sim),
       action_deadline_(sim) {}
@@ -59,28 +56,16 @@ modem::AuthResult SeedApplet::authenticate(
     // SEED downlink fragment: do not verify the key; parse the AUTH
     // (paper §4.5). ACK via synchronization failure.
     ++stats_.fragments_acked;
-    if (const auto frame = reassembler_.feed_view(autn)) {
-      if (seed_ctx_.unprotect_into(*frame, crypto::Direction::kDownlink,
-                                   plain_scratch_)) {
-        if (const auto info = proto::DiagInfo::decode(plain_scratch_)) {
-          last_diag_frame_.assign(frame->begin(), frame->end());
-          // Hand off to the decision module after SIM processing time.
-          const proto::DiagInfo copy = *info;
-          sim_.schedule_after(sim::ms(4), [this, copy] { handle_diag(copy); });
-        } else {
-          note_malformed_downlink("undecodable assistance payload");
-        }
-      } else if (frame->size() == last_diag_frame_.size() &&
-                 std::equal(frame->begin(), frame->end(),
-                            last_diag_frame_.begin())) {
-        // Exact replay of the frame just consumed: the core retransmitted
-        // after a lost synch-failure ACK. The ACK below re-acknowledges
-        // it; nothing malformed about the peer.
-      } else {
-        note_malformed_downlink("integrity-failed assistance frame");
-      }
-    } else if (reassembler_.last_rejected()) {
-      note_malformed_downlink("malformed AUTN fragment");
+    auto rx = diag_rx_.feed(autn, seed_ctx_, crypto::Direction::kDownlink,
+                            plain_scratch_);
+    if (rx.msg) {
+      // Hand off to the decision module after SIM processing time.
+      sim_.schedule_after(sim::ms(4), [this, info = std::move(*rx.msg)] {
+        handle_diag(info);
+      });
+    } else if (rx.malformed) {
+      ++stats_.malformed_downlinks;
+      SLOG(kDebug, "applet") << "discarding " << rx.malformed;
     }
     modem::AuthResult r;
     r.kind = modem::AuthResult::Kind::kSynchFailure;
@@ -128,11 +113,6 @@ void SeedApplet::notify_recovered() {
     ++stats_.plans_cancelled_by_recovery;
     plan_in_flight_ = false;
   }
-}
-
-void SeedApplet::note_malformed_downlink(const char* what) {
-  ++stats_.malformed_downlinks;
-  SLOG(kDebug, "applet") << "discarding " << what;
 }
 
 std::size_t SeedApplet::storage_used_bytes() const {

@@ -26,6 +26,7 @@
 #include "nas/causes.h"
 #include "seed/decision.h"
 #include "seed/online_learning.h"
+#include "seedproto/collab_channel.h"
 #include "seedproto/diag_payload.h"
 #include "seedproto/failure_report.h"
 #include "simcore/rng.h"
@@ -133,7 +134,6 @@ class SeedApplet : public modem::SimCard {
   void charge_rate_limit(proto::ResetAction a);
   void refund_rate_limit(proto::ResetAction a, sim::TimePoint issued_at);
   void send_report_uplink(const proto::FailureReport& report);
-  void note_malformed_downlink(const char* what);
 
   sim::Simulator& sim_;
   sim::Rng& rng_;
@@ -145,11 +145,8 @@ class SeedApplet : public modem::SimCard {
   bool enabled_ = true;
   core::DeviceMode mode_ = core::DeviceMode::kSeedU;
 
-  proto::AutnCodec::Reassembler reassembler_;
-  /// Bytes of the last successfully processed assistance frame: an exact
-  /// replay (core retransmit after a lost synch-failure ACK) fails the
-  /// integrity check benignly and must not count as malformed.
-  Bytes last_diag_frame_;
+  proto::FrameReceiver<proto::AutnCodec::Reassembler, proto::DiagInfo>
+      diag_rx_;
   /// Collab-path scratch (synchronous use only, never captured): decrypted
   /// downlink assistance, plaintext report encode, protected uplink frame.
   Bytes plain_scratch_;

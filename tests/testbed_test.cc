@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/params.h"
+#include "seedproto/failure_report.h"
 #include "testbed/testbed.h"
 
 namespace seed::testbed {
@@ -419,6 +420,26 @@ TEST(Scenario, ClassifyPinsTheUserActionRuleDisagreement) {
     EXPECT_EQ(user_action_only_here, scheme == Scheme::kLegacy ? 3 : 0);
     EXPECT_EQ(recovered_only_here, 0);
   }
+}
+
+// ------------------------------------------------ collab report uplink
+
+TEST(Testbed, DisplacedDiagReportStillCompletes) {
+  // A report that starts while another is in flight ends the old one with
+  // done(false), so the applet's fallback for it still runs.
+  Testbed tb(31, Scheme::kSeedR);
+  tb.secondary_congestion_prob = 0;
+  tb.bring_up();
+  modem::Modem& modem = tb.dev().modem();
+  const auto dnns = proto::DiagDnnCodec::pack(Bytes(40, 0x11));
+  std::vector<bool> first;
+  std::vector<bool> second;
+  modem.send_diag_report(dnns, [&](bool ok) { first.push_back(ok); });
+  modem.send_diag_report(dnns, [&](bool ok) { second.push_back(ok); });
+  EXPECT_EQ(first, std::vector<bool>{false});
+  tb.simulator().run_for(sim::seconds(5));
+  EXPECT_EQ(first, std::vector<bool>{false});
+  EXPECT_EQ(second.size(), 1u);
 }
 
 }  // namespace
