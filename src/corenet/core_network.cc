@@ -45,7 +45,7 @@ UeId CoreNetwork::attach_device(const std::string& supi, ran::Gnb& gnb,
   }
   ue->gnb = &gnb;
   ue->downlink = std::move(downlink);
-  if (Subscriber* sub = db_.find(supi)) {
+  if (Subscriber* sub = sub_of(*ue)) {
     ue->seed_ctx.emplace(sub->seed_key, proto::kSeedBearer);
   }
   return ue->id;
@@ -242,7 +242,7 @@ void CoreNetwork::handle_registration(UeContext& ue,
   // Isolation: a message arriving on UE A's link can only act on UE A's
   // subscription — an identity resolving to another SUPI is rejected, so
   // one UE's GUTIs / failures never leak into another's AMF state.
-  if (sub == nullptr || sub->supi != ue.supi) {
+  if (sub == nullptr || sub != sub_of(ue)) {
     reject_registration(ue, mm(MmCause::kUeIdentityCannotBeDerived));
     return;
   }

@@ -219,6 +219,9 @@ class CoreNetwork {
 
     UeId id;
     std::string supi;
+    /// The subscriber record, cached by sub_of (SubscriberDb never erases
+    /// a record, so the pointer stays valid).
+    Subscriber* sub = nullptr;
     ran::Gnb* gnb = nullptr;
     std::function<void(BytesView)> downlink;
 
@@ -297,7 +300,12 @@ class CoreNetwork {
                            std::optional<std::uint32_t> t3502 = {});
   void reject_pdu(UeContext& ue, const nas::SmHeader& hdr, std::uint8_t cause,
                   std::optional<std::uint32_t> backoff = {});
-  Subscriber* sub_of(const UeContext& ue) { return db_.find(ue.supi); }
+  /// Looked up on first use, so a subscriber provisioned after
+  /// attach_device is still found.
+  Subscriber* sub_of(UeContext& ue) {
+    if (ue.sub == nullptr) ue.sub = db_.find(ue.supi);
+    return ue.sub;
+  }
   std::optional<proto::ConfigPayload> config_for(
       nas::Plane plane, std::uint8_t cause, const Subscriber& sub) const;
   void start_authentication(UeContext& ue);

@@ -7,6 +7,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -51,26 +53,32 @@ struct Subscriber {
   std::uint64_t sqn = 0x100;               // auth sequence number
 };
 
+/// Identity resolution is served from three indices, none of which scans
+/// the table: the SUPI map itself, an MSIN index and a TMSI index.
 class SubscriberDb {
  public:
+  /// Provisions `s`, replacing the record of an existing SUPI in place.
   Subscriber& add(Subscriber s);
   Subscriber* find(const std::string& supi);
   const Subscriber* find(const std::string& supi) const;
   /// Reverse lookup by GUTI (nullptr when the mapping was lost — the
   /// "UE identity cannot be derived" desync of paper Table 1). Served
   /// from the TMSI index kept by assign_guti, so a core with thousands
-  /// of attached UEs resolves identities in O(log n).
+  /// of attached UEs resolves identities in O(1).
   Subscriber* find_by_guti(const nas::Guti& guti);
 
   /// Assigns a fresh GUTI, replacing the subscriber's old one in the
   /// TMSI index. All GUTI (re)assignments must go through here or
-  /// find_by_guti will miss.
+  /// find_by_guti will miss; `sub` must be a record of this db.
   void assign_guti(Subscriber& sub, const nas::Guti& guti);
 
   /// Lookup by the MSIN digits of a SUCI. The SUCI's PLMN field carries
   /// the *selected* network in this simulation, so identity resolution
-  /// keys on the subscriber number alone.
-  Subscriber* find_by_msin(const std::string& msin);
+  /// keys on the subscriber number alone. A subscriber's MSIN is its
+  /// SUPI's digits after the last '-', and only an exact match resolves:
+  /// an empty MSIN, or a proper suffix of one, names no subscriber. If
+  /// two SUPIs share an MSIN, the first in SUPI order wins.
+  Subscriber* find_by_msin(std::string_view msin);
 
   /// True when any subscriber may use this DNN (unknown vs unsubscribed
   /// distinguishes SM cause #27 from #33).
@@ -86,6 +94,9 @@ class SubscriberDb {
   }
 
   std::size_t size() const { return subs_.size(); }
+  /// Entries in the TMSI index: one per GUTI assign_guti handed out and
+  /// has not replaced since.
+  std::size_t tmsi_index_size() const { return guti_index_.size(); }
 
   // ----- mutation epoch (diagnosis-cache invalidation, ccache-style)
   //
@@ -100,10 +111,16 @@ class SubscriberDb {
   void note_subscriber_mutation() { ++mutation_epoch_; }
 
  private:
+  /// Records are never erased, and re-provisioning a SUPI assigns into its
+  /// existing node, so a Subscriber* or a view of a key stays valid for the
+  /// db's lifetime. The indices below and CoreNetwork's per-UE cache rely
+  /// on it: erasing a record would need all of them purged first.
   std::map<std::string, Subscriber> subs_;
   std::set<std::string> known_dnns_ = {"internet", "ims", "DIAG"};
-  /// TMSI -> SUPI index behind find_by_guti.
-  std::map<std::uint32_t, std::string> guti_index_;
+  /// MSIN -> record behind find_by_msin; keys view into subs_' keys.
+  std::unordered_map<std::string_view, Subscriber*> msin_index_;
+  /// TMSI -> record behind find_by_guti.
+  std::unordered_map<std::uint32_t, Subscriber*> guti_index_;
   std::uint64_t mutation_epoch_ = 0;
 };
 

@@ -107,8 +107,20 @@ void MultiTestbed::bring_up_all() {
     sim_.schedule_after(kPowerOnStagger * static_cast<int>(i),
                         [dev] { dev->power_on(); });
   }
-  if (!sim_.poll_until([this] { return healthy_count() == slots_.size(); },
-                       sim::seconds(1), sim_.now() + sim::minutes(30))) {
+  // Same answer as healthy_count() == size, without rescanning the fleet
+  // each step: the check resumes at the UE found unhealthy last time and
+  // wraps around, so it returns true only once every UE passes in one
+  // sweep. UEs come up in power-on order, so most steps check one UE.
+  std::size_t cursor = 0;
+  const auto all_healthy = [this, &cursor] {
+    for (std::size_t n = 0; n < slots_.size(); ++n) {
+      if (!slots_[cursor].dev->traffic().path_healthy()) return false;
+      cursor = (cursor + 1) % slots_.size();
+    }
+    return true;
+  };
+  if (!sim_.poll_until(all_healthy, sim::seconds(1),
+                       sim_.now() + sim::minutes(30))) {
     throw std::runtime_error("MultiTestbed::bring_up_all: " +
                              std::to_string(slots_.size() - healthy_count()) +
                              " UE(s) failed to reach data-healthy");

@@ -29,6 +29,7 @@ bool TrafficEngine::path_allows(nas::IpProtocol proto,
 }
 
 bool TrafficEngine::path_healthy() const {
+  ++health_checks_;
   return path_allows(nas::IpProtocol::kTcp, 443) && dns_healthy();
 }
 

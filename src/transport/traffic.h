@@ -59,6 +59,9 @@ class TrafficEngine {
   int consecutive_dns_timeouts(sim::Duration window) const;
 
   std::uint64_t attempts_total() const { return attempts_; }
+  /// path_healthy() evaluations so far (a cost counter: pins how often
+  /// waits and probes poll this UE).
+  std::uint64_t health_checks() const { return health_checks_; }
 
  private:
   bool session_up() const;
@@ -73,6 +76,7 @@ class TrafficEngine {
   int dns_consecutive_timeouts_ = 0;
   sim::TimePoint last_dns_event_{};
   std::uint64_t attempts_ = 0;
+  mutable std::uint64_t health_checks_ = 0;
 };
 
 }  // namespace seed::transport

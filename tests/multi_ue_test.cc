@@ -53,6 +53,49 @@ TEST(MultiUe, FleetAttachesWithDistinctIdentities) {
   EXPECT_NE(s0->ue_addr, s1->ue_addr);
 }
 
+// The bring-up wait must not rescan the fleet each poll step: health
+// work is pinned as a count (every path_healthy() evaluation during
+// bring_up_all, the wait's and the devices' own probes), not a time.
+// Rescanning at each one-second step of the 40 s power-on stagger made
+// about 42 checks per UE; the resuming wait makes about two. (A fleet
+// that recovers from #33 at bring-up adds the applets' recovery probes,
+// about two more per UE.)
+TEST(MultiUe, BringUpChecksHealthAFewTimesPerUe) {
+  constexpr std::size_t kUes = 2000;
+  MultiTestbed mt(111, plain_options(kUes));
+  mt.bring_up_all();
+  std::uint64_t checks = 0;
+  for (std::size_t i = 0; i < kUes; ++i) {
+    checks += mt.dev(i).traffic().health_checks();
+  }
+  EXPECT_LE(checks, 3 * kUes) << checks;
+  EXPECT_EQ(mt.healthy_count(), kUes);
+}
+
+// The resuming wait must answer exactly as healthy_count() == N would:
+// a UE that was healthy when the wait passed it and breaks later holds
+// the bring-up until it heals.
+TEST(MultiUe, BringUpWaitsForAUeThatBrokeAfterItWasPassed) {
+  MultiOptions opts = plain_options(400);  // 8 s power-on stagger
+  opts.scheme = Scheme::kLegacy;           // nothing repairs the policy
+  MultiTestbed mt(112, opts);
+  auto& sim = mt.simulator();
+  corenet::TrafficPolicy dns_blocked;
+  dns_blocked.dns_blocked = true;
+  bool healthy_before_break = false;
+  sim.schedule_after(sim::seconds(5), [&] {
+    healthy_before_break = mt.dev(0).traffic().path_healthy();
+    mt.core().set_effective_policy(0, dns_blocked);
+  });
+  sim.schedule_after(sim::seconds(20), [&] {
+    mt.core().set_effective_policy(0, corenet::TrafficPolicy{});
+  });
+  mt.bring_up_all();
+  EXPECT_TRUE(healthy_before_break);
+  EXPECT_GE(sim.now(), sim::kTimeZero + sim::seconds(22));
+  EXPECT_EQ(mt.healthy_count(), 400u);
+}
+
 TEST(MultiUe, EmptyFleetBringsUpAndRunsCongestionWaves) {
   MultiTestbed mt(100, plain_options(0));
   mt.bring_up_all();

@@ -1,11 +1,15 @@
 // Property-style sweeps across the protocol surfaces: randomized message
-// round-trips, reassembler interleavings, CMAC/CTR length sweeps, and
-// cause-code exhaustive encodes.
+// round-trips, reassembler interleavings, CMAC/CTR length sweeps,
+// cause-code exhaustive encodes, and SUCI identity resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "chaos/chaos.h"
+#include "corenet/subscriber.h"
 #include "crypto/cmac.h"
 #include "crypto/ctr.h"
 #include "crypto/security_context.h"
@@ -570,6 +574,77 @@ TEST(FailureReportProperty, RandomizedRoundTrip) {
     const auto out = proto::FailureReport::decode(f.encode());
     ASSERT_TRUE(out.has_value()) << "iteration " << i;
     EXPECT_EQ(*out, f);
+  }
+}
+
+// ------------------------------------------------- identity resolution
+
+std::string random_digits(sim::Rng& rng, std::int64_t max_len) {
+  std::string d(static_cast<std::size_t>(rng.uniform_int(0, max_len)), '0');
+  for (auto& c : d) c = static_cast<char>('0' + rng.uniform_int(0, 9));
+  return d;
+}
+
+// SUCI resolution through the MSIN index must equal an exact-compare scan
+// of every record in SUPI order (a SUPI's MSIN is its digits after the
+// last '-'). Probes include empty strings, proper suffixes and extensions
+// of real MSINs, and MSINs that two PLMNs share. Re-provisioning existing
+// SUPIs between probes keeps the index's pointers and key views honest
+// under the sanitizers.
+TEST(IdentityProperty, MsinIndexMatchesExactScan) {
+  sim::Rng rng(26001);
+  const std::vector<std::string> prefixes = {"310-260-", "311-480-", ""};
+  for (int round = 0; round < 60; ++round) {
+    corenet::SubscriberDb db;
+    std::set<std::string> supis;
+    std::vector<std::string> msins;
+    const auto n = rng.uniform_int(0, 48);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::string msin = rng.chance(0.2) && !msins.empty()
+                                   ? rng.pick(msins)
+                                   : random_digits(rng, 10);
+      corenet::Subscriber s;
+      s.supi = rng.pick(prefixes) + msin;
+      db.add(s);
+      supis.insert(s.supi);
+      msins.push_back(msin);
+    }
+    for (int q = 0; q < 200; ++q) {
+      if (!supis.empty() && rng.chance(0.1)) {
+        corenet::Subscriber again;
+        again.supi = *std::next(supis.begin(),
+                                rng.uniform_int(0, static_cast<std::int64_t>(
+                                                       supis.size()) - 1));
+        db.add(again);
+      }
+      std::string probe;
+      switch (msins.empty() ? 0 : rng.uniform_int(0, 3)) {
+        case 0:
+          probe = random_digits(rng, 11);
+          break;
+        case 1: {
+          const std::string& m = rng.pick(msins);
+          probe = m.substr(static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(m.size()))));
+          break;
+        }
+        case 2:
+          probe = rng.pick(msins);
+          break;
+        default:
+          probe = random_digits(rng, 2) + rng.pick(msins);
+          break;
+      }
+      const corenet::Subscriber* want = nullptr;
+      for (const std::string& supi : supis) {
+        if (supi.substr(supi.rfind('-') + 1) == probe) {
+          want = db.find(supi);
+          break;
+        }
+      }
+      ASSERT_EQ(db.find_by_msin(probe), want)
+          << "round " << round << " probe '" << probe << "'";
+    }
   }
 }
 
