@@ -297,14 +297,14 @@ void CoreNetwork::start_authentication(UeContext& ue) {
   sub->sqn += 32;
   const std::array<std::uint8_t, 2> amf = {0x80, 0x00};
 
-  const crypto::Milenage mil = crypto::Milenage::from_opc(sub->k, sub->opc);
-  const auto out = mil.compute(rand, sqn, amf);
-  ue.expected_res = Bytes(out.res.begin(), out.res.end());
+  const crypto::AuthVector av =
+      crypto::Milenage::from_opc(sub->k, sub->opc).auth_vector(rand, sqn, amf);
+  ue.expected_res = Bytes(av.res.begin(), av.res.end());
 
   nas::AuthenticationRequest req;
   req.ngksi = 1;
   req.rand = rand;
-  req.autn = mil.build_autn(out, sqn, amf);
+  req.autn = av.autn;
   send(ue, nas::NasMessage(req));
 }
 

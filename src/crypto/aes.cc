@@ -2,6 +2,13 @@
 
 #include <stdexcept>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SEED_AES_NI 1
+#include <immintrin.h>
+#else
+#define SEED_AES_NI 0
+#endif
+
 namespace seed::crypto {
 
 namespace {
@@ -48,17 +55,90 @@ std::uint8_t xtime(std::uint8_t v) {
   return static_cast<std::uint8_t>((v << 1) ^ ((v & 0x80) ? 0x1b : 0x00));
 }
 
+#if SEED_AES_NI
+// One step of the AES-128 key schedule: `aeskeygenassist` yields
+// SubWord(RotWord(w3)) ^ Rcon in its top lane, which is broadcast and
+// folded into the running prefix XOR of the previous round key's words.
+template <int Rcon>
+__attribute__((target("aes"))) __m128i next_round_key(__m128i k) {
+  const __m128i t = _mm_shuffle_epi32(_mm_aeskeygenassist_si128(k, Rcon), 0xff);
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+  return _mm_xor_si128(k, t);
+}
+
+bool cpu_has_aes() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes");
+}
+#endif
+
 }  // namespace
 
-Aes128::Aes128(const Key128& key) {
+namespace detail {
+
+bool hardware_aes() {
+#if SEED_AES_NI
+  // Function-local, so the probe runs after libgcc's CPU model is set up,
+  // whatever the static-initialization order.
+  static const bool on = cpu_has_aes();
+  return on;
+#else
+  return false;
+#endif
+}
+
+#if SEED_AES_NI
+// Round keys and blocks are loaded unaligned: Aes128 keeps its 1-byte
+// alignment, so the size of every object holding one stays as it was.
+__attribute__((target("aes"))) void expand_key_hw(const Key128& key,
+                                                  RoundKeys& rk) {
+  auto* out = reinterpret_cast<__m128i*>(rk.data());
+  __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key.data()));
+  _mm_storeu_si128(out, k);
+  _mm_storeu_si128(out + 1, k = next_round_key<0x01>(k));
+  _mm_storeu_si128(out + 2, k = next_round_key<0x02>(k));
+  _mm_storeu_si128(out + 3, k = next_round_key<0x04>(k));
+  _mm_storeu_si128(out + 4, k = next_round_key<0x08>(k));
+  _mm_storeu_si128(out + 5, k = next_round_key<0x10>(k));
+  _mm_storeu_si128(out + 6, k = next_round_key<0x20>(k));
+  _mm_storeu_si128(out + 7, k = next_round_key<0x40>(k));
+  _mm_storeu_si128(out + 8, k = next_round_key<0x80>(k));
+  _mm_storeu_si128(out + 9, k = next_round_key<0x1b>(k));
+  _mm_storeu_si128(out + 10, k = next_round_key<0x36>(k));
+}
+
+__attribute__((target("aes"))) void encrypt_block_hw(const RoundKeys& rk,
+                                                     Block& block) {
+  const auto* k = reinterpret_cast<const __m128i*>(rk.data());
+  auto* b = reinterpret_cast<__m128i*>(block.data());
+  __m128i s = _mm_xor_si128(_mm_loadu_si128(b), _mm_loadu_si128(k));
+  for (int round = 1; round <= 9; ++round) {
+    s = _mm_aesenc_si128(s, _mm_loadu_si128(k + round));
+  }
+  s = _mm_aesenclast_si128(s, _mm_loadu_si128(k + 10));
+  _mm_storeu_si128(b, s);
+}
+#else
+void expand_key_hw(const Key128& key, RoundKeys& rk) {
+  expand_key_portable(key, rk);
+}
+
+void encrypt_block_hw(const RoundKeys& rk, Block& block) {
+  encrypt_block_portable(rk, block);
+}
+#endif
+
+void expand_key_portable(const Key128& key, RoundKeys& rk) {
   // Key expansion (FIPS-197 §5.2).
-  for (int i = 0; i < 16; ++i) round_keys_[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
+  for (int i = 0; i < 16; ++i) rk[static_cast<std::size_t>(i)] = key[static_cast<std::size_t>(i)];
   for (int i = 4; i < 44; ++i) {
     std::array<std::uint8_t, 4> temp = {
-        round_keys_[static_cast<std::size_t>(4 * (i - 1))],
-        round_keys_[static_cast<std::size_t>(4 * (i - 1) + 1)],
-        round_keys_[static_cast<std::size_t>(4 * (i - 1) + 2)],
-        round_keys_[static_cast<std::size_t>(4 * (i - 1) + 3)]};
+        rk[static_cast<std::size_t>(4 * (i - 1))],
+        rk[static_cast<std::size_t>(4 * (i - 1) + 1)],
+        rk[static_cast<std::size_t>(4 * (i - 1) + 2)],
+        rk[static_cast<std::size_t>(4 * (i - 1) + 3)]};
     if (i % 4 == 0) {
       // RotWord + SubWord + Rcon
       const std::uint8_t t0 = temp[0];
@@ -68,16 +148,16 @@ Aes128::Aes128(const Key128& key) {
       temp[3] = kSbox[t0];
     }
     for (int j = 0; j < 4; ++j) {
-      round_keys_[static_cast<std::size_t>(4 * i + j)] = static_cast<std::uint8_t>(
-          round_keys_[static_cast<std::size_t>(4 * (i - 4) + j)] ^ temp[static_cast<std::size_t>(j)]);
+      rk[static_cast<std::size_t>(4 * i + j)] = static_cast<std::uint8_t>(
+          rk[static_cast<std::size_t>(4 * (i - 4) + j)] ^ temp[static_cast<std::size_t>(j)]);
     }
   }
 }
 
-void Aes128::encrypt_block(Block& s) const {
+void encrypt_block_portable(const RoundKeys& rk, Block& s) {
   auto add_round_key = [&](int round) {
     for (int i = 0; i < 16; ++i) {
-      s[static_cast<std::size_t>(i)] ^= round_keys_[static_cast<std::size_t>(16 * round + i)];
+      s[static_cast<std::size_t>(i)] ^= rk[static_cast<std::size_t>(16 * round + i)];
     }
   };
   auto sub_bytes = [&] {
@@ -115,6 +195,24 @@ void Aes128::encrypt_block(Block& s) const {
   sub_bytes();
   shift_rows();
   add_round_key(10);
+}
+
+}  // namespace detail
+
+Aes128::Aes128(const Key128& key) {
+  if (detail::hardware_aes()) {
+    detail::expand_key_hw(key, round_keys_);
+  } else {
+    detail::expand_key_portable(key, round_keys_);
+  }
+}
+
+void Aes128::encrypt_block(Block& block) const {
+  if (detail::hardware_aes()) {
+    detail::encrypt_block_hw(round_keys_, block);
+  } else {
+    detail::encrypt_block_portable(round_keys_, block);
+  }
 }
 
 Block Aes128::encrypt(const Block& block) const {

@@ -73,27 +73,16 @@ modem::AuthResult SeedApplet::authenticate(
     return r;
   }
 
-  // Normal 5G-AKA: derive RES from RAND/AUTN via Milenage. The AUTN MAC
-  // is verified against the SQN carried in AUTN.
-  crypto::Block rnd{};
-  for (std::size_t i = 0; i < 16; ++i) rnd[i] = rand[i];
-  std::array<std::uint8_t, 2> amf = {autn[6], autn[7]};
-  // Recover SQN: AK depends only on RAND, compute with a dummy SQN first.
-  const auto probe = milenage_.compute(rnd, {}, amf);
-  std::array<std::uint8_t, 6> sqn{};
-  for (std::size_t i = 0; i < 6; ++i) sqn[i] = autn[i] ^ probe.ak[i];
-  const auto out = milenage_.compute(rnd, sqn, amf);
-  bool mac_ok = true;
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (autn[8 + i] != out.mac_a[i]) mac_ok = false;
-  }
+  // Normal 5G-AKA: one TEMP recovers AK to un-mask the SQN carried in
+  // AUTN, verifies MAC-A under it and yields RES.
+  const auto res = milenage_.verify(rand, autn);
   modem::AuthResult r;
-  if (!mac_ok) {
+  if (!res) {
     r.kind = modem::AuthResult::Kind::kMacFailure;
     return r;
   }
   r.kind = modem::AuthResult::Kind::kSuccess;
-  r.res = Bytes(out.res.begin(), out.res.end());
+  r.res = Bytes(res->begin(), res->end());
   return r;
 }
 

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "common/bytes.h"
 #include "crypto/aes.h"
 #include "crypto/cmac.h"
 #include "crypto/ctr.h"
 #include "crypto/milenage.h"
 #include "crypto/security_context.h"
+#include "obs/prof.h"
 
 namespace seed::crypto {
 namespace {
@@ -67,6 +70,82 @@ TEST(Aes128, EncryptInPlaceMatchesCopy) {
 TEST(Aes128, ToBlockValidatesLength) {
   EXPECT_THROW(to_block(from_hex("0011")), std::invalid_argument);
   EXPECT_THROW(to_key(from_hex("001122")), std::invalid_argument);
+}
+
+// ------------------------------------------------- AES-128, each backend
+
+// The portable and AES-NI backends held to the same vectors on every host
+// that can run them; Aes128 itself runs whichever the CPU check picked.
+struct Backend {
+  const char* name;
+  void (*expand)(const Key128&, RoundKeys&);
+  void (*encrypt)(const RoundKeys&, Block&);
+  bool hardware;
+};
+
+void PrintTo(const Backend& b, std::ostream* os) { *os << b.name; }
+
+class AesBackendTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  void SetUp() override {
+    if (GetParam().hardware && !detail::hardware_aes()) {
+      GTEST_SKIP() << "CPU has no AES instructions";
+    }
+  }
+
+  Block encrypt(std::string_view key_hex, std::string_view block_hex) const {
+    RoundKeys rk{};
+    GetParam().expand(key_from_hex(key_hex), rk);
+    Block b = block_from_hex(block_hex);
+    GetParam().encrypt(rk, b);
+    return b;
+  }
+};
+
+TEST_P(AesBackendTest, Fips197C1) {
+  EXPECT_EQ(block_hex(encrypt("000102030405060708090a0b0c0d0e0f",
+                              "00112233445566778899aabbccddeeff")),
+            "69c4e0d86a7b0430d8cdb78070b4c55a");
+}
+
+TEST_P(AesBackendTest, Sp80038aEcbBlocks) {
+  const char* key = "2b7e151628aed2a6abf7158809cf4f3c";
+  EXPECT_EQ(block_hex(encrypt(key, "6bc1bee22e409f96e93d7e117393172a")),
+            "3ad77bb40d7a3660a89ecaf32466ef97");
+  EXPECT_EQ(block_hex(encrypt(key, "ae2d8a571e03ac9c9eb76fac45af8e51")),
+            "f5d3d58503b9699de785895a96fdbaaf");
+  EXPECT_EQ(block_hex(encrypt(key, "30c81c46a35ce411e5fbc1191a0a52ef")),
+            "43b1cd7f598ece23881b00e3ed030688");
+  EXPECT_EQ(block_hex(encrypt(key, "f69f2445df4f9b17ad2b417be66c3710")),
+            "7b0c785e27e8ad3f8223207104725dd4");
+}
+
+TEST_P(AesBackendTest, Fips197A1LastRoundKey) {
+  RoundKeys rk{};
+  GetParam().expand(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"), rk);
+  EXPECT_EQ(to_hex(Bytes(rk.begin() + 160, rk.end())),
+            "d014f9a8c9ee2589e13f0cc8b6630ca6");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, AesBackendTest,
+    ::testing::Values(Backend{"portable", detail::expand_key_portable,
+                              detail::encrypt_block_portable, false},
+                      Backend{"aesni", detail::expand_key_hw,
+                              detail::encrypt_block_hw, true}),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(AesBackend, HardwarePathSelectedWhenCpuHasAes) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("aes")) {
+    GTEST_SKIP() << "CPU has no AES instructions";
+  }
+  EXPECT_TRUE(detail::hardware_aes());
+#else
+  GTEST_SKIP() << "no AES-NI backend off x86-64";
+#endif
 }
 
 // ---------------------------------------------------------------- AES-CMAC
@@ -245,7 +324,9 @@ TEST(Milenage, AutnStructure) {
   const std::array<std::uint8_t, 6> sqn = {0xff, 0x9b, 0xb4, 0xd0, 0xb6, 0x07};
   const std::array<std::uint8_t, 2> amf = {0xb9, 0xb9};
   const auto out = m.compute(rand, sqn, amf);
-  const Block autn = m.build_autn(out, sqn, amf);
+  const AuthVector av = m.auth_vector(rand, sqn, amf);
+  const Block& autn = av.autn;
+  EXPECT_EQ(av.res, out.res);
   // SQN xor AK recovers SQN with the same AK.
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(static_cast<std::uint8_t>(autn[i] ^ out.ak[i]), sqn[i]);
@@ -253,6 +334,87 @@ TEST(Milenage, AutnStructure) {
   EXPECT_EQ(autn[6], 0xb9);
   EXPECT_EQ(autn[7], 0xb9);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(autn[8 + i], out.mac_a[i]);
+}
+
+// TEMP/OUT1/OUT2 are the pieces compute() is built from: each must agree
+// with the matching fields of the full output.
+void expect_split_matches_compute(const Key128& k, const Key128& opc,
+                                  const Block& rand,
+                                  const std::array<std::uint8_t, 6>& sqn,
+                                  const std::array<std::uint8_t, 2>& amf) {
+  const Milenage m = Milenage::from_opc(k, opc);
+  const MilenageOutput full = m.compute(rand, sqn, amf);
+  const Milenage::Temp t = m.temp(rand);
+  // TEMP = E_K(RAND xor OPc), on the portable reference.
+  RoundKeys rk{};
+  detail::expand_key_portable(k, rk);
+  Block want_temp{};
+  for (std::size_t i = 0; i < 16; ++i) want_temp[i] = rand[i] ^ opc[i];
+  detail::encrypt_block_portable(rk, want_temp);
+  ASSERT_EQ(t.value, want_temp);
+  const Block o1 = m.out1(t, sqn, amf);
+  const Block o2 = m.out2(t);
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(o1[i], full.mac_a[i]);
+    ASSERT_EQ(o1[i + 8], full.mac_s[i]);
+    ASSERT_EQ(o2[i + 8], full.res[i]);
+  }
+  for (std::size_t i = 0; i < 6; ++i) ASSERT_EQ(o2[i], full.ak[i]);
+  // The network and USIM compositions: one AUTN, verified, gives RES.
+  const AuthVector av = m.auth_vector(rand, sqn, amf);
+  EXPECT_EQ(av.res, full.res);
+  const auto res = m.verify(rand, av.autn);
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(*res, full.res);
+}
+
+TEST(Milenage, SplitMatchesComputeOnTestSet1) {
+  const Key128 k = key_from_hex("465b5ce8b199b49faa5f0a2ee238a6bc");
+  const Milenage m(k, key_from_hex("cdc202d5123e20f62b6d676ac72cb318"));
+  expect_split_matches_compute(
+      k, m.opc(), block_from_hex("23553cbe9637a89d218ae64dae47bf35"),
+      {0xff, 0x9b, 0xb4, 0xd0, 0xb6, 0x07}, {0xb9, 0xb9});
+}
+
+TEST(Milenage, SplitMatchesComputeOnRandomTuples) {
+  std::mt19937 rng(35206);
+  auto byte = [&] { return static_cast<std::uint8_t>(rng()); };
+  for (int trial = 0; trial < 1000; ++trial) {
+    Key128 k{}, opc{};
+    Block rand{};
+    std::array<std::uint8_t, 6> sqn{};
+    std::array<std::uint8_t, 2> amf{};
+    for (auto& b : k) b = byte();
+    for (auto& b : opc) b = byte();
+    for (auto& b : rand) b = byte();
+    for (auto& b : sqn) b = byte();
+    for (auto& b : amf) b = byte();
+    SCOPED_TRACE(trial);
+    expect_split_matches_compute(k, opc, rand, sqn, amf);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The ledger's crypto.milenage row counts authentications, not blocks:
+// one call per network AV and one per SIM verification.
+TEST(Milenage, OneLedgerZoneCallPerAvAndPerVerification) {
+  const Milenage m = Milenage::from_opc(
+      key_from_hex("465b5ce8b199b49faa5f0a2ee238a6bc"),
+      key_from_hex("cd63cb71954a9f4e48a5994e37a02baf"));
+  const Block rand = block_from_hex("23553cbe9637a89d218ae64dae47bf35");
+  obs::Profiler& prof = obs::Profiler::instance();
+  prof.clear();
+  prof.enable(true);
+  const AuthVector av = m.auth_vector(rand, {0, 0, 0, 0, 1, 0}, {0x80, 0});
+  EXPECT_TRUE(m.verify(rand, av.autn).has_value());
+  (void)m.compute(rand, {}, {});
+  prof.enable(false);
+  std::uint64_t calls = 0;
+  for (const auto& row : prof.rows()) {
+    if (row.name == "crypto.milenage") calls = row.stats.calls;
+  }
+  prof.clear();
+  EXPECT_EQ(calls, 2u);
 }
 
 // ------------------------------------------------------- SecurityContext

@@ -258,7 +258,7 @@ TEST(ProfFleetTest, MergedProfileIsByteIdenticalAcrossWorkerCounts) {
   for (const auto& z : zones) names.push_back(z.at("name").as_string());
   for (const char* expect :
        {"sim.dispatch", "nas.encode", "nas.decode", "crypto.eea2",
-        "crypto.eia2", "diagcache.digest", "diagcache.lookup",
+        "crypto.eia2", "crypto.milenage", "diagcache.digest", "diagcache.lookup",
         "seedproto.fragment", "seedproto.reassemble", "modem.collab_rx",
         "modem.collab_tx", "core.collab_tx"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expect), names.end())

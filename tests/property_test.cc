@@ -118,6 +118,50 @@ TEST(CtrIncrement, WrapsBigEndianCarries) {
   EXPECT_EQ(d, expect);  // single-byte carry
 }
 
+// AES backends on random keys and blocks. Aes128 (whichever backend the
+// CPU check picked) must match the portable reference everywhere; the
+// AES-NI pair is also held to it directly, key schedule and ciphertext.
+constexpr int kAesPairs = 10000;
+
+void random_pair(sim::Rng& rng, crypto::Key128& key, crypto::Block& block) {
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng.next());
+  for (auto& b : block) b = static_cast<std::uint8_t>(rng.next());
+}
+
+TEST(AesBackendProperty, Aes128MatchesPortableReference) {
+  sim::Rng rng(197);
+  for (int i = 0; i < kAesPairs; ++i) {
+    crypto::Key128 key{};
+    crypto::Block block{};
+    random_pair(rng, key, block);
+    crypto::RoundKeys ref{};
+    crypto::detail::expand_key_portable(key, ref);
+    const crypto::Block got = crypto::Aes128(key).encrypt(block);
+    crypto::detail::encrypt_block_portable(ref, block);
+    ASSERT_EQ(got, block) << "pair " << i;
+  }
+}
+
+TEST(AesBackendProperty, HardwareMatchesPortable) {
+  if (!crypto::detail::hardware_aes()) {
+    GTEST_SKIP() << "CPU has no AES instructions";
+  }
+  sim::Rng rng(198);
+  for (int i = 0; i < kAesPairs; ++i) {
+    crypto::Key128 key{};
+    crypto::Block block{};
+    random_pair(rng, key, block);
+    crypto::RoundKeys ref{}, hw{};
+    crypto::detail::expand_key_portable(key, ref);
+    crypto::detail::expand_key_hw(key, hw);
+    ASSERT_EQ(hw, ref) << "pair " << i;
+    crypto::Block want = block;
+    crypto::detail::encrypt_block_portable(ref, want);
+    crypto::detail::encrypt_block_hw(hw, block);
+    ASSERT_EQ(block, want) << "pair " << i;
+  }
+}
+
 TEST(SecurityContextProperty, ManyMessagesSurviveInOrderDelivery) {
   crypto::SecurityContext tx(k0(), 7), rx(k0(), 7);
   sim::Rng rng(5);

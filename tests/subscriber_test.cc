@@ -1,6 +1,6 @@
 // Identity resolution in the subscriber db (UDM role) and the core's use
 // of it: the MSIN and TMSI indices, the exact-MSIN rule, and the core's
-// per-UE cached subscriber.
+// per-UE cached subscriber; then 5G-AKA between that core and a SIM.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +9,11 @@
 
 #include "corenet/core_network.h"
 #include "corenet/subscriber.h"
+#include "modem/sim_iface.h"
 #include "nas/causes.h"
 #include "nas/messages.h"
 #include "ran/gnb.h"
+#include "simapplet/applet.h"
 #include "simcore/rng.h"
 #include "simcore/simulator.h"
 
@@ -163,6 +165,47 @@ TEST(CoreIdentity, AnotherSubscribersMsinIsRejected) {
   EXPECT_EQ(reject_cause(rig.register_with("0000000002")),
             static_cast<std::uint8_t>(
                 nas::MmCause::kUeIdentityCannotBeDerived));
+}
+
+// ------------------------------------------------ 5G-AKA core <-> SIM
+
+TEST(CoreAka, SimAcceptsCoreAutnAndRejectsAnyMacBitFlip) {
+  using Kind = modem::AuthResult::Kind;
+  sim::Rng keys(35206);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    CoreRig rig("310-260-0000000001");
+    Subscriber sub = subscriber("310-260-0000000001");
+    for (auto& b : sub.k) b = static_cast<std::uint8_t>(keys.next());
+    for (auto& b : sub.opc) b = static_cast<std::uint8_t>(keys.next());
+    sub.sqn = keys.next() & 0xffffffffffffull;  // 48-bit SQN
+    rig.db.add(sub);
+    const auto* req = std::get_if<nas::AuthenticationRequest>(
+        &rig.register_with("0000000001"));
+    ASSERT_NE(req, nullptr);
+
+    applet::SeedApplet sim_card(rig.sim, rig.rng, modem::SimProfile{}, sub.k,
+                                sub.opc, crypto::Key128{});
+    const modem::AuthResult ok = sim_card.authenticate(req->rand, req->autn);
+    ASSERT_EQ(ok.kind, Kind::kSuccess);
+    // The core takes the SIM's RES as its own and moves on to security
+    // mode control.
+    rig.downlink.clear();
+    rig.core.on_uplink(rig.ue, nas::encode_message(nas::NasMessage(
+                                   nas::AuthenticationResponse{ok.res})));
+    rig.sim.run_for(sim::seconds(1));
+    ASSERT_EQ(rig.downlink.size(), 1u);
+    EXPECT_TRUE(
+        std::holds_alternative<nas::SecurityModeCommand>(rig.downlink[0]));
+
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      auto autn = req->autn;
+      autn[8 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_EQ(sim_card.authenticate(req->rand, autn).kind,
+                Kind::kMacFailure)
+          << "MAC-A bit " << bit;
+    }
+  }
 }
 
 }  // namespace
