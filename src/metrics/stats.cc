@@ -41,20 +41,49 @@ double Samples::max() const {
   return sorted_.back();
 }
 
-double Samples::percentile(double p) const {
-  if (values_.empty()) {
-    throw std::logic_error("Samples::percentile on empty set");
-  }
+namespace {
+
+/// Where percentile p falls among n sorted values: the value at `lo`,
+/// interpolated towards the next one by `frac` (rank = p/100 * (n-1)).
+/// `lo + 1 == n` means the maximum. Throws on n == 0 or p outside
+/// [0, 100].
+struct Rank {
+  std::size_t lo = 0;
+  double frac = 0.0;
+};
+
+Rank rank_of(double p, std::size_t n) {
+  if (n == 0) throw std::logic_error("Samples::percentile on empty set");
   if (p < 0 || p > 100) {
     throw std::invalid_argument("percentile p out of [0,100]");
   }
-  ensure_sorted();
-  if (sorted_.size() == 1) return sorted_[0];
-  const double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
+  if (n == 1) return {};
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted_.size()) return sorted_.back();
-  return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
+  return {lo, rank - static_cast<double>(lo)};
+}
+
+double interpolate(double lo_value, double hi_value, double frac) {
+  return lo_value * (1.0 - frac) + hi_value * frac;
+}
+
+}  // namespace
+
+double Samples::percentile(double p) const {
+  const Rank r = rank_of(p, values_.size());
+  ensure_sorted();
+  if (r.lo + 1 >= sorted_.size()) return sorted_[r.lo];
+  return interpolate(sorted_[r.lo], sorted_[r.lo + 1], r.frac);
+}
+
+double select_percentile(std::vector<double>& values, double p) {
+  const Rank r = rank_of(p, values.size());
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(values.begin(), lo, values.end());
+  if (r.lo + 1 >= values.size()) return *lo;
+  // After the partition everything past `lo` is >= it, so the next order
+  // statistic is the smallest of them.
+  return interpolate(*lo, *std::min_element(lo + 1, values.end()), r.frac);
 }
 
 double Samples::cdf_at(double x) const {

@@ -45,6 +45,11 @@ class Samples {
   mutable bool sorted_valid_ = false;
 };
 
+/// Samples::percentile of `values` (the same interpolation, bit for bit)
+/// found by selection instead of a sort, for callers that evaluate one
+/// percentile per batch. Reorders `values`; throws like percentile.
+double select_percentile(std::vector<double>& values, double p);
+
 /// A named (x, y) series for figure-style output.
 struct Series {
   std::string name;

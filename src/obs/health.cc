@@ -208,31 +208,34 @@ double HealthEngine::burn_of(const SloSpec& spec, const Bucket& agg,
 
 double HealthEngine::window_value(const SloState& s) const {
   // Reported stat over the long window (the ring, newest step included).
-  Bucket merged;
-  for (const Bucket& b : s.ring) {
-    merged.count += b.count;
-    merged.bad += b.bad;
-    merged.sum += b.sum;
-    merged.values.insert(merged.values.end(), b.values.begin(),
-                         b.values.end());
-  }
   switch (s.spec.stat) {
     case SloStat::kRatePerMin: {
+      std::uint64_t count = 0;
+      for (const Bucket& b : s.ring) count += b.count;
       const double minutes =
           static_cast<double>(s.ring.size()) *
           static_cast<double>(config_.window_us) / 60e6;
-      return minutes > 0 ? static_cast<double>(merged.count) / minutes : 0.0;
+      return minutes > 0 ? static_cast<double>(count) / minutes : 0.0;
     }
-    case SloStat::kMean:
-      return merged.count > 0
-                 ? merged.sum / static_cast<double>(merged.count)
-                 : 0.0;
+    case SloStat::kMean: {
+      std::uint64_t count = 0;
+      double sum = 0.0;
+      for (const Bucket& b : s.ring) {
+        count += b.count;
+        sum += b.sum;
+      }
+      return count > 0 ? sum / static_cast<double>(count) : 0.0;
+    }
     case SloStat::kP50:
     case SloStat::kP95: {
-      if (merged.values.empty()) return 0.0;
-      metrics::Samples samples;
-      for (double v : merged.values) samples.add(v);
-      return samples.percentile(s.spec.stat == SloStat::kP50 ? 50 : 95);
+      window_values_.clear();
+      for (const Bucket& b : s.ring) {
+        window_values_.insert(window_values_.end(), b.values.begin(),
+                              b.values.end());
+      }
+      if (window_values_.empty()) return 0.0;
+      return metrics::select_percentile(
+          window_values_, s.spec.stat == SloStat::kP50 ? 50 : 95);
     }
   }
   return 0.0;

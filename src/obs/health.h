@@ -180,6 +180,8 @@ class HealthEngine : public EventObserver {
   std::vector<SloState> slos_;
   std::map<std::uint64_t, SpanLife> span_life_;
   std::vector<AlertRecord> alerts_;
+  /// window_value's reused buffer for the merged P50/P95 window.
+  mutable std::vector<double> window_values_;
 };
 
 }  // namespace seed::obs

@@ -6,7 +6,6 @@
 #include <istream>
 #include <map>
 #include <ostream>
-#include <set>
 
 #include "common/minijson.h"
 #include "obs/event_ring.h"
@@ -180,10 +179,16 @@ Tracer& Tracer::instance() {
 }
 
 /// Tail-retention bookkeeping (out-of-line: it owns a TlvSizer, and
-/// trace_binary.h includes trace.h). Rings are keyed by UE; `retained`
-/// holds UEs whose stream is durable from the promotion point on. All
-/// containers are ordered so iteration (sealing) is deterministic.
+/// trace_binary.h includes trace.h). One slot per UE label, indexed by
+/// the label itself: multi-UE runs number devices 1..N (0 is the
+/// unattributed stream), so the vector is dense and one index finds a
+/// UE's ring and whether its stream is durable from a promotion on.
 struct Tracer::RetentionState {
+  struct Slot {
+    Ring<Event> ring;  // released once the UE is retained
+    bool retained = false;
+  };
+
   explicit RetentionState(const RetentionPolicy& p) : policy(p) {}
 
   bool is_trigger(const Event& e) const {
@@ -201,10 +206,17 @@ struct Tracer::RetentionState {
     return policy.trigger != nullptr && policy.trigger(e);
   }
 
+  Slot& slot(std::uint32_t ue) {
+    if (ue >= slots.size()) {
+      slots.resize(std::size_t{ue} + 1,
+                   Slot{Ring<Event>(policy.ring_depth)});
+    }
+    return slots[ue];
+  }
+
   RetentionPolicy policy;
   RetentionStats stats;
-  std::map<std::uint32_t, Ring<Event>> rings;
-  std::set<std::uint32_t> retained;
+  std::vector<Slot> slots;
   TlvSizer sizer;
 };
 
@@ -223,41 +235,39 @@ RetentionStats Tracer::retention_stats() const {
 void Tracer::pin_ue(std::uint32_t ue) {
   if (retention_ == nullptr) return;
   RetentionState& rs = *retention_;
-  if (!rs.retained.insert(ue).second) return;
+  RetentionState::Slot& slot = rs.slot(ue);
+  if (slot.retained) return;
+  slot.retained = true;
   ++rs.stats.ues_retained;
-  auto it = rs.rings.find(ue);
-  if (it == rs.rings.end()) return;
-  for (Event& buffered : it->second.take()) {
+  for (Event& buffered : slot.ring.take()) {
     ++rs.stats.events_retained;
     rs.stats.bytes_retained += rs.sizer.add(buffered);
     events_.push_back(std::move(buffered));
   }
-  rs.rings.erase(it);
 }
 
 void Tracer::seal_retention() {
   if (retention_ == nullptr) return;
   RetentionState& rs = *retention_;
-  for (auto& [ue, ring] : rs.rings) {
-    rs.stats.events_aged_out += ring.size();
+  for (RetentionState::Slot& slot : rs.slots) {
+    rs.stats.events_aged_out += slot.ring.size();
+    slot.ring.clear();
   }
-  rs.rings.clear();
 }
 
-void Tracer::route_retained(Event e) {
+void Tracer::route_retained(const Event& e) {
   RetentionState& rs = *retention_;
-  const std::uint32_t ue = e.ue;
-  if (rs.retained.count(ue) == 0) {
+  RetentionState::Slot& slot = rs.slot(e.ue);
+  if (!slot.retained) {
     if (!rs.is_trigger(e)) {
-      auto [it, inserted] = rs.rings.try_emplace(ue, rs.policy.ring_depth);
-      if (it->second.push(std::move(e))) ++rs.stats.events_aged_out;
+      if (slot.ring.put(e)) ++rs.stats.events_aged_out;
       return;
     }
-    pin_ue(ue);  // replays the ring ahead of the triggering event
+    pin_ue(e.ue);  // replays the ring ahead of the triggering event
   }
   ++rs.stats.events_retained;
   rs.stats.bytes_retained += rs.sizer.add(e);
-  events_.push_back(std::move(e));
+  events_.push_back(e);
 }
 
 void Tracer::absorb(std::vector<Event> events) {
@@ -424,27 +434,22 @@ void Tracer::record_now(Event e) {
     if (e.parent == 0) e.parent = parent_for(e, st);
     advance_causal(e, st);
   }
-  if (retention_ == nullptr) {
+  if (retention_ != nullptr) {
+    // Route BEFORE notifying so that when an observer reacts to this
+    // event with a trigger (the health engine raising an SLO alert), the
+    // promotion replays this event out of the ring in order, ahead of
+    // the reentrant alert event.
+    route_retained(e);
+  } else if (observers_.empty()) {
     events_.push_back(std::move(e));
-    if (!observers_.empty()) {
-      // Notify from a copy: a reentrant record_now (an observer emitting
-      // a follow-up event) may reallocate events_ under the reference.
-      const Event snapshot = events_.back();
-      for (EventObserver* o : observers_) o->on_trace_event(snapshot);
-    }
     return;
+  } else {
+    events_.push_back(e);
   }
-  // Tail-retention path. Route BEFORE notifying so that when an observer
-  // reacts to this event with a trigger (the health engine raising an
-  // SLO alert), the promotion replays this event out of the ring in
-  // order, ahead of the reentrant alert event.
-  const bool notify = !observers_.empty();
-  Event snapshot;
-  if (notify) snapshot = e;
-  route_retained(std::move(e));
-  if (notify) {
-    for (EventObserver* o : observers_) o->on_trace_event(snapshot);
-  }
+  // Notify from this call's own `e`: a reentrant record_now (an observer
+  // emitting a follow-up event) may reallocate events_ or overwrite a
+  // ring slot, but never touches it.
+  for (EventObserver* o : observers_) o->on_trace_event(e);
 }
 
 std::size_t Tracer::event_count(EventKind k) const {
@@ -497,7 +502,7 @@ std::vector<Blackbox> blackboxes(const std::vector<Event>& events) {
   for (const Event& e : events) {
     if (e.kind == EventKind::kLog || e.kind == EventKind::kSloAlert) continue;
     Ring<Event>& ring = rings.try_emplace(e.ue, kBlackboxDepth).first->second;
-    ring.push(e);  // eviction is the point: only the tail survives
+    ring.put(e);  // eviction is the point: only the tail survives
     if (e.kind == EventKind::kTerminalFailure) {
       ring.append_to(out.emplace_back());
     }

@@ -12,8 +12,9 @@
 // fleet layer merges shard captures in shard order) and is OFF by
 // default. Emit points are gated on
 // `enabled()` *before* any argument formatting — the same pattern as
-// `LogLine::live_` — so a disabled tracer adds no heap allocations on
-// the hot path; the inline obs::emit below takes PODs only.
+// SLOG, which checks the logger's level before it builds a line — so a
+// disabled tracer costs a branch and adds no heap allocations on the hot
+// path; the inline obs::emit below takes PODs only.
 #pragma once
 
 #include <array>
@@ -298,7 +299,9 @@ class Tracer {
   /// event (the health engine feeds on the full stream, and its alerts
   /// are themselves triggers). Implies the capture is no longer "every
   /// event"; absorb() bypasses retention (shard captures were already
-  /// sampled shard-side).
+  /// sampled shard-side). Ring slots are indexed by UE label, so
+  /// retention holds one slot per label up to the largest seen: labels
+  /// are device indices, 1..N.
   void set_retention(const RetentionPolicy& policy);
   /// Disarms retention and drops buffered rings and stats.
   void clear_retention();
@@ -380,7 +383,7 @@ class Tracer {
   /// Retention state lives behind a pointer (defined in trace.cc): it
   /// owns a TlvSizer, and trace_binary.h includes this header.
   struct RetentionState;
-  void route_retained(Event e);
+  void route_retained(const Event& e);
 
   Tracer() = default;
   ~Tracer();

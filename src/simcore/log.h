@@ -1,7 +1,9 @@
 // Minimal component-tagged logger stamped with simulated time.
 //
 // Logging is off by default (benches/tests stay quiet); examples turn it
-// on to show the protocol timeline.
+// on to show the protocol timeline. A line below the logger's level costs
+// one branch: SLOG checks the level before it builds the line, so neither
+// the stream nor any `<<` operand is evaluated.
 #pragma once
 
 #include <functional>
@@ -50,31 +52,40 @@ class Logger {
 };
 
 /// Builds a log line with stream syntax:  SLOG(kInfo, "amf") << "attach";
+/// Only SLOG constructs one, and only for a level that is enabled.
 class LogLine {
  public:
   LogLine(LogLevel level, std::string_view component)
-      : level_(level), component_(component),
-        live_(Logger::instance().enabled(level)) {}
-  ~LogLine() {
-    if (live_) Logger::instance().write(level_, component_, out_.str());
-  }
+      : level_(level), component_(component) {}
+  ~LogLine() { Logger::instance().write(level_, component_, out_.str()); }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (live_) out_ << v;
+    out_ << v;
     return *this;
   }
 
  private:
   LogLevel level_;
   std::string component_;
-  bool live_;
   std::ostringstream out_;
+};
+
+/// Turns a finished `LogLine << ...` chain into void, so SLOG is one
+/// conditional expression: `&` binds looser than `<<` and tighter than
+/// `?:`.
+struct LogVoidify {
+  void operator&(const LogLine&) const {}
 };
 
 }  // namespace seed::sim
 
-#define SLOG(level, component) \
-  ::seed::sim::LogLine(::seed::sim::LogLevel::level, component)
+// One expression rather than an `if`, so `if (c) SLOG(...) << x; else ...`
+// keeps its `else` on the caller's `if`.
+#define SLOG(level, component)                                            \
+  !::seed::sim::Logger::instance().enabled(::seed::sim::LogLevel::level)  \
+      ? (void)0                                                           \
+      : ::seed::sim::LogVoidify() &                                       \
+            ::seed::sim::LogLine(::seed::sim::LogLevel::level, component)

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/stats.h"
@@ -35,6 +36,7 @@ class ObsTest : public ::testing::Test {
     Registry::instance().enable(false);
     Registry::instance().clear();
     sim::Logger::instance().set_level(sim::LogLevel::kOff);
+    sim::Logger::instance().set_sink(nullptr);
   }
 
   void advance(sim::Duration d) { now_ += d; }
@@ -214,6 +216,69 @@ TEST_F(ObsTest, LogLinesBridgeIntoTraceStream) {
   const Event& e = t.events().back();
   EXPECT_EQ(e.detail, "obstest: bridge check 7");
   EXPECT_EQ(e.at_us, 2000000);  // same clock as the tracer
+}
+
+// The SLOG contract: a line below the level costs its level check and
+// nothing else, a live line evaluates each operand exactly once, and the
+// macro is one expression, so a caller's `else` stays on its own `if`.
+class SlogTest : public ObsTest {
+ protected:
+  void capture_lines() {
+    sim::Logger::instance().set_sink(
+        [this](sim::LogLevel, std::string_view component,
+               std::string_view message, const sim::TimePoint*) {
+          lines_.push_back(std::string(component) + ": " +
+                           std::string(message));
+        });
+  }
+  int counted(int v) {
+    ++evaluations_;
+    return v;
+  }
+
+  int evaluations_ = 0;
+  std::vector<std::string> lines_;
+};
+
+TEST_F(SlogTest, DeadLineEvaluatesNoOperand) {
+  capture_lines();
+  sim::Logger::instance().set_level(sim::LogLevel::kInfo);
+  SLOG(kDebug, "obstest") << "dead " << counted(1) << counted(2);
+  sim::Logger::instance().set_level(sim::LogLevel::kOff);
+  SLOG(kError, "obstest") << counted(3);
+  EXPECT_EQ(evaluations_, 0);
+  EXPECT_TRUE(lines_.empty());
+}
+
+TEST_F(SlogTest, LiveLineEvaluatesEachOperandOnceAndBridges) {
+  Tracer& t = Tracer::instance();
+  t.enable(true);
+  sim::Logger::instance().set_level(sim::LogLevel::kDebug);
+  testing::internal::CaptureStdout();  // the bridge keeps the console copy
+  SLOG(kInfo, "obstest") << "live " << counted(1) << " " << counted(2);
+  const std::string console = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(evaluations_, 2);
+  EXPECT_NE(console.find("[obstest] live 1 2"), std::string::npos);
+  ASSERT_EQ(t.event_count(EventKind::kLog), 1u);
+  EXPECT_EQ(t.events().back().detail, "obstest: live 1 2");
+}
+
+TEST_F(SlogTest, ElseBindsToTheCallersIf) {
+  capture_lines();
+  for (const sim::LogLevel level : {sim::LogLevel::kDebug,
+                                    sim::LogLevel::kOff}) {
+    sim::Logger::instance().set_level(level);
+    for (const bool c : {true, false}) {
+      bool else_ran = false;
+      if (c)
+        SLOG(kDebug, "obstest") << counted(1);
+      else
+        else_ran = true;
+      EXPECT_EQ(else_ran, !c);
+    }
+  }
+  EXPECT_EQ(evaluations_, 1);  // only the live, taken branch
+  EXPECT_EQ(lines_, (std::vector<std::string>{"obstest: 1"}));
 }
 
 TEST_F(ObsTest, RegistryCountsAndDumps) {

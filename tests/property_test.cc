@@ -1,11 +1,15 @@
 // Property-style sweeps across the protocol surfaces: randomized message
 // round-trips, reassembler interleavings, CMAC/CTR length sweeps,
-// cause-code exhaustive encodes, and SUCI identity resolution.
+// cause-code exhaustive encodes, SUCI identity resolution, tail-based
+// trace retention and the health engine's window percentile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -13,10 +17,15 @@
 #include "crypto/cmac.h"
 #include "crypto/ctr.h"
 #include "crypto/security_context.h"
+#include "metrics/stats.h"
 #include "nas/messages.h"
+#include "obs/event_ring.h"
+#include "obs/trace.h"
+#include "obs/trace_binary.h"
 #include "seedproto/diag_payload.h"
 #include "seedproto/failure_report.h"
 #include "simcore/rng.h"
+#include "simcore/time.h"
 
 namespace seed {
 namespace {
@@ -690,6 +699,301 @@ TEST(IdentityProperty, MsinIndexMatchesExactScan) {
           << "round " << round << " probe '" << probe << "'";
     }
   }
+}
+
+// ------------------------------------------------- tail-based retention
+
+// Tracer's tail retention as it was kept before its dense per-UE slots:
+// rings in a std::map keyed by UE and promoted UEs in a std::set. The
+// oracle for RetentionProperty: the tracer must route every stream into
+// the same capture and budget.
+class MapRetentionOracle {
+ public:
+  explicit MapRetentionOracle(const obs::RetentionPolicy& policy)
+      : policy_(policy) {}
+
+  void pin(std::uint32_t ue) {
+    if (!retained_.insert(ue).second) return;
+    ++stats_.ues_retained;
+    auto it = rings_.find(ue);
+    if (it == rings_.end()) return;
+    for (obs::Event& buffered : it->second.take()) keep(std::move(buffered));
+    rings_.erase(it);
+  }
+
+  void route(obs::Event e) {
+    if (retained_.count(e.ue) == 0) {
+      if (!is_trigger(e)) {
+        auto [it, inserted] = rings_.try_emplace(e.ue, policy_.ring_depth);
+        if (it->second.push(std::move(e))) ++stats_.events_aged_out;
+        return;
+      }
+      pin(e.ue);
+    }
+    keep(std::move(e));
+  }
+
+  void seal() {
+    for (auto& [ue, ring] : rings_) stats_.events_aged_out += ring.size();
+    rings_.clear();
+  }
+
+  const std::vector<obs::Event>& events() const { return events_; }
+  const obs::RetentionStats& stats() const { return stats_; }
+
+ private:
+  bool is_trigger(const obs::Event& e) const {
+    switch (e.kind) {
+      case obs::EventKind::kTerminalFailure:
+      case obs::EventKind::kPeerQuarantined:
+        return true;
+      case obs::EventKind::kSloAlert:
+        if (!e.ok) return true;
+        break;
+      default:
+        break;
+    }
+    return policy_.trigger != nullptr && policy_.trigger(e);
+  }
+
+  void keep(obs::Event e) {
+    ++stats_.events_retained;
+    stats_.bytes_retained += sizer_.add(e);
+    events_.push_back(std::move(e));
+  }
+
+  obs::RetentionPolicy policy_;
+  obs::RetentionStats stats_;
+  std::map<std::uint32_t, obs::Ring<obs::Event>> rings_;
+  std::set<std::uint32_t> retained_;
+  obs::TlvSizer sizer_;
+  std::vector<obs::Event> events_;
+};
+
+bool verdict_mismatch(const obs::Event& e) {
+  return e.kind == obs::EventKind::kDiagnosisVerdict && e.detail == "mismatch";
+}
+
+struct Recorder : obs::EventObserver {
+  void on_trace_event(const obs::Event& e) override { seen.push_back(e); }
+  std::vector<obs::Event> seen;
+};
+
+// Answers from inside the notification, as the health engine does: a
+// diagnosis raises a firing kSloAlert (a retention trigger) on the same
+// UE, a cache lookup a resolved one (not a trigger).
+struct Alerter : obs::EventObserver {
+  void on_trace_event(const obs::Event& e) override {
+    if (e.kind != obs::EventKind::kDiagnosisMade &&
+        e.kind != obs::EventKind::kCacheLookup) {
+      return;
+    }
+    obs::Event alert;
+    alert.kind = obs::EventKind::kSloAlert;
+    alert.ue = e.ue;
+    alert.ok = e.kind == obs::EventKind::kCacheLookup;
+    alert.detail = "recovery_p95 burn over budget in the long window";
+    obs::Tracer::instance().record_now(std::move(alert));
+  }
+};
+
+struct RetentionOp {
+  enum class Kind { kEmit, kPin, kSeal };
+  Kind kind = Kind::kEmit;
+  obs::Event event;       // kEmit
+  std::uint32_t ue = 0;   // kPin
+  sim::Duration advance{};
+};
+
+struct RetentionRun {
+  std::vector<obs::Event> events;
+  obs::RetentionStats stats;
+  std::vector<obs::Event> seen_first;  // observer registered first
+  std::vector<obs::Event> seen_last;   // registered after the Alerter
+  // Each pin or seal, with the number of events recorded before it.
+  std::vector<std::pair<std::size_t, RetentionOp>> marks;
+};
+
+RetentionRun run_tracer(const std::vector<RetentionOp>& ops,
+                        const std::optional<obs::RetentionPolicy>& policy) {
+  obs::Tracer& t = obs::Tracer::instance();
+  sim::TimePoint now = sim::kTimeZero;
+  t.enable(true);
+  t.clear();
+  t.reset_span_counter();
+  t.set_clock(&now);
+  if (policy) t.set_retention(*policy);
+  Recorder first;
+  Recorder last;
+  Alerter alerter;
+  t.add_observer(&first);
+  t.add_observer(&alerter);
+  t.add_observer(&last);
+  RetentionRun run;
+  for (const RetentionOp& op : ops) {
+    now += op.advance;
+    if (op.kind == RetentionOp::Kind::kEmit) {
+      t.record_now(op.event);
+      continue;
+    }
+    run.marks.emplace_back(first.seen.size(), op);
+    if (op.kind == RetentionOp::Kind::kPin) {
+      t.pin_ue(op.ue);
+    } else {
+      t.seal_retention();
+    }
+  }
+  t.seal_retention();
+  run.events = t.events();
+  run.stats = t.retention_stats();
+  run.seen_first = std::move(first.seen);
+  run.seen_last = std::move(last.seen);
+  t.remove_observer(&first);
+  t.remove_observer(&alerter);
+  t.remove_observer(&last);
+  t.clear_retention();
+  t.set_clock(nullptr);
+  t.enable(false);
+  t.clear();
+  t.reset_span_counter();
+  return run;
+}
+
+std::vector<RetentionOp> random_retention_ops(
+    sim::Rng& rng, const std::vector<std::uint32_t>& ues) {
+  const std::vector<std::string> details = {
+      "", "mismatch", "ok", "terminal: escalation ladder exhausted at B3"};
+  std::vector<RetentionOp> ops;
+  if (rng.chance(0.3)) {  // a pin before any event
+    RetentionOp pin;
+    pin.kind = RetentionOp::Kind::kPin;
+    pin.ue = rng.pick(ues);
+    ops.push_back(pin);
+  }
+  const auto n = rng.uniform_int(1, 300);
+  for (std::int64_t i = 0; i < n; ++i) {
+    RetentionOp op;
+    op.advance = sim::ms(rng.uniform_int(0, 40));
+    const double roll = rng.uniform();
+    if (roll < 0.03) {
+      op.kind = RetentionOp::Kind::kPin;
+      op.ue = rng.pick(ues);
+    } else if (roll < 0.04) {
+      op.kind = RetentionOp::Kind::kSeal;
+    } else {
+      obs::Event& e = op.event;
+      e.kind = static_cast<obs::EventKind>(rng.uniform_int(
+          0, static_cast<std::int64_t>(obs::kEventKindCount) - 1));
+      e.origin = static_cast<obs::Origin>(rng.uniform_int(0, 5));
+      e.ue = rng.pick(ues);
+      e.ok = rng.chance(0.5);
+      e.action = static_cast<std::uint8_t>(rng.uniform_int(0, 6));
+      e.cause = static_cast<std::uint8_t>(rng.uniform_int(0, 111));
+      e.detail = rng.pick(details);
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+// The dense per-UE slots route every stream exactly as the map/set
+// retention did: the same durable capture (ring history replayed ahead
+// of each trigger), the same budget, and observers — including one that
+// reentrantly raises a firing alert mid-notification — see the same
+// events as without retention.
+TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
+  sim::Rng rng(28001);
+  std::map<obs::EventKind, int> trigger_kinds;
+  int custom_triggers = 0;
+  for (int round = 0; round < 160; ++round) {
+    obs::RetentionPolicy policy;
+    const std::size_t depths[] = {0, 1, 3, 32};
+    policy.ring_depth = depths[round % 4];
+    if (rng.chance(0.5)) policy.trigger = &verdict_mismatch;
+    std::vector<std::uint32_t> ues = {0};
+    const auto n_ues = rng.uniform_int(1, 12);
+    for (std::int64_t i = 1; i <= n_ues; ++i) {
+      ues.push_back(static_cast<std::uint32_t>(i * 13));
+    }
+    if (rng.chance(0.5)) ues.push_back(1);
+    const std::vector<RetentionOp> ops = random_retention_ops(rng, ues);
+
+    const RetentionRun full = run_tracer(ops, std::nullopt);
+    const RetentionRun kept = run_tracer(ops, policy);
+    ASSERT_EQ(full.events, full.seen_first) << "round " << round;
+    ASSERT_EQ(kept.marks.size(), full.marks.size());
+
+    MapRetentionOracle oracle(policy);
+    std::size_t next_mark = 0;
+    for (std::size_t i = 0; i <= full.events.size(); ++i) {
+      for (; next_mark < full.marks.size() && full.marks[next_mark].first == i;
+           ++next_mark) {
+        const RetentionOp& op = full.marks[next_mark].second;
+        if (op.kind == RetentionOp::Kind::kPin) {
+          oracle.pin(op.ue);
+        } else {
+          oracle.seal();
+        }
+      }
+      if (i == full.events.size()) break;
+      const obs::Event& e = full.events[i];
+      if (e.kind == obs::EventKind::kTerminalFailure ||
+          e.kind == obs::EventKind::kPeerQuarantined ||
+          (e.kind == obs::EventKind::kSloAlert && !e.ok)) {
+        ++trigger_kinds[e.kind];
+      }
+      if (policy.trigger != nullptr && verdict_mismatch(e)) ++custom_triggers;
+      oracle.route(e);
+    }
+    oracle.seal();
+
+    EXPECT_EQ(kept.events, oracle.events()) << "round " << round;
+    EXPECT_EQ(kept.stats.events_retained, oracle.stats().events_retained);
+    EXPECT_EQ(kept.stats.events_aged_out, oracle.stats().events_aged_out);
+    EXPECT_EQ(kept.stats.bytes_retained, oracle.stats().bytes_retained);
+    EXPECT_EQ(kept.stats.ues_retained, oracle.stats().ues_retained);
+    EXPECT_EQ(kept.seen_first, full.seen_first) << "round " << round;
+    EXPECT_EQ(kept.seen_last, full.seen_last) << "round " << round;
+  }
+  // Every trigger kind fired somewhere in the sweep.
+  EXPECT_GT(trigger_kinds[obs::EventKind::kTerminalFailure], 0);
+  EXPECT_GT(trigger_kinds[obs::EventKind::kPeerQuarantined], 0);
+  EXPECT_GT(trigger_kinds[obs::EventKind::kSloAlert], 0);
+  EXPECT_GT(custom_triggers, 0);
+}
+
+// ------------------------------------------- health-window percentile
+
+// select_percentile must give Samples::percentile's value bit for bit:
+// the health engine's P50/P95 windows feed BENCH_health.json.
+TEST(PercentileProperty, SelectionMatchesSortedInterpolation) {
+  sim::Rng rng(28002);
+  for (int round = 0; round < 2000; ++round) {
+    const std::int64_t n = round < 40 ? 1 : rng.uniform_int(1, 300);
+    const bool few_distinct = rng.chance(0.5);  // many duplicates
+    metrics::Samples samples;
+    std::vector<double> values;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double v = few_distinct
+                           ? static_cast<double>(rng.uniform_int(0, 3))
+                           : rng.lognormal_median(120.0, 1.0);
+      samples.add(v);
+      values.push_back(v);
+    }
+    for (const double p : {0.0, 100.0, 50.0, 95.0, rng.uniform(0.0, 100.0)}) {
+      std::vector<double> scratch = values;
+      EXPECT_EQ(metrics::select_percentile(scratch, p), samples.percentile(p))
+          << "round " << round << " n " << n << " p " << p;
+    }
+  }
+}
+
+TEST(PercentileProperty, RejectsWhatSamplesRejects) {
+  std::vector<double> empty;
+  EXPECT_THROW(metrics::select_percentile(empty, 50), std::logic_error);
+  std::vector<double> one = {1.0};
+  EXPECT_THROW(metrics::select_percentile(one, -1), std::invalid_argument);
+  EXPECT_THROW(metrics::select_percentile(one, 100.5), std::invalid_argument);
 }
 
 }  // namespace
