@@ -1,6 +1,5 @@
 #include "device/device.h"
 
-#include "common/params.h"
 #include "obs/trace.h"
 #include "simcore/log.h"
 
@@ -45,8 +44,6 @@ Device::Device(sim::Simulator& sim, sim::Rng& rng, ran::Gnb& gnb,
                                                   *modem_);
   carrier_ = std::make_unique<android::CarrierApp>(
       *applet_, options.scheme == Scheme::kSeedR);
-  battery_ = std::make_unique<metrics::EnergyMeter>(
-      params::kBatteryCapacityMj);
 
   applet_->set_modem_control(modem_.get());
   applet_->set_recovery_probe([this] { return traffic_->path_healthy(); });
@@ -160,33 +157,6 @@ apps::App& Device::add_app(const apps::AppSpec& spec) {
   }
   app.start();
   return app;
-}
-
-void Device::start_battery_accounting(bool mobileinsight) {
-  battery_mobileinsight_ = mobileinsight;
-  if (battery_running_) return;
-  battery_running_ = true;
-  last_diag_count_ = applet_->stats().diags_received +
-                     applet_->stats().reports_received;
-  battery_tick();
-}
-
-void Device::battery_tick() {
-  if (!battery_running_) return;
-  battery_->charge("baseline", params::kBaselineDrawMw);  // 1 s of draw
-  if (battery_mobileinsight_) {
-    battery_->charge("mobileinsight", params::kMobileInsightMsgRateHz *
-                                          params::kMobileInsightMsgEnergyMj);
-  } else if (options_.scheme != Scheme::kLegacy) {
-    const std::uint64_t now_count = applet_->stats().diags_received +
-                                    applet_->stats().reports_received;
-    const std::uint64_t delta = now_count - last_diag_count_;
-    last_diag_count_ = now_count;
-    battery_->charge("seed_diagnosis",
-                     static_cast<double>(delta) *
-                         params::kSimDiagnosisEnergyMj);
-  }
-  sim_.schedule_after(sim::seconds(1), [this] { battery_tick(); });
 }
 
 }  // namespace seed::device

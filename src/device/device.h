@@ -1,5 +1,5 @@
 // A complete simulated 5G handset: SEED SIM applet + modem + Android OS
-// + carrier app + transport engine + apps + battery accounting.
+// + carrier app + transport engine + apps.
 #pragma once
 
 #include <memory>
@@ -9,7 +9,6 @@
 #include "android/android_os.h"
 #include "apps/app_model.h"
 #include "corenet/core_network.h"
-#include "metrics/meters.h"
 #include "modem/modem.h"
 #include "ran/gnb.h"
 #include "simapplet/applet.h"
@@ -47,7 +46,6 @@ class Device {
   android::AndroidOs& os() { return *android_; }
   android::CarrierApp& carrier_app() { return *carrier_; }
   transport::TrafficEngine& traffic() { return *traffic_; }
-  metrics::EnergyMeter& battery() { return *battery_; }
 
   /// Adds and starts an app; SEED schemes wire its report sink to the
   /// carrier app automatically.
@@ -72,13 +70,7 @@ class Device {
   bool degraded_to_legacy() const { return degraded_; }
   int watchdog_refires() const { return watchdog_refires_; }
 
-  /// Battery accounting: charges the baseline platform draw plus per-event
-  /// SIM diagnosis energy every second (Fig. 11b model). Optional
-  /// `mobileinsight` adds the diag-port decoder draw instead of SEED's.
-  void start_battery_accounting(bool mobileinsight = false);
-
  private:
-  void battery_tick();
   void arm_watchdog();
   void on_watchdog();
 
@@ -91,7 +83,6 @@ class Device {
   std::unique_ptr<transport::TrafficEngine> traffic_;
   std::unique_ptr<android::AndroidOs> android_;
   std::unique_ptr<android::CarrierApp> carrier_;
-  std::unique_ptr<metrics::EnergyMeter> battery_;
   std::vector<std::unique_ptr<apps::App>> apps_;
   std::uint64_t user_notifications_ = 0;
   // Recovery watchdog (only allocated/armed under chaos, so unhardened
@@ -100,9 +91,6 @@ class Device {
   int watchdog_refires_ = 0;
   bool degraded_ = false;
   bool data_loss_seen_ = false;
-  bool battery_running_ = false;
-  bool battery_mobileinsight_ = false;
-  std::uint64_t last_diag_count_ = 0;
 };
 
 }  // namespace seed::device

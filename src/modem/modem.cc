@@ -581,6 +581,17 @@ void Modem::on_downlink(BytesView wire) {
 
 // ------------------------------------------------- SEED ModemControl
 
+bool Modem::begin_reset(std::uint8_t action, std::string_view what,
+                        Done& done) {
+  // A1 is a SIM REFRESH; B1..B3 (codes 4..6) are AT commands.
+  if (action == 1) ++stats_.profile_reloads;
+  if (action >= 4) ++stats_.at_commands;
+  SLOG(kDebug, "modem") << "reset " << obs::action_code_name(action) << ": "
+                        << what;
+  done = trace_reset(action, std::move(done));
+  return chaos_intercept(action, done);
+}
+
 bool Modem::chaos_intercept(std::uint8_t action, Done& done) {
   if (chaos_ == nullptr || !chaos_->fail_reset(action)) return false;
   // The command returns ERROR after a short round trip and leaves the
@@ -593,41 +604,67 @@ bool Modem::chaos_intercept(std::uint8_t action, Done& done) {
   return true;
 }
 
+void Modem::drop_registration() {
+  mm_ = MmState::kIdle;
+  sessions_.clear();
+  have_guti_ = false;  // re-attach with a fresh SUCI (paper §4.4.1)
+  reg_attempts_ = 0;
+  notify_data_state();
+}
+
+void Modem::restore_data(Done done) {
+  establish_session(kDataPsi, dnn_, [done = std::move(done)](bool ok,
+                                                             std::uint8_t) {
+    if (done) done(ok);
+  });
+}
+
+void Modem::await_registration_then_data(Done done) {
+  reg_waiters_.push_back([this, done = std::move(done)](bool ok) {
+    if (!ok) {
+      if (done) done(false);
+      return;
+    }
+    restore_data(done);
+  });
+}
+
+void Modem::make_before_break(std::uint8_t companion, const std::string& dnn,
+                              Done done) {
+  establish_session(companion, dnn, [this, companion, done](bool ok,
+                                                            std::uint8_t) {
+    if (!ok) {
+      if (done) done(false);
+      return;
+    }
+    release_session(kDataPsi, [this, companion, done] {
+      restore_data([this, companion, done](bool ok2) {
+        release_session(companion, [done, ok2] {
+          if (done) done(ok2);
+        });
+      });
+    });
+  });
+}
+
 void Modem::refresh_profile(Done done) {
-  ++stats_.profile_reloads;
-  SLOG(kDebug, "modem") << "reset A1: SIM REFRESH, full re-attach";
-  done = trace_reset(1, std::move(done));
-  if (chaos_intercept(1, done)) return;
+  if (begin_reset(1, "SIM REFRESH, full re-attach", done)) return;
   sim_.schedule_after(params::kProfileReloadTime, [this, done] {
     const SimProfile& p = sim_card_.profile();
     plmn_ = p.preferred_plmn;
     dnn_ = p.dnn;
     pdu_type_ = p.pdu_type;
     snssai_ = p.snssai;
-    have_guti_ = false;  // refreshed identities (paper §4.4.1 A1)
-    mm_ = MmState::kIdle;
-    sessions_.clear();
-    reg_attempts_ = 0;
-    notify_data_state();
-    reg_waiters_.push_back([this, done](bool ok) {
-      if (!ok) {
-        if (done) done(false);
-        return;
-      }
-      establish_session(kDataPsi, dnn_, [done](bool ok2, std::uint8_t) {
-        if (done) done(ok2);
-      });
-    });
+    drop_registration();
+    await_registration_then_data(done);
     start_registration(/*fresh_search=*/true, false);
   });
 }
 
 void Modem::update_cplane_config(const nas::PlmnId& plmn, Done done) {
-  SLOG(kDebug, "modem") << "reset A2: c-plane config update";
   // Synchronous config write: the issue/complete pair collapses to one
   // instant.
-  done = trace_reset(2, std::move(done));
-  if (chaos_intercept(2, done)) return;
+  if (begin_reset(2, "c-plane config update", done)) return;
   plmn_ = plmn;
   if (done) done(true);
 }
@@ -638,9 +675,7 @@ void Modem::update_slice(const nas::SNssai& snssai) {
 
 void Modem::update_dplane_config(const std::string& dnn,
                                  std::optional<nas::Ipv4> dns, Done done) {
-  SLOG(kDebug, "modem") << "reset A3: d-plane config update via carrier app";
-  done = trace_reset(3, std::move(done));
-  if (chaos_intercept(3, done)) return;
+  if (begin_reset(3, "d-plane config update via carrier app", done)) return;
   sim_.schedule_after(params::kCarrierConfigUpdateTime, [this, dnn, dns,
                                                          done] {
     if (!dnn.empty()) dnn_ = dnn;
@@ -652,80 +687,34 @@ void Modem::update_dplane_config(const std::string& dnn,
       return;
     }
     if (!active) {
-      establish_session(kDataPsi, dnn_, [done](bool ok, std::uint8_t) {
-        if (done) done(ok);
-      });
+      restore_data(done);
       return;
     }
-    // Make-before-break restart so the last radio bearer never drops:
-    // bring up a swap session, cycle DATA, drop the swap session.
-    establish_session(kSwapPsi, dnn_, [this, done](bool ok, std::uint8_t) {
-      if (!ok) {
-        if (done) done(false);
-        return;
-      }
-      release_session(kDataPsi, [this, done] {
-        establish_session(kDataPsi, dnn_, [this, done](bool ok2,
-                                                       std::uint8_t) {
-          release_session(kSwapPsi, [done, ok2] {
-            if (done) done(ok2);
-          });
-        });
-      });
-    });
+    // Make-before-break restart so the last radio bearer never drops.
+    make_before_break(kSwapPsi, dnn_, done);
   });
 }
 
 void Modem::at_modem_reset(Done done) {
-  ++stats_.at_commands;
-  SLOG(kDebug, "modem") << "reset B1: AT+CFUN modem reset";
-  done = trace_reset(4, std::move(done));
-  if (chaos_intercept(4, done)) return;
-  mm_ = MmState::kIdle;
-  sessions_.clear();
-  have_guti_ = false;
-  reg_attempts_ = 0;
+  if (begin_reset(4, "AT+CFUN modem reset", done)) return;
   t3510_.cancel();
   t3511_.cancel();
   t3502_.cancel();
   t3580_.cancel();
-  notify_data_state();
+  drop_registration();
   sim_.schedule_after(params::kModemRebootTime, [this, done] {
     const SimProfile& p = sim_card_.profile();
     plmn_ = p.preferred_plmn;
     dnn_ = p.dnn;
-    reg_waiters_.push_back([this, done](bool ok) {
-      if (!ok) {
-        if (done) done(false);
-        return;
-      }
-      establish_session(kDataPsi, dnn_, [done](bool ok2, std::uint8_t) {
-        if (done) done(ok2);
-      });
-    });
+    await_registration_then_data(done);
     start_registration(/*fresh_search=*/true, false);
   });
 }
 
 void Modem::at_reattach(Done done) {
-  ++stats_.at_commands;
-  SLOG(kDebug, "modem") << "reset B2: AT+CGATT detach/attach";
-  done = trace_reset(5, std::move(done));
-  if (chaos_intercept(5, done)) return;
-  mm_ = MmState::kIdle;
-  sessions_.clear();
-  have_guti_ = false;
-  reg_attempts_ = 0;
-  notify_data_state();
-  reg_waiters_.push_back([this, done](bool ok) {
-    if (!ok) {
-      if (done) done(false);
-      return;
-    }
-    establish_session(kDataPsi, dnn_, [done](bool ok2, std::uint8_t) {
-      if (done) done(ok2);
-    });
-  });
+  if (begin_reset(5, "AT+CGATT detach/attach", done)) return;
+  drop_registration();
+  await_registration_then_data(std::move(done));
   // AT+CGATT: detach/attach cycle; the modem stays camped (no re-search).
   sim_.schedule_after(params::kAtReattachLatency, [this] {
     start_registration(/*fresh_search=*/false, false);
@@ -775,17 +764,12 @@ void Modem::ReportLink::done(bool ok) const {
 }
 
 void Modem::at_dplane_modify(const std::string& dnn, Done done) {
-  ++stats_.at_commands;
-  SLOG(kDebug, "modem") << "reset B3: AT+CGDCONT d-plane modification";
-  done = trace_reset(6, std::move(done));
-  if (chaos_intercept(6, done)) return;
+  if (begin_reset(6, "AT+CGDCONT d-plane modification", done)) return;
   // AT+CGDCONT + context re-activation processing under root.
   if (!dnn.empty()) dnn_ = dnn;
   sim_.schedule_after(sim::ms(350), [this, done] {
     if (!data_connected()) {
-      establish_session(kDataPsi, dnn_, [done](bool ok, std::uint8_t) {
-        if (done) done(ok);
-      });
+      restore_data(done);
       return;
     }
     nas::PduSessionModificationRequest req;
@@ -799,27 +783,11 @@ void Modem::at_dplane_modify(const std::string& dnn, Done done) {
 }
 
 void Modem::fast_dplane_reset(Done done) {
-  ++stats_.at_commands;
-  SLOG(kDebug, "modem") << "reset B3: fast d-plane reset (DIAG swap)";
-  done = trace_reset(6, std::move(done));
-  if (chaos_intercept(6, done)) return;
-  // Fig. 6: DIAG session up -> DATA released -> DATA re-established ->
-  // DIAG released. The gNB keeps >= 1 bearer throughout, so no reattach.
+  if (begin_reset(6, "fast d-plane reset (DIAG swap)", done)) return;
+  // Fig. 6 with DIAG as the companion session: the gNB keeps >= 1 bearer
+  // throughout, so no reattach.
   sim_.schedule_after(params::kFastDplaneResetOverhead, [this, done] {
-    establish_session(kDiagPsi, "DIAG", [this, done](bool ok, std::uint8_t) {
-      if (!ok) {
-        if (done) done(false);
-        return;
-      }
-      release_session(kDataPsi, [this, done] {
-        establish_session(kDataPsi, dnn_, [this, done](bool ok2,
-                                                       std::uint8_t) {
-          release_session(kDiagPsi, [done, ok2] {
-            if (done) done(ok2);
-          });
-        });
-      });
-    });
+    make_before_break(kDiagPsi, "DIAG", done);
   });
 }
 

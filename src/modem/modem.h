@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -168,10 +169,21 @@ class Modem : public ModemControl {
   void handle_auth_request(const nas::AuthenticationRequest& m);
   void deliver_auth(const nas::AuthenticationRequest& m);
 
-  // chaos hooks
-  /// True when the chaos engine failed the reset action; `done` is
-  /// consumed (scheduled with false).
+  // reset building blocks shared by the ModemControl commands
+  /// Counts, logs and traces reset `action`, then lets chaos fail it. True
+  /// when the command already ended (`done` consumed, scheduled false).
+  bool begin_reset(std::uint8_t action, std::string_view what, Done& done);
   bool chaos_intercept(std::uint8_t action, Done& done);
+  /// Forgets the registration, its sessions and the cached GUTI.
+  void drop_registration();
+  /// Brings DATA up (registering first if needed) and reports it.
+  void restore_data(Done done);
+  /// On the next registration outcome: restore DATA, or done(false).
+  void await_registration_then_data(Done done);
+  /// Fig. 6 make-before-break: `companion` up, DATA cycled, `companion`
+  /// released, so the gNB never drops its last bearer.
+  void make_before_break(std::uint8_t companion, const std::string& dnn,
+                         Done done);
 
   /// The modem end of the report uplink (FragmentSender link).
   struct ReportLink {

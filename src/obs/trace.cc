@@ -344,10 +344,12 @@ void Tracer::set_clock(const sim::TimePoint* now) {
 
 SpanId Tracer::begin_span() {
   active_span_ = next_span_++;
+  causal_ = CausalState{};
   return active_span_;
 }
 
-std::uint64_t Tracer::parent_for(const Event& e, const CausalState& st) const {
+std::uint64_t Tracer::parent_for(const Event& e) const {
+  const CausalState& st = causal_;
   // Cascade of causal anchors, most specific first. Every rule falls
   // back to the span's last structural event, so even an emit sequence
   // the rules never anticipated still forms one connected tree.
@@ -387,7 +389,8 @@ std::uint64_t Tracer::parent_for(const Event& e, const CausalState& st) const {
   }
 }
 
-void Tracer::advance_causal(const Event& e, CausalState& st) {
+void Tracer::advance_causal(const Event& e) {
+  CausalState& st = causal_;
   switch (e.kind) {
     case EventKind::kFailureInjected:
       if (st.injected == 0) st.injected = e.seq;
@@ -423,16 +426,15 @@ void Tracer::advance_causal(const Event& e, CausalState& st) {
 void Tracer::record_now(Event e) {
   if (!enabled_) return;
   if (e.kind == EventKind::kFailureInjected) begin_span();
-  if (e.span == 0) e.span = active_span_;
+  e.span = active_span_;
   e.at_us = now_ ? now_->time_since_epoch().count() : 0;
   if (e.ue == 0 && ue_source_ != nullptr) e.ue = *ue_source_;
   if (e.label == 0 && label_source_ != nullptr) e.label = *label_source_;
   if (e.action != 0 && e.tier == 0) e.tier = tier_of_action(e.action);
   e.seq = next_seq_++;
   if (e.span != 0) {
-    CausalState& st = causal_[e.span];
-    if (e.parent == 0) e.parent = parent_for(e, st);
-    advance_causal(e, st);
+    if (e.parent == 0) e.parent = parent_for(e);
+    advance_causal(e);
   }
   if (retention_ != nullptr) {
     // Route BEFORE notifying so that when an observer reacts to this
@@ -462,7 +464,7 @@ void Tracer::clear() {
   // Span ids stay monotonic across clear() so that exports taken before
   // and after a clear can be concatenated and still assemble correctly.
   events_.clear();
-  causal_.clear();
+  causal_ = CausalState{};
   active_span_ = 0;
   // Retention stays armed but starts a fresh capture: rings, the
   // retained-UE set, the intern table, and the budget all reset.

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -282,8 +281,8 @@ class Tracer {
   SpanId active_span() const { return active_span_; }
 
   /// Records `e`, stamping the current simulated time and the active
-  /// span (unless the event carries its own). kFailureInjected events
-  /// implicitly begin a new span.
+  /// span (any span the event carries is overwritten). kFailureInjected
+  /// events implicitly begin a new span.
   void record_now(Event e);
 
   const std::vector<Event>& events() const { return events_; }
@@ -364,7 +363,9 @@ class Tracer {
                               const std::vector<LifecycleTree>& trees);
 
  private:
-  /// Per-span causal frontier driving parent assignment in record_now.
+  /// The active span's causal frontier driving parent assignment in
+  /// record_now. Only the active span ever records, so one frontier,
+  /// reset by begin_span() and clear(), serves every span.
   struct CausalState {
     std::uint64_t injected = 0;
     std::uint64_t detected = 0;
@@ -377,8 +378,8 @@ class Tracer {
     std::uint64_t pending_reset_parent = 0;
     std::uint64_t last = 0;  // last non-log event in the span
   };
-  std::uint64_t parent_for(const Event& e, const CausalState& st) const;
-  void advance_causal(const Event& e, CausalState& st);
+  std::uint64_t parent_for(const Event& e) const;
+  void advance_causal(const Event& e);
 
   /// Retention state lives behind a pointer (defined in trace.cc): it
   /// owns a TlvSizer, and trace_binary.h includes this header.
@@ -395,7 +396,7 @@ class Tracer {
   std::uint64_t next_seq_ = 1;
   SpanId active_span_ = 0;
   std::vector<Event> events_;
-  std::map<SpanId, CausalState> causal_;
+  CausalState causal_;
   std::vector<EventObserver*> observers_;
   std::unique_ptr<RetentionState> retention_;
 };

@@ -212,14 +212,18 @@ void SeedApplet::execute_plan(core::HandlingPlan plan, std::uint8_t cause) {
   }
 }
 
-bool SeedApplet::rate_limited(proto::ResetAction a) const {
+bool SeedApplet::admit_action(proto::ResetAction a) {
   const auto it = last_action_time_.find(a);
-  return it != last_action_time_.end() &&
-         sim_.now() - it->second < params::kSeedActionRateLimit;
-}
-
-void SeedApplet::charge_rate_limit(proto::ResetAction a) {
+  if (it != last_action_time_.end() &&
+      sim_.now() - it->second < params::kSeedActionRateLimit) {
+    ++stats_.actions_rate_limited;
+    obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
+              {.action = static_cast<std::uint8_t>(a)});
+    return false;
+  }
+  ++stats_.actions_run;
   last_action_time_[a] = sim_.now();
+  return true;
 }
 
 void SeedApplet::refund_rate_limit(proto::ResetAction a,
@@ -268,18 +272,13 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     plan_in_flight_ = false;
     return;
   }
-  if (rate_limited(action)) {
-    ++stats_.actions_rate_limited;
-    obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
-              {.action = static_cast<std::uint8_t>(action)});
+  if (!admit_action(action)) {
     run_actions(std::move(actions), idx + 1, 1, learning, cause, escalated);
     return;
   }
-  ++stats_.actions_run;
   SLOG(kInfo, "applet") << "reset action " << proto::reset_action_name(action)
                         << (attempt > 1 ? " (retry)" : "");
   const auto issued_at = sim_.now();
-  charge_rate_limit(action);
 
   const std::uint64_t epoch = ++action_epoch_;
   auto complete = [this, actions, idx, attempt, learning, cause, escalated,
@@ -454,22 +453,13 @@ void SeedApplet::send_report_uplink(const proto::FailureReport& report) {
       // command); if service is still down, run the Fig. 6 fast reset.
       sim_.schedule_after(sim::ms(120), [this] {
         if (recovery_probe_ && recovery_probe_()) return;
-        if (!rate_limited(proto::ResetAction::kB3DPlaneReset)) {
-          ++stats_.actions_run;
-          const auto issued_at = sim_.now();
-          charge_rate_limit(proto::ResetAction::kB3DPlaneReset);
-          control_->fast_dplane_reset([this, issued_at](bool ok) {
-            if (!ok) {
-              refund_rate_limit(proto::ResetAction::kB3DPlaneReset,
-                                issued_at);
-            }
-          });
-        } else {
-          ++stats_.actions_rate_limited;
-          obs::emit(obs::EventKind::kRateLimited, obs::Origin::kSim,
-                    {.action = static_cast<std::uint8_t>(
-                         proto::ResetAction::kB3DPlaneReset)});
-        }
+        if (!admit_action(proto::ResetAction::kB3DPlaneReset)) return;
+        const auto issued_at = sim_.now();
+        control_->fast_dplane_reset([this, issued_at](bool ok) {
+          if (!ok) {
+            refund_rate_limit(proto::ResetAction::kB3DPlaneReset, issued_at);
+          }
+        });
       });
     });
   });

@@ -130,8 +130,10 @@ class SeedApplet : public modem::SimCard {
                    bool escalated);
   void issue_action(proto::ResetAction action,
                     modem::ModemControl::Done done);
-  bool rate_limited(proto::ResetAction a) const;
-  void charge_rate_limit(proto::ResetAction a);
+  /// The §4.4.2 per-action rate limit: a repeat within the window is
+  /// counted and traced as rate-limited (false); otherwise the action is
+  /// counted as run and charged (true).
+  bool admit_action(proto::ResetAction a);
   void refund_rate_limit(proto::ResetAction a, sim::TimePoint issued_at);
   void send_report_uplink(const proto::FailureReport& report);
 

@@ -2,50 +2,10 @@
 
 #include <sstream>
 
-#include "metrics/meters.h"
 #include "metrics/table.h"
 
 namespace seed::metrics {
 namespace {
-
-TEST(EnergyMeter, ChargesAccumulatePerOp) {
-  EnergyMeter m(1000.0);
-  m.charge("baseline", 100.0);
-  m.charge("baseline", 100.0);
-  m.charge("diag", 50.0);
-  EXPECT_DOUBLE_EQ(m.total_mj(), 250.0);
-  EXPECT_DOUBLE_EQ(m.by_op_mj("baseline"), 200.0);
-  EXPECT_DOUBLE_EQ(m.by_op_mj("diag"), 50.0);
-  EXPECT_DOUBLE_EQ(m.by_op_mj("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(m.battery_fraction_used(), 0.25);
-}
-
-TEST(EnergyMeter, ZeroCapacityReportsZeroFractionUsed) {
-  EnergyMeter m(0.0);
-  m.charge("baseline", 100.0);
-  EXPECT_DOUBLE_EQ(m.total_mj(), 100.0);
-  EXPECT_DOUBLE_EQ(m.battery_fraction_used(), 0.0);
-}
-
-TEST(CpuMeter, UtilizationAgainstCoreBudget) {
-  CpuMeter m(8);
-  m.charge("proc", 4.0);  // 4 core-seconds
-  EXPECT_DOUBLE_EQ(m.utilization(1.0), 0.5);   // 4 of 8 core-s in 1 s
-  EXPECT_DOUBLE_EQ(m.utilization(2.0), 0.25);
-  EXPECT_DOUBLE_EQ(m.by_op_core_seconds("proc"), 4.0);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.busy_core_seconds(), 0.0);
-}
-
-TEST(CpuMeter, DegenerateUtilizationInputsReturnZero) {
-  CpuMeter m(8);
-  m.charge("proc", 4.0);
-  EXPECT_DOUBLE_EQ(m.utilization(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.utilization(-1.0), 0.0);
-  CpuMeter no_cores(0);
-  no_cores.charge("proc", 4.0);
-  EXPECT_DOUBLE_EQ(no_cores.utilization(1.0), 0.0);
-}
 
 TEST(Table, FormatsAlignedColumns) {
   Table t({"A", "Long header"});

@@ -2,6 +2,9 @@
 // transport, apps, device) driven through the Testbed wiring.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "apps/app_model.h"
 #include "common/params.h"
 #include "testbed/testbed.h"
@@ -65,20 +68,74 @@ TEST(ModemSystem, StickyIdentityAblation) {
   EXPECT_LT(out.disruption_s, 2.0 * sim::to_seconds(params::kT3511));
 }
 
+// A3 and fast B3 share one make-before-break chain (Fig. 6): the
+// companion session (swap PSI / DIAG) keeps the UE context, so neither
+// re-registers, and each ends with only DATA up.
 TEST(ModemSystem, Fig6KeepsRegistrationAcrossDataReset) {
-  Testbed tb(104, Scheme::kSeedR);
-  tb.bring_up();
-  const corenet::UeId ue = tb.dev().ue_id();
-  const std::uint64_t gen_before = tb.core().registration_generation(ue);
-  bool done = false;
-  tb.dev().modem().fast_dplane_reset([&done](bool ok) { done = ok; });
-  ASSERT_TRUE(tb.simulator().poll_until(
-      [&done] { return done; }, sim::ms(50),
-      tb.simulator().now() + sim::minutes(5)));
-  // The DIAG companion bearer kept the UE context: no re-registration.
-  EXPECT_EQ(tb.core().registration_generation(ue), gen_before);
-  EXPECT_TRUE(tb.dev().modem().data_connected());
-  EXPECT_TRUE(tb.core().device_registered(ue));
+  for (const bool fast_b3 : {true, false}) {
+    SCOPED_TRACE(fast_b3 ? "B3 fast reset" : "A3 d-plane config update");
+    Testbed tb(104, Scheme::kSeedR);
+    tb.bring_up();
+    const corenet::UeId ue = tb.dev().ue_id();
+    const std::uint64_t gen_before = tb.core().registration_generation(ue);
+    modem::Modem& m = tb.dev().modem();
+    std::optional<bool> done;
+    const auto record = [&done](bool ok) { done = ok; };
+    if (fast_b3) {
+      m.fast_dplane_reset(record);
+    } else {
+      m.update_dplane_config(m.dnn(), std::nullopt, record);
+    }
+    ASSERT_TRUE(tb.simulator().poll_until(
+        [&done] { return done.has_value(); }, sim::ms(50),
+        tb.simulator().now() + sim::minutes(5)));
+    EXPECT_TRUE(*done);
+    tb.simulator().run_for(sim::seconds(1));
+    EXPECT_EQ(tb.core().registration_generation(ue), gen_before);
+    EXPECT_TRUE(tb.core().device_registered(ue));
+    EXPECT_TRUE(m.data_connected());
+    EXPECT_TRUE(tb.core().session_active(ue, modem::Modem::kDataPsi));
+    EXPECT_FALSE(tb.core().session_active(ue, modem::Modem::kDiagPsi));
+    EXPECT_FALSE(tb.core().session_active(ue, modem::Modem::kSwapPsi));
+    EXPECT_EQ(tb.gnb(0).bearer_count(), 1u);
+  }
+}
+
+// A1, B1 and B2 drop the registration and report through one
+// re-register-then-DATA waiter: done(false) when the re-registration is
+// rejected, done(true) only once DATA is back.
+TEST(ModemSystem, ReregisteringResetsReportRejectAndDataRestore) {
+  using Command = void (modem::Modem::*)(modem::ModemControl::Done);
+  const Command commands[] = {&modem::Modem::refresh_profile,
+                              &modem::Modem::at_modem_reset,
+                              &modem::Modem::at_reattach};
+  const char* const names[] = {"A1", "B1", "B2"};
+  for (int i = 0; i < 3; ++i) {
+    const Command cmd = commands[i];
+    for (const bool authorized : {true, false}) {
+      SCOPED_TRACE(std::string(names[i]) +
+                   (authorized ? " authorized" : " unauthorized"));
+      Testbed tb(106, Scheme::kLegacy);
+      tb.secondary_congestion_prob = 0;
+      tb.bring_up();
+      if (!authorized) {
+        tb.inject_cp(tb.dev().ue_id(), CpFailure::kUnauthorized);
+      }
+      modem::Modem& m = tb.dev().modem();
+      std::optional<bool> done;
+      bool data_at_done = false;
+      (m.*cmd)([&](bool ok) {
+        done = ok;
+        data_at_done = m.data_connected();
+      });
+      ASSERT_TRUE(tb.simulator().poll_until(
+          [&done] { return done.has_value(); }, sim::ms(50),
+          tb.simulator().now() + sim::minutes(5)));
+      EXPECT_EQ(*done, authorized);
+      EXPECT_EQ(data_at_done, authorized);
+      EXPECT_EQ(m.registered(), authorized);
+    }
+  }
 }
 
 TEST(ModemSystem, NaiveDataResetWithoutDiagSessionLosesContext) {
@@ -282,18 +339,6 @@ TEST(AppsSystem, AppsReportFailuresThroughCarrierApp) {
 }
 
 // ------------------------------------------------------------------ device
-
-TEST(DeviceSystem, BatteryAccountingAccumulates) {
-  Testbed tb(117, Scheme::kSeedU);
-  tb.bring_up();
-  tb.dev().start_battery_accounting();
-  tb.simulator().run_for(sim::minutes(5));
-  const double five_min = tb.dev().battery().battery_fraction_used();
-  EXPECT_GT(five_min, 0.0);
-  tb.simulator().run_for(sim::minutes(5));
-  EXPECT_NEAR(tb.dev().battery().battery_fraction_used(), 2 * five_min,
-              0.1 * five_min);
-}
 
 TEST(DeviceSystem, SchemeNamesStable) {
   EXPECT_EQ(device::scheme_name(Scheme::kLegacy), "Legacy");
