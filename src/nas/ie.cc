@@ -1,5 +1,6 @@
 #include "nas/ie.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
@@ -249,6 +250,18 @@ std::optional<Dnn> Dnn::decode(Reader& r) {
 
 // --------------------------------------------------------------- sessions
 
+void Ipv4::encode(Writer& w) const {
+  w.raw(BytesView(octets.data(), octets.size()));
+}
+
+std::optional<Ipv4> Ipv4::decode(Reader& r) {
+  const BytesView a = r.raw(4);
+  if (!r.ok()) return std::nullopt;
+  Ipv4 ip;
+  std::copy(a.begin(), a.end(), ip.octets.begin());
+  return ip;
+}
+
 std::string Ipv4::to_string() const {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", octets[0], octets[1],
@@ -299,7 +312,7 @@ void PacketFilter::encode(Writer& w) const {
   }
   if (remote_addr) {
     w.u8(kCompRemoteAddr);
-    w.raw(BytesView(remote_addr->octets.data(), remote_addr->octets.size()));
+    remote_addr->encode(w);
   }
   if (remote_port_lo) {
     w.u8(kCompPortRange);
@@ -336,14 +349,11 @@ std::optional<PacketFilter> PacketFilter::decode(Reader& r) {
         break;
       }
       case kCompRemoteAddr: {
-        const BytesView a = cr.raw(4);
-        if (!cr.ok()) {
+        f.remote_addr = Ipv4::decode(cr);
+        if (!f.remote_addr) {
           r.fail();
           return std::nullopt;
         }
-        Ipv4 ip;
-        for (std::size_t i = 0; i < 4; ++i) ip.octets[i] = a[i];
-        f.remote_addr = ip;
         break;
       }
       case kCompPortRange: {

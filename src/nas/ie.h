@@ -134,6 +134,9 @@ enum class SscMode : std::uint8_t { kMode1 = 1, kMode2 = 2, kMode3 = 3 };
 struct Ipv4 {
   std::array<std::uint8_t, 4> octets{};
   auto operator<=>(const Ipv4&) const = default;
+
+  void encode(Writer& w) const;  // the four octets
+  static std::optional<Ipv4> decode(Reader& r);
   std::string to_string() const;
   static Ipv4 from_string(std::string_view dotted);  // throws on bad input
 };

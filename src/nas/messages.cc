@@ -1,6 +1,8 @@
 #include "nas/messages.h"
 
+#include <algorithm>
 #include <type_traits>
+#include <utility>
 
 #include "obs/prof.h"
 
@@ -20,506 +22,315 @@ constexpr std::uint8_t kIeiQos = 0x79;
 constexpr std::uint8_t kIeiDns = 0x39;
 constexpr std::uint8_t kIeiBackoff = 0x37;
 
-void write_mm_header(Writer& w, MsgType t) {
-  w.u8(kEpd5gmm);
-  w.u8(0);  // plain security header
-  w.u8(static_cast<std::uint8_t>(t));
+/// One optional IE of a message's TLV tail.
+template <typename T>
+struct Tlv {
+  std::uint8_t tag;
+  std::optional<T>& value;
+};
+
+// ------------------------------------------------------------ field lists
+//
+// Each body is stated once, as a walk over its fields that the Encoder
+// and the Decoder below both run:
+//   u8(v, lo, hi)   one octet (bool, enum or integer), valid in [lo, hi]
+//   field(v)        an IE, a u32 or a fixed byte array
+//   list(v)         a u8 count, then that many IEs
+//   lv8(b, lo, hi)  a u8 length in [lo, hi], then that many octets
+//   tail(Tlv{tag, opt}...)  the optional IEs as (tag, lv8) TLVs
+
+template <typename Io>
+void fields(Io& io, RegistrationRequest& m) {
+  io.field(m.identity);
+  io.u8(m.follow_on_request, 0, 1);
+  io.list(m.requested_nssai);
+  io.tail(Tlv{kIeiLastVisitedTai, m.last_visited_tai});
 }
 
-void write_sm_header(Writer& w, const SmHeader& h, MsgType t) {
-  w.u8(kEpd5gsm);
-  w.u8(h.pdu_session_id);
-  w.u8(h.pti);
-  w.u8(static_cast<std::uint8_t>(t));
+template <typename Io>
+void fields(Io& io, RegistrationAccept& m) {
+  io.field(m.guti);
+  io.list(m.tai_list);
+  io.list(m.allowed_nssai);
+  io.field(m.t3512_seconds);
 }
+
+template <typename Io>
+void fields(Io& io, RegistrationReject& m) {
+  io.u8(m.cause);
+  io.tail(Tlv{kIeiT3502, m.t3502_seconds});
+}
+
+template <typename Io>
+void fields(Io& io, DeregistrationRequest& m) {
+  io.u8(m.switch_off, 0, 1);
+}
+
+template <typename Io>
+void fields(Io& io, ServiceRequest& m) {
+  io.u8(m.service_type, 0, 1);
+}
+
+template <typename Io>
+void fields(Io& io, ServiceReject& m) {
+  io.u8(m.cause);
+}
+
+template <typename Io>
+void fields(Io& io, AuthenticationRequest& m) {
+  io.u8(m.ngksi, 0, 7);
+  io.field(m.rand);
+  io.field(m.autn);
+}
+
+template <typename Io>
+void fields(Io& io, AuthenticationResponse& m) {
+  io.lv8(m.res, 4, 16);
+}
+
+template <typename Io>
+void fields(Io& io, AuthenticationFailure& m) {
+  io.u8(m.cause);
+  io.tail(Tlv{kIeiAuts, m.auts});
+}
+
+template <typename Io>
+void fields(Io& io, SecurityModeCommand& m) {
+  io.u8(m.ea, 0, 3);
+  io.u8(m.ia, 0, 3);
+}
+
+template <typename Io>
+void fields(Io& io, ConfigurationUpdateCommand& m) {
+  io.list(m.tai_list);
+  io.tail(Tlv{kIeiGuti, m.guti});
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionEstablishmentRequest& m) {
+  io.u8(m.type, 1, 5);
+  io.u8(m.ssc, 1, 3);
+  io.field(m.dnn);
+  io.tail(Tlv{kIeiSnssai, m.snssai});
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionEstablishmentAccept& m) {
+  io.u8(m.type, 1, 5);
+  io.field(m.ue_addr);
+  io.field(m.dns_addr);
+  io.field(m.qos);
+  io.tail(Tlv{kIeiTft, m.tft});
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionEstablishmentReject& m) {
+  io.u8(m.cause);
+  io.tail(Tlv{kIeiBackoff, m.backoff_seconds});
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionModificationRequest& m) {
+  io.tail(Tlv{kIeiTft, m.tft}, Tlv{kIeiQos, m.qos});
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionModificationReject& m) {
+  io.u8(m.cause);
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionModificationCommand& m) {
+  io.tail(Tlv{kIeiTft, m.tft}, Tlv{kIeiQos, m.qos}, Tlv{kIeiDns, m.dns_addr});
+}
+
+template <typename Io>
+void fields(Io& io, PduSessionReleaseCommand& m) {
+  io.u8(m.cause);
+}
+
+// Bodies with no fields: anything after the header is trailing garbage.
+template <typename Io> void fields(Io&, ServiceAccept&) {}
+template <typename Io> void fields(Io&, AuthenticationReject&) {}
+template <typename Io> void fields(Io&, SecurityModeComplete&) {}
+template <typename Io> void fields(Io&, PduSessionReleaseRequest&) {}
+template <typename Io> void fields(Io&, PduSessionReleaseComplete&) {}
+
+// ---------------------------------------------------------------- walkers
 
 template <typename T>
-void encode_ie_tlv(Writer& w, std::uint8_t tag, const T& ie) {
-  const std::size_t value = w.tlv8_begin(tag);
-  ie.encode(w);
-  w.lv8_end(value);
+inline constexpr bool kByteArray = false;
+template <std::size_t N>
+inline constexpr bool kByteArray<std::array<std::uint8_t, N>> = true;
+
+template <typename T>
+void put(Writer& w, const T& v) {
+  if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w.u32(v);
+  } else if constexpr (kByteArray<T>) {
+    w.raw(BytesView(v.data(), v.size()));
+  } else {
+    v.encode(w);
+  }
 }
 
-void encode_u32_tlv(Writer& w, std::uint8_t tag, std::uint32_t v) {
-  w.u8(tag);
-  w.u8(4);
-  w.u32(v);
-}
-
-// Iterates the optional-TLV tail; `handler(tag, Reader&)` returns false on
-// unknown tag or parse error.
-template <typename Handler>
-bool parse_tlvs(Reader& r, Handler&& handler) {
-  while (r.ok() && r.remaining() > 0) {
-    const std::uint8_t tag = r.u8();
-    const BytesView value = r.lv8();
-    if (!r.ok()) return false;
-    Reader vr(value);
-    if (!handler(tag, vr)) return false;
-    if (!vr.done()) return false;  // value must be fully consumed
+// Reads one value into `v`. On failure the reader is failed: as truncated
+// when the input ran out, explicitly when a value was invalid.
+template <typename T>
+bool get(Reader& r, T& v) {
+  if constexpr (std::is_same_v<T, std::uint32_t>) {
+    v = r.u32();
+  } else if constexpr (kByteArray<T>) {
+    const BytesView b = r.raw(v.size());
+    std::copy(b.begin(), b.end(), v.begin());
+  } else if (auto d = T::decode(r)) {
+    v = std::move(*d);
+  } else {
+    r.fail();
   }
   return r.ok();
 }
 
-// ---------------------------------------------------------------- bodies
+class Encoder {
+ public:
+  explicit Encoder(Writer& w) : w_(w) {}
 
-void encode_body(Writer& w, const RegistrationRequest& m) {
-  m.identity.encode(w);
-  w.u8(m.follow_on_request ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(m.requested_nssai.size()));
-  for (const auto& s : m.requested_nssai) s.encode(w);
-  if (m.last_visited_tai) encode_ie_tlv(w, kIeiLastVisitedTai, *m.last_visited_tai);
-}
-
-std::optional<RegistrationRequest> decode_registration_request(Reader& r) {
-  RegistrationRequest m;
-  const auto id = MobileIdentity::decode(r);
-  if (!id) return std::nullopt;
-  m.identity = *id;
-  const std::uint8_t follow = r.u8();
-  if (follow > 1) return std::nullopt;
-  m.follow_on_request = follow == 1;
-  const std::uint8_t n = r.u8();
-  for (std::uint8_t i = 0; r.ok() && i < n; ++i) {
-    const auto s = SNssai::decode(r);
-    if (!s) return std::nullopt;
-    m.requested_nssai.push_back(*s);
+  template <typename T>
+  void u8(T v, std::uint8_t = 0, std::uint8_t = 0xff) {
+    w_.u8(static_cast<std::uint8_t>(v));
   }
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiLastVisitedTai) {
-      const auto t = Tai::decode(vr);
-      if (!t) return false;
-      m.last_visited_tai = *t;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const RegistrationAccept& m) {
-  m.guti.encode(w);
-  w.u8(static_cast<std::uint8_t>(m.tai_list.size()));
-  for (const auto& t : m.tai_list) t.encode(w);
-  w.u8(static_cast<std::uint8_t>(m.allowed_nssai.size()));
-  for (const auto& s : m.allowed_nssai) s.encode(w);
-  w.u32(m.t3512_seconds);
-}
-
-std::optional<RegistrationAccept> decode_registration_accept(Reader& r) {
-  RegistrationAccept m;
-  const auto g = Guti::decode(r);
-  if (!g) return std::nullopt;
-  m.guti = *g;
-  const std::uint8_t nt = r.u8();
-  for (std::uint8_t i = 0; r.ok() && i < nt; ++i) {
-    const auto t = Tai::decode(r);
-    if (!t) return std::nullopt;
-    m.tai_list.push_back(*t);
+  template <typename T>
+  void field(const T& v) {
+    put(w_, v);
   }
-  const std::uint8_t ns = r.u8();
-  for (std::uint8_t i = 0; r.ok() && i < ns; ++i) {
-    const auto s = SNssai::decode(r);
-    if (!s) return std::nullopt;
-    m.allowed_nssai.push_back(*s);
+  template <typename T>
+  void list(const std::vector<T>& v) {
+    w_.u8(static_cast<std::uint8_t>(v.size()));
+    for (const T& x : v) put(w_, x);
   }
-  m.t3512_seconds = r.u32();
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const RegistrationReject& m) {
-  w.u8(m.cause);
-  if (m.t3502_seconds) encode_u32_tlv(w, kIeiT3502, *m.t3502_seconds);
-}
-
-std::optional<RegistrationReject> decode_registration_reject(Reader& r) {
-  RegistrationReject m;
-  m.cause = r.u8();
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiT3502) {
-      m.t3502_seconds = vr.u32();
-      return vr.ok();
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const DeregistrationRequest& m) {
-  w.u8(m.switch_off ? 1 : 0);
-}
-
-std::optional<DeregistrationRequest> decode_deregistration_request(Reader& r) {
-  DeregistrationRequest m;
-  const std::uint8_t v = r.u8();
-  if (!r.done() || v > 1) return std::nullopt;
-  m.switch_off = v == 1;
-  return m;
-}
-
-void encode_body(Writer& w, const ServiceRequest& m) { w.u8(m.service_type); }
-
-std::optional<ServiceRequest> decode_service_request(Reader& r) {
-  ServiceRequest m;
-  m.service_type = r.u8();
-  if (!r.done() || m.service_type > 1) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer&, const ServiceAccept&) {}
-
-void encode_body(Writer& w, const ServiceReject& m) { w.u8(m.cause); }
-
-std::optional<ServiceReject> decode_service_reject(Reader& r) {
-  ServiceReject m;
-  m.cause = r.u8();
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const AuthenticationRequest& m) {
-  w.u8(m.ngksi);
-  w.raw(BytesView(m.rand.data(), m.rand.size()));
-  w.raw(BytesView(m.autn.data(), m.autn.size()));
-}
-
-std::optional<AuthenticationRequest> decode_authentication_request(Reader& r) {
-  AuthenticationRequest m;
-  m.ngksi = r.u8();
-  const BytesView rand = r.raw(16);
-  const BytesView autn = r.raw(16);
-  if (!r.done() || m.ngksi > 7) return std::nullopt;
-  for (std::size_t i = 0; i < 16; ++i) {
-    m.rand[i] = rand[i];
-    m.autn[i] = autn[i];
-  }
-  return m;
-}
-
-void encode_body(Writer& w, const AuthenticationResponse& m) {
-  w.lv8(m.res);
-}
-
-std::optional<AuthenticationResponse> decode_authentication_response(
-    Reader& r) {
-  AuthenticationResponse m;
-  const BytesView res = r.lv8();
-  m.res.assign(res.begin(), res.end());
-  if (!r.done() || m.res.size() < 4 || m.res.size() > 16) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer&, const AuthenticationReject&) {}
-
-void encode_body(Writer& w, const AuthenticationFailure& m) {
-  w.u8(m.cause);
-  if (m.auts) {
-    w.u8(kIeiAuts);
-    w.u8(static_cast<std::uint8_t>(m.auts->size()));
-    w.raw(BytesView(m.auts->data(), m.auts->size()));
-  }
-}
-
-std::optional<AuthenticationFailure> decode_authentication_failure(Reader& r) {
-  AuthenticationFailure m;
-  m.cause = r.u8();
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiAuts) {
-      const BytesView a = vr.raw(14);
-      if (!vr.ok()) return false;
-      std::array<std::uint8_t, 14> auts{};
-      for (std::size_t i = 0; i < 14; ++i) auts[i] = a[i];
-      m.auts = auts;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const SecurityModeCommand& m) {
-  w.u8(m.ea);
-  w.u8(m.ia);
-}
-
-std::optional<SecurityModeCommand> decode_security_mode_command(Reader& r) {
-  SecurityModeCommand m;
-  m.ea = r.u8();
-  m.ia = r.u8();
-  if (!r.done() || m.ea > 3 || m.ia > 3) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer&, const SecurityModeComplete&) {}
-
-void encode_body(Writer& w, const ConfigurationUpdateCommand& m) {
-  w.u8(static_cast<std::uint8_t>(m.tai_list.size()));
-  for (const auto& t : m.tai_list) t.encode(w);
-  if (m.guti) encode_ie_tlv(w, kIeiGuti, *m.guti);
-}
-
-std::optional<ConfigurationUpdateCommand> decode_configuration_update(
-    Reader& r) {
-  ConfigurationUpdateCommand m;
-  const std::uint8_t n = r.u8();
-  for (std::uint8_t i = 0; r.ok() && i < n; ++i) {
-    const auto t = Tai::decode(r);
-    if (!t) return std::nullopt;
-    m.tai_list.push_back(*t);
-  }
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiGuti) {
-      const auto g = Guti::decode(vr);
-      if (!g) return false;
-      m.guti = *g;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-// --------------------------------------------------------------- 5GSM
-
-void encode_body(Writer& w, const PduSessionEstablishmentRequest& m) {
-  w.u8(static_cast<std::uint8_t>(m.type));
-  w.u8(static_cast<std::uint8_t>(m.ssc));
-  m.dnn.encode(w);
-  if (m.snssai) encode_ie_tlv(w, kIeiSnssai, *m.snssai);
-}
-
-std::optional<PduSessionEstablishmentRequest> decode_pdu_estb_request(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionEstablishmentRequest m;
-  m.hdr = hdr;
-  const std::uint8_t type = r.u8();
-  const std::uint8_t ssc = r.u8();
-  if (type < 1 || type > 5 || ssc < 1 || ssc > 3) return std::nullopt;
-  m.type = static_cast<PduSessionType>(type);
-  m.ssc = static_cast<SscMode>(ssc);
-  const auto dnn = Dnn::decode(r);
-  if (!dnn) return std::nullopt;
-  m.dnn = *dnn;
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiSnssai) {
-      const auto s = SNssai::decode(vr);
-      if (!s) return false;
-      m.snssai = *s;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const PduSessionEstablishmentAccept& m) {
-  w.u8(static_cast<std::uint8_t>(m.type));
-  w.raw(BytesView(m.ue_addr.octets.data(), m.ue_addr.octets.size()));
-  w.raw(BytesView(m.dns_addr.octets.data(), m.dns_addr.octets.size()));
-  m.qos.encode(w);
-  if (m.tft) encode_ie_tlv(w, kIeiTft, *m.tft);
-}
-
-std::optional<PduSessionEstablishmentAccept> decode_pdu_estb_accept(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionEstablishmentAccept m;
-  m.hdr = hdr;
-  const std::uint8_t type = r.u8();
-  if (type < 1 || type > 5) return std::nullopt;
-  m.type = static_cast<PduSessionType>(type);
-  const BytesView ue = r.raw(4);
-  const BytesView dns = r.raw(4);
-  if (!r.ok()) return std::nullopt;
-  for (std::size_t i = 0; i < 4; ++i) {
-    m.ue_addr.octets[i] = ue[i];
-    m.dns_addr.octets[i] = dns[i];
-  }
-  const auto q = QosRule::decode(r);
-  if (!q) return std::nullopt;
-  m.qos = *q;
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiTft) {
-      const auto t = Tft::decode(vr);
-      if (!t) return false;
-      m.tft = *t;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const PduSessionEstablishmentReject& m) {
-  w.u8(m.cause);
-  if (m.backoff_seconds) encode_u32_tlv(w, kIeiBackoff, *m.backoff_seconds);
-}
-
-std::optional<PduSessionEstablishmentReject> decode_pdu_estb_reject(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionEstablishmentReject m;
-  m.hdr = hdr;
-  m.cause = r.u8();
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiBackoff) {
-      m.backoff_seconds = vr.u32();
-      return vr.ok();
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const PduSessionModificationRequest& m) {
-  if (m.tft) encode_ie_tlv(w, kIeiTft, *m.tft);
-  if (m.qos) encode_ie_tlv(w, kIeiQos, *m.qos);
-}
-
-std::optional<PduSessionModificationRequest> decode_pdu_mod_request(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionModificationRequest m;
-  m.hdr = hdr;
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiTft) {
-      const auto t = Tft::decode(vr);
-      if (!t) return false;
-      m.tft = *t;
-      return true;
-    }
-    if (tag == kIeiQos) {
-      const auto q = QosRule::decode(vr);
-      if (!q) return false;
-      m.qos = *q;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const PduSessionModificationReject& m) {
-  w.u8(m.cause);
-}
-
-std::optional<PduSessionModificationReject> decode_pdu_mod_reject(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionModificationReject m;
-  m.hdr = hdr;
-  m.cause = r.u8();
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer& w, const PduSessionModificationCommand& m) {
-  if (m.tft) encode_ie_tlv(w, kIeiTft, *m.tft);
-  if (m.qos) encode_ie_tlv(w, kIeiQos, *m.qos);
-  if (m.dns_addr) {
-    w.u8(kIeiDns);
-    w.u8(static_cast<std::uint8_t>(m.dns_addr->octets.size()));
-    w.raw(BytesView(m.dns_addr->octets.data(), m.dns_addr->octets.size()));
-  }
-}
-
-std::optional<PduSessionModificationCommand> decode_pdu_mod_command(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionModificationCommand m;
-  m.hdr = hdr;
-  const bool ok = parse_tlvs(r, [&](std::uint8_t tag, Reader& vr) {
-    if (tag == kIeiTft) {
-      const auto t = Tft::decode(vr);
-      if (!t) return false;
-      m.tft = *t;
-      return true;
-    }
-    if (tag == kIeiQos) {
-      const auto q = QosRule::decode(vr);
-      if (!q) return false;
-      m.qos = *q;
-      return true;
-    }
-    if (tag == kIeiDns) {
-      const BytesView a = vr.raw(4);
-      if (!vr.ok()) return false;
-      Ipv4 ip;
-      for (std::size_t i = 0; i < 4; ++i) ip.octets[i] = a[i];
-      m.dns_addr = ip;
-      return true;
-    }
-    return false;
-  });
-  if (!ok) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer&, const PduSessionReleaseRequest&) {}
-
-void encode_body(Writer& w, const PduSessionReleaseCommand& m) {
-  w.u8(m.cause);
-}
-
-std::optional<PduSessionReleaseCommand> decode_pdu_release_command(
-    Reader& r, const SmHeader& hdr) {
-  PduSessionReleaseCommand m;
-  m.hdr = hdr;
-  m.cause = r.u8();
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-void encode_body(Writer&, const PduSessionReleaseComplete&) {}
-
-// ------------------------------------------------------------- type map
-
-template <typename T>
-struct MsgTraits;
-
-#define SEED_MSG_TRAITS(Type, Enum, IsSm)                  \
-  template <>                                              \
-  struct MsgTraits<Type> {                                 \
-    static constexpr MsgType kType = MsgType::Enum;        \
-    static constexpr bool kSm = IsSm;                      \
+  void lv8(const Bytes& b, std::uint8_t, std::uint8_t) { w_.lv8(b); }
+  template <typename... T>
+  void tail(Tlv<T>... ies) {
+    (put_tlv(ies), ...);
   }
 
-SEED_MSG_TRAITS(RegistrationRequest, kRegistrationRequest, false);
-SEED_MSG_TRAITS(RegistrationAccept, kRegistrationAccept, false);
-SEED_MSG_TRAITS(RegistrationReject, kRegistrationReject, false);
-SEED_MSG_TRAITS(DeregistrationRequest, kDeregistrationRequest, false);
-SEED_MSG_TRAITS(ServiceRequest, kServiceRequest, false);
-SEED_MSG_TRAITS(ServiceAccept, kServiceAccept, false);
-SEED_MSG_TRAITS(ServiceReject, kServiceReject, false);
-SEED_MSG_TRAITS(AuthenticationRequest, kAuthenticationRequest, false);
-SEED_MSG_TRAITS(AuthenticationResponse, kAuthenticationResponse, false);
-SEED_MSG_TRAITS(AuthenticationReject, kAuthenticationReject, false);
-SEED_MSG_TRAITS(AuthenticationFailure, kAuthenticationFailure, false);
-SEED_MSG_TRAITS(SecurityModeCommand, kSecurityModeCommand, false);
-SEED_MSG_TRAITS(SecurityModeComplete, kSecurityModeComplete, false);
-SEED_MSG_TRAITS(ConfigurationUpdateCommand, kConfigurationUpdateCommand,
-                false);
-SEED_MSG_TRAITS(PduSessionEstablishmentRequest,
-                kPduSessionEstablishmentRequest, true);
-SEED_MSG_TRAITS(PduSessionEstablishmentAccept, kPduSessionEstablishmentAccept,
-                true);
-SEED_MSG_TRAITS(PduSessionEstablishmentReject, kPduSessionEstablishmentReject,
-                true);
-SEED_MSG_TRAITS(PduSessionModificationRequest,
-                kPduSessionModificationRequest, true);
-SEED_MSG_TRAITS(PduSessionModificationReject, kPduSessionModificationReject,
-                true);
-SEED_MSG_TRAITS(PduSessionModificationCommand, kPduSessionModificationCommand,
-                true);
-SEED_MSG_TRAITS(PduSessionReleaseRequest, kPduSessionReleaseRequest, true);
-SEED_MSG_TRAITS(PduSessionReleaseCommand, kPduSessionReleaseCommand, true);
-SEED_MSG_TRAITS(PduSessionReleaseComplete, kPduSessionReleaseComplete, true);
+ private:
+  template <typename T>
+  void put_tlv(const Tlv<T>& ie) {
+    if (!ie.value) return;
+    const std::size_t value = w_.tlv8_begin(ie.tag);
+    put(w_, *ie.value);
+    w_.lv8_end(value);
+  }
 
-#undef SEED_MSG_TRAITS
+  Writer& w_;
+};
+
+// Every read goes through one Reader, whose first failure is sticky: a
+// field found out of range fails it explicitly on the spot, so the first
+// problem in wire order decides between truncated and bad-field-value.
+class Decoder {
+ public:
+  explicit Decoder(Reader& r) : r_(r) {}
+
+  template <typename T>
+  void u8(T& v, std::uint8_t lo = 0, std::uint8_t hi = 0xff) {
+    const std::uint8_t b = r_.u8();
+    if (b < lo || b > hi) r_.fail();
+    v = static_cast<T>(b);
+  }
+  template <typename T>
+  void field(T& v) {
+    get(r_, v);
+  }
+  template <typename T>
+  void list(std::vector<T>& v) {
+    const std::uint8_t n = r_.u8();
+    for (std::uint8_t i = 0; i < n && r_.ok(); ++i) get(r_, v.emplace_back());
+  }
+  void lv8(Bytes& b, std::uint8_t lo, std::uint8_t hi) {
+    const std::uint8_t n = r_.u8();
+    if (n < lo || n > hi) r_.fail();
+    const BytesView v = r_.raw(n);
+    b.assign(v.begin(), v.end());
+  }
+  // Tags may come in any order and a repeated tag overwrites the earlier
+  // value; an unknown tag, or a value not decoded exactly, is invalid.
+  template <typename... T>
+  void tail(Tlv<T>... ies) {
+    while (r_.ok() && r_.remaining() > 0) {
+      const std::uint8_t tag = r_.u8();
+      if (!(get_tlv(tag, ies) || ...)) r_.fail();
+    }
+  }
+
+ private:
+  template <typename T>
+  bool get_tlv(std::uint8_t tag, const Tlv<T>& ie) {
+    if (tag != ie.tag) return false;
+    Reader vr(r_.lv8());
+    if (!r_.ok()) return true;
+    T v{};
+    if (get(vr, v) && vr.done()) {
+      ie.value = std::move(v);
+    } else {
+      r_.fail();
+    }
+    return true;
+  }
+
+  Reader& r_;
+};
+
+// ---------------------------------------------------------------- headers
+
+/// 5GSM messages are the ones with an SmHeader.
+template <typename M>
+concept SmMessage = requires(const M& m) { m.hdr; };
+
+template <typename M>
+constexpr std::uint8_t kEpdOf = SmMessage<M> ? kEpd5gsm : kEpd5gmm;
+
+void encode_to_writer(Writer& w, const NasMessage& msg) {
+  std::visit(
+      [&w](const auto& m) {
+        using M = std::decay_t<decltype(m)>;
+        w.u8(kEpdOf<M>);
+        if constexpr (SmMessage<M>) {
+          w.u8(m.hdr.pdu_session_id);
+          w.u8(m.hdr.pti);
+        } else {
+          w.u8(0);  // plain security header
+        }
+        w.u8(static_cast<std::uint8_t>(M::kType));
+        // The encoder only reads the message.
+        Encoder enc(w);
+        fields(enc, const_cast<M&>(m));
+      },
+      msg);
+}
+
+// Decodes the body into alternative I when (epd, type) names it.
+template <std::size_t I>
+bool decode_as(std::uint8_t epd, std::uint8_t type, const SmHeader& hdr,
+               Reader& r, std::optional<NasMessage>& out) {
+  using M = std::variant_alternative_t<I, NasMessage>;
+  if (epd != kEpdOf<M> || type != static_cast<std::uint8_t>(M::kType)) {
+    return false;
+  }
+  M& m = std::get<I>(out.emplace(std::in_place_index<I>));
+  if constexpr (SmMessage<M>) m.hdr = hdr;
+  Decoder dec(r);
+  fields(dec, m);
+  return true;
+}
+
+template <std::size_t... I>
+bool decode_body(std::uint8_t epd, std::uint8_t type, const SmHeader& hdr,
+                 Reader& r, std::optional<NasMessage>& out,
+                 std::index_sequence<I...>) {
+  return (decode_as<I>(epd, type, hdr, r, out) || ...);
+}
 
 }  // namespace
 
@@ -562,24 +373,6 @@ std::string_view msg_type_name(MsgType t) {
   return "Unknown";
 }
 
-namespace {
-
-void encode_to_writer(Writer& w, const NasMessage& msg) {
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (MsgTraits<T>::kSm) {
-          write_sm_header(w, m.hdr, MsgTraits<T>::kType);
-        } else {
-          write_mm_header(w, MsgTraits<T>::kType);
-        }
-        encode_body(w, m);
-      },
-      msg);
-}
-
-}  // namespace
-
 Bytes encode_message(const NasMessage& msg) {
   PROF_ZONE("nas.encode");
   Writer w;
@@ -617,156 +410,49 @@ std::string_view decode_error_name(DecodeError e) {
   return "invalid";
 }
 
-std::optional<NasMessage> decode_message(BytesView data) {
-  DecodeError err;
-  return decode_message(data, &err);
-}
-
 std::optional<NasMessage> decode_message(BytesView data, DecodeError* err) {
   PROF_ZONE("nas.decode");
   PROF_BYTES(data.size());
-  *err = DecodeError::kNone;
+  DecodeError unused;
+  DecodeError& e = err ? *err : unused;
+  e = DecodeError::kNone;
+  std::optional<NasMessage> out;
+  // The header is read whole before any of it is checked.
   Reader r(data);
   const std::uint8_t epd = r.u8();
-  if (!r.ok()) {
-    *err = DecodeError::kTruncated;
-    return std::nullopt;
+  if (r.ok() && epd != kEpd5gmm && epd != kEpd5gsm) {
+    e = DecodeError::kBadProtocol;
+    return out;
   }
-
-  // Classifies a body decoder's nullopt from the reader state: the first
-  // failure being an out-of-bounds read means truncated input; a clean
-  // reader with leftover bytes means trailing garbage; anything else is
-  // a field that decoded but held an invalid value.
-  auto wrap = [err, &r](auto&& opt) -> std::optional<NasMessage> {
-    if (!opt) {
-      if (!r.ok()) {
-        *err = r.truncated() ? DecodeError::kTruncated
-                             : DecodeError::kBadFieldValue;
-      } else if (!r.done()) {
-        *err = DecodeError::kTrailingBytes;
-      } else {
-        *err = DecodeError::kBadFieldValue;
-      }
-      return std::nullopt;
-    }
-    return NasMessage(*opt);
-  };
-  // Empty-body messages: anything after the header is trailing garbage.
-  auto empty_body = [err, &r](auto msg) -> std::optional<NasMessage> {
-    if (r.done()) return NasMessage(msg);
-    *err = r.truncated() ? DecodeError::kTruncated
-                         : DecodeError::kTrailingBytes;
-    return std::nullopt;
-  };
-
-  if (epd == kEpd5gmm) {
-    const std::uint8_t sec = r.u8();
-    const std::uint8_t type = r.u8();
-    if (!r.ok()) {
-      *err = DecodeError::kTruncated;
-      return std::nullopt;
-    }
-    if (sec != 0) {
-      *err = DecodeError::kBadSecurityHeader;
-      return std::nullopt;
-    }
-    switch (static_cast<MsgType>(type)) {
-      case MsgType::kRegistrationRequest:
-        return wrap(decode_registration_request(r));
-      case MsgType::kRegistrationAccept:
-        return wrap(decode_registration_accept(r));
-      case MsgType::kRegistrationReject:
-        return wrap(decode_registration_reject(r));
-      case MsgType::kDeregistrationRequest:
-        return wrap(decode_deregistration_request(r));
-      case MsgType::kServiceRequest:
-        return wrap(decode_service_request(r));
-      case MsgType::kServiceAccept:
-        return empty_body(ServiceAccept{});
-      case MsgType::kServiceReject:
-        return wrap(decode_service_reject(r));
-      case MsgType::kAuthenticationRequest:
-        return wrap(decode_authentication_request(r));
-      case MsgType::kAuthenticationResponse:
-        return wrap(decode_authentication_response(r));
-      case MsgType::kAuthenticationReject:
-        return empty_body(AuthenticationReject{});
-      case MsgType::kAuthenticationFailure:
-        return wrap(decode_authentication_failure(r));
-      case MsgType::kSecurityModeCommand:
-        return wrap(decode_security_mode_command(r));
-      case MsgType::kSecurityModeComplete:
-        return empty_body(SecurityModeComplete{});
-      case MsgType::kConfigurationUpdateCommand:
-        return wrap(decode_configuration_update(r));
-      default:
-        *err = DecodeError::kUnknownType;
-        return std::nullopt;
-    }
-  }
-
+  SmHeader hdr;
+  std::uint8_t sec = 0;
   if (epd == kEpd5gsm) {
-    SmHeader hdr;
     hdr.pdu_session_id = r.u8();
     hdr.pti = r.u8();
-    const std::uint8_t type = r.u8();
-    if (!r.ok()) {
-      *err = DecodeError::kTruncated;
-      return std::nullopt;
-    }
-    switch (static_cast<MsgType>(type)) {
-      case MsgType::kPduSessionEstablishmentRequest:
-        return wrap(decode_pdu_estb_request(r, hdr));
-      case MsgType::kPduSessionEstablishmentAccept:
-        return wrap(decode_pdu_estb_accept(r, hdr));
-      case MsgType::kPduSessionEstablishmentReject:
-        return wrap(decode_pdu_estb_reject(r, hdr));
-      case MsgType::kPduSessionModificationRequest:
-        return wrap(decode_pdu_mod_request(r, hdr));
-      case MsgType::kPduSessionModificationReject:
-        return wrap(decode_pdu_mod_reject(r, hdr));
-      case MsgType::kPduSessionModificationCommand:
-        return wrap(decode_pdu_mod_command(r, hdr));
-      case MsgType::kPduSessionReleaseRequest:
-        return empty_body(PduSessionReleaseRequest{hdr});
-      case MsgType::kPduSessionReleaseCommand:
-        return wrap(decode_pdu_release_command(r, hdr));
-      case MsgType::kPduSessionReleaseComplete:
-        return empty_body(PduSessionReleaseComplete{hdr});
-      default:
-        *err = DecodeError::kUnknownType;
-        return std::nullopt;
-    }
+  } else {
+    sec = r.u8();
   }
-
-  *err = DecodeError::kBadProtocol;
-  return std::nullopt;
+  const std::uint8_t type = r.u8();
+  if (!r.ok()) {
+    e = DecodeError::kTruncated;
+  } else if (sec != 0) {
+    e = DecodeError::kBadSecurityHeader;
+  } else if (!decode_body(epd, type, hdr, r, out,
+                          std::make_index_sequence<
+                              std::variant_size_v<NasMessage>>{})) {
+    e = DecodeError::kUnknownType;
+  } else if (!r.ok()) {
+    e = r.truncated() ? DecodeError::kTruncated : DecodeError::kBadFieldValue;
+  } else if (r.remaining() > 0) {
+    e = DecodeError::kTrailingBytes;
+  }
+  if (e != DecodeError::kNone) out.reset();
+  return out;
 }
 
 MsgType message_type(const NasMessage& msg) {
   return std::visit(
-      [](const auto& m) {
-        return MsgTraits<std::decay_t<decltype(m)>>::kType;
-      },
-      msg);
-}
-
-bool is_sm_message(MsgType t) {
-  return static_cast<std::uint8_t>(t) >= 0xc0;
-}
-
-bool carries_cause(MsgType t) {
-  switch (t) {
-    case MsgType::kRegistrationReject:
-    case MsgType::kServiceReject:
-    case MsgType::kAuthenticationFailure:
-    case MsgType::kPduSessionEstablishmentReject:
-    case MsgType::kPduSessionModificationReject:
-    case MsgType::kPduSessionReleaseCommand:
-      return true;
-    default:
-      return false;
-  }
+      [](const auto& m) { return std::decay_t<decltype(m)>::kType; }, msg);
 }
 
 std::optional<std::pair<Plane, std::uint8_t>> extract_cause(

@@ -3,9 +3,17 @@
 // Wire layout:
 //   5GMM: EPD(0x7e) | security-header(1B, 0 = plain) | msg-type | body
 //   5GSM: EPD(0x2e) | pdu-session-id | pti | msg-type | body
-// Bodies are mandatory fields in fixed order followed by optional IEs as
-// (tag, lv8) TLVs. decode_message() never throws on malformed input; it
-// returns nullopt (the Reader pattern from common/codec.h).
+// Each message struct carries its type code (kType); the ones with an
+// `SmHeader hdr` are 5GSM. A body is mandatory fields in fixed order
+// followed by optional IEs as (tag, lv8) TLVs in any order. messages.cc
+// states each body once, as a field list that one walker encodes and
+// another decodes, so the two directions cannot drift apart.
+//
+// decode_message() never throws on malformed input. The header is read
+// whole, then checked; in the body the first problem in wire order names
+// the reject reason: a read past the end is kTruncated, a value out of
+// range (or an unknown or mis-sized optional IE) is kBadFieldValue, and
+// bytes left after a valid message are kTrailingBytes.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +66,7 @@ std::string_view msg_type_name(MsgType t);
 // ------------------------------------------------------------------ 5GMM
 
 struct RegistrationRequest {
+  static constexpr MsgType kType = MsgType::kRegistrationRequest;
   MobileIdentity identity;
   bool follow_on_request = false;
   std::vector<SNssai> requested_nssai;
@@ -65,6 +74,7 @@ struct RegistrationRequest {
 };
 
 struct RegistrationAccept {
+  static constexpr MsgType kType = MsgType::kRegistrationAccept;
   Guti guti;
   std::vector<Tai> tai_list;
   std::vector<SNssai> allowed_nssai;
@@ -72,21 +82,27 @@ struct RegistrationAccept {
 };
 
 struct RegistrationReject {
+  static constexpr MsgType kType = MsgType::kRegistrationReject;
   std::uint8_t cause = 0;  // MmCause
   std::optional<std::uint32_t> t3502_seconds;
 };
 
 struct DeregistrationRequest {
+  static constexpr MsgType kType = MsgType::kDeregistrationRequest;
   bool switch_off = false;
 };
 
 struct ServiceRequest {
+  static constexpr MsgType kType = MsgType::kServiceRequest;
   std::uint8_t service_type = 0;  // 0 signalling, 1 data
 };
 
-struct ServiceAccept {};
+struct ServiceAccept {
+  static constexpr MsgType kType = MsgType::kServiceAccept;
+};
 
 struct ServiceReject {
+  static constexpr MsgType kType = MsgType::kServiceReject;
   std::uint8_t cause = 0;  // MmCause
 };
 
@@ -94,31 +110,40 @@ struct ServiceReject {
 /// rand = DFlag (all 0xFF) and carries an encrypted fragment in autn
 /// (paper §4.5, Fig. 7a).
 struct AuthenticationRequest {
+  static constexpr MsgType kType = MsgType::kAuthenticationRequest;
   std::uint8_t ngksi = 0;
   std::array<std::uint8_t, 16> rand{};
   std::array<std::uint8_t, 16> autn{};
 };
 
 struct AuthenticationResponse {
+  static constexpr MsgType kType = MsgType::kAuthenticationResponse;
   Bytes res;  // RES* (8..16 bytes)
 };
 
-struct AuthenticationReject {};
+struct AuthenticationReject {
+  static constexpr MsgType kType = MsgType::kAuthenticationReject;
+};
 
 /// cause 21 (synch failure) doubles as SEED's downlink ACK (Fig. 7a).
 struct AuthenticationFailure {
+  static constexpr MsgType kType = MsgType::kAuthenticationFailure;
   std::uint8_t cause = 0;  // MmCause (20 MAC failure / 21 synch failure)
   std::optional<std::array<std::uint8_t, 14>> auts;
 };
 
 struct SecurityModeCommand {
+  static constexpr MsgType kType = MsgType::kSecurityModeCommand;
   std::uint8_t ea = 2;  // 128-EEA2
   std::uint8_t ia = 2;  // 128-EIA2
 };
 
-struct SecurityModeComplete {};
+struct SecurityModeComplete {
+  static constexpr MsgType kType = MsgType::kSecurityModeComplete;
+};
 
 struct ConfigurationUpdateCommand {
+  static constexpr MsgType kType = MsgType::kConfigurationUpdateCommand;
   std::optional<Guti> guti;
   std::vector<Tai> tai_list;
 };
@@ -134,6 +159,7 @@ struct SmHeader {
 /// SEED's uplink covert channel embeds encrypted diagnosis fragments in
 /// the DNN ("DIAG"-prefixed labels, paper §4.5, Fig. 7b).
 struct PduSessionEstablishmentRequest {
+  static constexpr MsgType kType = MsgType::kPduSessionEstablishmentRequest;
   SmHeader hdr;
   PduSessionType type = PduSessionType::kIpv4;
   SscMode ssc = SscMode::kMode1;
@@ -142,6 +168,7 @@ struct PduSessionEstablishmentRequest {
 };
 
 struct PduSessionEstablishmentAccept {
+  static constexpr MsgType kType = MsgType::kPduSessionEstablishmentAccept;
   SmHeader hdr;
   PduSessionType type = PduSessionType::kIpv4;
   Ipv4 ue_addr;
@@ -152,23 +179,27 @@ struct PduSessionEstablishmentAccept {
 
 /// Also used as the network's ACK for an uplink diagnosis DNN (Fig. 7b).
 struct PduSessionEstablishmentReject {
+  static constexpr MsgType kType = MsgType::kPduSessionEstablishmentReject;
   SmHeader hdr;
   std::uint8_t cause = 0;  // SmCause
   std::optional<std::uint32_t> backoff_seconds;
 };
 
 struct PduSessionModificationRequest {
+  static constexpr MsgType kType = MsgType::kPduSessionModificationRequest;
   SmHeader hdr;
   std::optional<Tft> tft;
   std::optional<QosRule> qos;
 };
 
 struct PduSessionModificationReject {
+  static constexpr MsgType kType = MsgType::kPduSessionModificationReject;
   SmHeader hdr;
   std::uint8_t cause = 0;  // SmCause
 };
 
 struct PduSessionModificationCommand {
+  static constexpr MsgType kType = MsgType::kPduSessionModificationCommand;
   SmHeader hdr;
   std::optional<Tft> tft;
   std::optional<QosRule> qos;
@@ -176,16 +207,19 @@ struct PduSessionModificationCommand {
 };
 
 struct PduSessionReleaseRequest {
+  static constexpr MsgType kType = MsgType::kPduSessionReleaseRequest;
   SmHeader hdr;
 };
 
 struct PduSessionReleaseCommand {
+  static constexpr MsgType kType = MsgType::kPduSessionReleaseCommand;
   SmHeader hdr;
   std::uint8_t cause =
       static_cast<std::uint8_t>(SmCause::kRegularDeactivation);
 };
 
 struct PduSessionReleaseComplete {
+  static constexpr MsgType kType = MsgType::kPduSessionReleaseComplete;
   SmHeader hdr;
 };
 
@@ -226,23 +260,13 @@ enum class DecodeError : std::uint8_t {
 
 std::string_view decode_error_name(DecodeError e);
 
-/// Parses wire bytes; nullopt on any malformed input (wrong EPD, unknown
-/// type, truncated body, trailing garbage, invalid field values).
-std::optional<NasMessage> decode_message(BytesView data);
-
-/// Same parse, but reports the reject reason through `err` (set to
-/// kNone on success). Never leaves `err` unset.
-std::optional<NasMessage> decode_message(BytesView data, DecodeError* err);
+/// Parses wire bytes; nullopt on any malformed input. When `err` is
+/// given it is always set: kNone on success, else the reject reason.
+std::optional<NasMessage> decode_message(BytesView data,
+                                         DecodeError* err = nullptr);
 
 /// Message type of an in-memory message (for logging/stats).
 MsgType message_type(const NasMessage& msg);
-
-/// True for 5GSM messages (data-plane management).
-bool is_sm_message(MsgType t);
-
-/// True for the reject/failure messages that carry standardized causes —
-/// the signal SEED's infra plugin hooks (paper §4.3.1).
-bool carries_cause(MsgType t);
 
 /// Extracts the (plane, cause) pair when the message carries one.
 std::optional<std::pair<Plane, std::uint8_t>> extract_cause(

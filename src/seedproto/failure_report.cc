@@ -39,7 +39,7 @@ void FailureReport::encode_into(Writer& w) const {
   if (port) flags |= 0x02;
   if (!domain.empty()) flags |= 0x04;
   w.u8(flags);
-  if (addr) w.raw(BytesView(addr->octets.data(), addr->octets.size()));
+  if (addr) addr->encode(w);
   if (port) w.u16(*port);
   if (!domain.empty()) {
     const std::size_t body = w.lv8_begin();
@@ -60,11 +60,8 @@ std::optional<FailureReport> FailureReport::decode(BytesView data) {
   const std::uint8_t flags = r.u8();
   if (flags & ~0x07) return std::nullopt;
   if (flags & 0x01) {
-    const BytesView a = r.raw(4);
-    if (!r.ok()) return std::nullopt;
-    nas::Ipv4 ip;
-    for (std::size_t i = 0; i < 4; ++i) ip.octets[i] = a[i];
-    f.addr = ip;
+    f.addr = nas::Ipv4::decode(r);
+    if (!f.addr) return std::nullopt;
   }
   if (flags & 0x02) f.port = r.u16();
   if (flags & 0x04) {

@@ -567,14 +567,6 @@ TEST(Messages, FuzzBitFlipsAreSafe) {
 
 // ------------------------------------------------------ cause extraction
 
-TEST(Messages, CarriesCauseClassification) {
-  EXPECT_TRUE(carries_cause(MsgType::kRegistrationReject));
-  EXPECT_TRUE(carries_cause(MsgType::kServiceReject));
-  EXPECT_TRUE(carries_cause(MsgType::kPduSessionEstablishmentReject));
-  EXPECT_FALSE(carries_cause(MsgType::kRegistrationAccept));
-  EXPECT_FALSE(carries_cause(MsgType::kServiceRequest));
-}
-
 TEST(Messages, ExtractCauseFromRejects) {
   RegistrationReject rr;
   rr.cause = 9;
@@ -592,11 +584,6 @@ TEST(Messages, ExtractCauseFromRejects) {
   EXPECT_EQ(c->second, 33);
 
   EXPECT_FALSE(extract_cause(NasMessage(ServiceAccept{})).has_value());
-}
-
-TEST(Messages, SmClassification) {
-  EXPECT_TRUE(is_sm_message(MsgType::kPduSessionEstablishmentRequest));
-  EXPECT_FALSE(is_sm_message(MsgType::kRegistrationRequest));
 }
 
 TEST(Messages, TypeNamesNonEmpty) {
@@ -673,6 +660,50 @@ TEST(DecodeError, TruncatedBodyReported) {
 
 TEST(DecodeError, TrailingBytesReported) {
   Bytes wire = encode_message(NasMessage(ServiceAccept{}));
+  wire.push_back(0x00);
+  DecodeError err;
+  EXPECT_FALSE(decode_message(wire, &err).has_value());
+  EXPECT_EQ(err, DecodeError::kTrailingBytes);
+}
+
+// The first problem in wire order names the error: a field out of range
+// is a bad field value even when well-framed fields follow it.
+TEST(DecodeError, BadFollowOnBeforeLaterFieldsIsBadFieldValue) {
+  RegistrationRequest m;
+  m.identity.kind = MobileIdentity::Kind::kSuci;
+  m.identity.suci = {{310, 260}, "0000000001"};
+  m.requested_nssai = {SNssai{1, std::nullopt}};
+  Bytes wire = encode_message(NasMessage(m));
+  // EPD, security header, type, kind, PLMN (4), lv8 MSIN (11): follow-on.
+  wire[3 + 1 + 4 + 11] = 2;
+  DecodeError err;
+  EXPECT_FALSE(decode_message(wire, &err).has_value());
+  EXPECT_EQ(err, DecodeError::kBadFieldValue);
+}
+
+TEST(DecodeError, BadPduSessionTypeBeforeDnnIsBadFieldValue) {
+  PduSessionEstablishmentRequest m;
+  m.hdr = {1, 1};
+  m.dnn = Dnn("internet");
+  Bytes wire = encode_message(NasMessage(m));
+  wire[4] = 9;  // PDU session type, right after the 5GSM header
+  DecodeError err;
+  EXPECT_FALSE(decode_message(wire, &err).has_value());
+  EXPECT_EQ(err, DecodeError::kBadFieldValue);
+}
+
+TEST(DecodeError, BadNgksiWithTrailingByteIsBadFieldValue) {
+  AuthenticationRequest m;
+  Bytes wire = encode_message(NasMessage(m));
+  wire[3] = 9;
+  wire.push_back(0x00);
+  DecodeError err;
+  EXPECT_FALSE(decode_message(wire, &err).has_value());
+  EXPECT_EQ(err, DecodeError::kBadFieldValue);
+}
+
+TEST(DecodeError, ValidServiceRequestWithTrailingByteIsTrailingBytes) {
+  Bytes wire = encode_message(NasMessage(ServiceRequest{1}));
   wire.push_back(0x00);
   DecodeError err;
   EXPECT_FALSE(decode_message(wire, &err).has_value());
