@@ -8,8 +8,9 @@
 // order is always oldest-first, so a promoted ring replays a UE's
 // history in the order it happened.
 //
-// Templated so the header has no dependency on the trace layer (trace.cc
-// instantiates Ring<Event> for both).
+// Templated so the header has no dependency on the trace layer: trace.cc
+// instantiates it twice, retention rings of 48-byte packed records and
+// blackbox rings of whole Events.
 #pragma once
 
 #include <cstddef>

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <map>
 #include <ostream>
+#include <type_traits>
 
 #include "common/minijson.h"
 #include "obs/event_ring.h"
@@ -183,11 +186,49 @@ Tracer& Tracer::instance() {
 /// the label itself: multi-UE runs number devices 1..N (0 is the
 /// unattributed stream), so the vector is dense and one index finds a
 /// UE's ring and whether its stream is durable from a promotion on.
+///
+/// A ring holds packed Records, not Events: most buffered events age out
+/// unread, so each is packed once on the way in and only a promotion
+/// unpacks it. The round trip is exact for every value; an event with a
+/// field the record cannot hold is kept whole in the escape store.
 struct Tracer::RetentionState {
+  /// One buffered event. `ue` is the slot index, so it is not stored;
+  /// `parent` is a back-distance from `seq` (0 = root); the collab
+  /// timings are whole µs (producers emit sim::to_ms of a Duration or a
+  /// count, and n / 1e3 gives the same double back); `detail` indexes
+  /// the intern table (0 = empty). When `escaped` is set, `detail`
+  /// indexes the escape store instead and no other field is read.
+  struct Record {
+    std::int64_t at_us = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t parent_back = 0;
+    std::uint32_t span = 0;
+    std::uint32_t label = 0;
+    std::int32_t prep_us = 0;
+    std::int32_t trans_us = 0;
+    std::uint32_t detail = 0;
+    EventKind kind = EventKind::kLog;
+    Origin origin = Origin::kNone;
+    std::uint8_t plane = 0;
+    std::uint8_t cause = 0;
+    std::uint8_t action = 0;
+    std::uint8_t tier = 0;
+    bool ok = false;
+    bool escaped = false;
+  };
+  static_assert(sizeof(Record) <= 48, "a ring slot is a 48-byte record");
+  static_assert(std::is_trivially_copyable_v<Record>);
+
   struct Slot {
-    Ring<Event> ring;  // released once the UE is retained
+    Ring<Record> ring;  // released once the UE is retained
     bool retained = false;
   };
+
+  /// Interning stops at this many texts, and a longer text is never
+  /// interned: such details escape, so the table stays small however
+  /// many distinct texts a stream carries.
+  static constexpr std::size_t kMaxTexts = 4096;
+  static constexpr std::size_t kMaxTextBytes = 256;
 
   explicit RetentionState(const RetentionPolicy& p) : policy(p) {}
 
@@ -209,15 +250,121 @@ struct Tracer::RetentionState {
   Slot& slot(std::uint32_t ue) {
     if (ue >= slots.size()) {
       slots.resize(std::size_t{ue} + 1,
-                   Slot{Ring<Event>(policy.ring_depth)});
+                   Slot{Ring<Record>(policy.ring_depth)});
     }
     return slots[ue];
+  }
+
+  Record pack(const Event& e) {
+    Record r{.at_us = e.at_us,
+             .seq = e.seq,
+             .span = static_cast<std::uint32_t>(e.span),
+             .label = e.label,
+             .kind = e.kind,
+             .origin = e.origin,
+             .plane = e.plane,
+             .cause = e.cause,
+             .action = e.action,
+             .tier = e.tier,
+             .ok = e.ok};
+    // Modular back-distance: unpack's seq - back restores any parent
+    // whose distance fits 32 bits and is not 0 (the root marker).
+    const std::uint64_t back = e.parent == 0 ? 0 : e.seq - e.parent;
+    r.parent_back = static_cast<std::uint32_t>(back);
+    const bool fits = r.span == e.span && r.parent_back == back &&
+                      (e.parent == 0 || back != 0) &&
+                      to_us(e.prep_ms, r.prep_us) &&
+                      to_us(e.trans_ms, r.trans_us) &&
+                      intern(e.detail, r.detail);
+    if (!fits) {
+      r.escaped = true;
+      r.detail = stash(e);
+    }
+    return r;
+  }
+
+  Event unpack(const Record& r, std::uint32_t ue) {
+    if (r.escaped) {
+      Event e = std::move(escapes[r.detail]);
+      release(r);
+      return e;
+    }
+    Event e;
+    e.span = r.span;
+    e.seq = r.seq;
+    e.parent = r.parent_back == 0 ? 0 : r.seq - r.parent_back;
+    e.kind = r.kind;
+    e.at_us = r.at_us;
+    e.ue = ue;
+    e.label = r.label;
+    e.origin = r.origin;
+    e.plane = r.plane;
+    e.cause = r.cause;
+    e.action = r.action;
+    e.tier = r.tier;
+    e.ok = r.ok;
+    e.prep_ms = r.prep_us / 1e3;
+    e.trans_ms = r.trans_us / 1e3;
+    if (r.detail != 0) e.detail = *texts[r.detail - 1];
+    return e;
+  }
+
+  /// Frees the escape entry of a record leaving its ring unread.
+  void release(const Record& r) {
+    if (!r.escaped) return;
+    escapes[r.detail] = Event{};
+    free_escapes.push_back(r.detail);
+  }
+
+  /// Whole µs `n` with n / 1e3 == ms bit for bit (so -0.0, NaN, values
+  /// off the µs grid and values beyond ±2^31 µs do not fit).
+  static bool to_us(double ms, std::int32_t& out) {
+    if (!(ms >= -2147483.0 && ms <= 2147483.0)) return false;
+    const auto n = static_cast<std::int32_t>(std::llround(ms * 1e3));
+    if (std::bit_cast<std::uint64_t>(n / 1e3) !=
+        std::bit_cast<std::uint64_t>(ms)) {
+      return false;
+    }
+    out = n;
+    return true;
+  }
+
+  bool intern(const std::string& text, std::uint32_t& out) {
+    if (text.empty()) return true;
+    if (const auto it = text_ids.find(text); it != text_ids.end()) {
+      out = it->second;
+      return true;
+    }
+    if (text.size() > kMaxTextBytes || texts.size() == kMaxTexts) return false;
+    const auto it = text_ids.emplace(text, texts.size() + 1).first;
+    texts.push_back(&it->first);
+    out = it->second;
+    return true;
+  }
+
+  std::uint32_t stash(const Event& e) {
+    if (free_escapes.empty()) {
+      escapes.push_back(e);
+      return static_cast<std::uint32_t>(escapes.size() - 1);
+    }
+    const std::uint32_t i = free_escapes.back();
+    free_escapes.pop_back();
+    escapes[i] = e;
+    return i;
   }
 
   RetentionPolicy policy;
   RetentionStats stats;
   std::vector<Slot> slots;
   TlvSizer sizer;
+  // Intern table: ids are 1-based positions in `texts`, which points at
+  // the map's keys (map nodes never move).
+  std::map<std::string, std::uint32_t, std::less<>> text_ids;
+  std::vector<const std::string*> texts;
+  // Escape store: one entry per escaped record still in a ring, so it
+  // never holds more entries than the rings hold records.
+  std::vector<Event> escapes;
+  std::vector<std::uint32_t> free_escapes;
 };
 
 Tracer::~Tracer() = default;
@@ -239,7 +386,8 @@ void Tracer::pin_ue(std::uint32_t ue) {
   if (slot.retained) return;
   slot.retained = true;
   ++rs.stats.ues_retained;
-  for (Event& buffered : slot.ring.take()) {
+  for (const RetentionState::Record& r : slot.ring.take()) {
+    Event buffered = rs.unpack(r, ue);
     ++rs.stats.events_retained;
     rs.stats.bytes_retained += rs.sizer.add(buffered);
     events_.push_back(std::move(buffered));
@@ -253,6 +401,9 @@ void Tracer::seal_retention() {
     rs.stats.events_aged_out += slot.ring.size();
     slot.ring.clear();
   }
+  // Every escape entry belonged to a record in a ring, now all empty.
+  std::vector<Event>().swap(rs.escapes);
+  std::vector<std::uint32_t>().swap(rs.free_escapes);
 }
 
 void Tracer::route_retained(const Event& e) {
@@ -260,7 +411,10 @@ void Tracer::route_retained(const Event& e) {
   RetentionState::Slot& slot = rs.slot(e.ue);
   if (!slot.retained) {
     if (!rs.is_trigger(e)) {
-      if (slot.ring.put(e)) ++rs.stats.events_aged_out;
+      if (const auto evicted = slot.ring.push(rs.pack(e))) {
+        ++rs.stats.events_aged_out;
+        rs.release(*evicted);
+      }
       return;
     }
     pin_ue(e.ue);  // replays the ring ahead of the triggering event

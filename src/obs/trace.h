@@ -318,13 +318,14 @@ class Tracer {
   /// combined stream is deterministic; appends even while disabled.
   void absorb(std::vector<Event> events);
 
-  /// Restarts span AND event-id numbering from 1. clear() deliberately
-  /// keeps ids monotonic so consecutive exports concatenate; call this
-  /// only when previous exports are discarded (isolated fleet runs,
-  /// tests) and a reproducible id sequence matters.
-  void reset_span_counter() {
-    next_span_ = 1;
-    next_seq_ = 1;
+  /// Restarts span AND event-id numbering from `first` (1 unless a test
+  /// wants ids past 2^32). clear() deliberately keeps ids monotonic so
+  /// consecutive exports concatenate; call this only when previous
+  /// exports are discarded (isolated fleet runs, tests) and a
+  /// reproducible id sequence matters.
+  void reset_span_counter(std::uint64_t first = 1) {
+    next_span_ = first;
+    next_seq_ = first;
   }
 
   /// Registers/removes a passive event tap. Observers are notified in

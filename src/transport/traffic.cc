@@ -18,9 +18,13 @@ bool TrafficEngine::session_up() const {
          core_.session_active(ue_, modem::Modem::kDataPsi);
 }
 
-bool TrafficEngine::dns_healthy() const {
-  return session_up() && core_.dns_resolves(ue_, modem_.dns_addr()) &&
+bool TrafficEngine::dns_reachable() const {
+  return core_.dns_resolves(ue_, modem_.dns_addr()) &&
          core_.upf_allows(ue_, nas::IpProtocol::kUdp, 53);
+}
+
+bool TrafficEngine::dns_healthy() const {
+  return session_up() && dns_reachable();
 }
 
 bool TrafficEngine::path_allows(nas::IpProtocol proto,
@@ -30,7 +34,8 @@ bool TrafficEngine::path_allows(nas::IpProtocol proto,
 
 bool TrafficEngine::path_healthy() const {
   ++health_checks_;
-  return path_allows(nas::IpProtocol::kTcp, 443) && dns_healthy();
+  // path_allows(TCP 443) && dns_healthy(), with the session looked up once.
+  return path_allows(nas::IpProtocol::kTcp, 443) && dns_reachable();
 }
 
 void TrafficEngine::record(nas::IpProtocol proto, bool ok) {

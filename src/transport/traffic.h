@@ -65,6 +65,8 @@ class TrafficEngine {
 
  private:
   bool session_up() const;
+  /// The LDNS answers and the UPF passes UDP 53 (session not checked).
+  bool dns_reachable() const;
   void record(nas::IpProtocol proto, bool ok);
 
   sim::Simulator& sim_;

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -1161,6 +1163,28 @@ struct Alerter : obs::EventObserver {
   }
 };
 
+// Event's operator== compares doubles by value (-0.0 == 0.0, NaN !=
+// NaN); a ring record must give back the same bits.
+bool same_bits(const obs::Event& a, const obs::Event& b) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  if (bits(a.prep_ms) != bits(b.prep_ms) ||
+      bits(a.trans_ms) != bits(b.trans_ms)) {
+    return false;
+  }
+  obs::Event x = a;
+  obs::Event y = b;
+  x.prep_ms = x.trans_ms = y.prep_ms = y.trans_ms = 0.0;
+  return x == y;
+}
+
+bool same_bits(const std::vector<obs::Event>& a,
+               const std::vector<obs::Event>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const obs::Event& x, const obs::Event& y) {
+                      return same_bits(x, y);
+                    });
+}
+
 struct RetentionOp {
   enum class Kind { kEmit, kPin, kSeal };
   Kind kind = Kind::kEmit;
@@ -1178,13 +1202,15 @@ struct RetentionRun {
   std::vector<std::pair<std::size_t, RetentionOp>> marks;
 };
 
+// `first_id` starts span and event-id numbering, so a run can cross 2^32.
 RetentionRun run_tracer(const std::vector<RetentionOp>& ops,
-                        const std::optional<obs::RetentionPolicy>& policy) {
+                        const std::optional<obs::RetentionPolicy>& policy,
+                        std::uint64_t first_id = 1) {
   obs::Tracer& t = obs::Tracer::instance();
   sim::TimePoint now = sim::kTimeZero;
   t.enable(true);
   t.clear();
-  t.reset_span_counter();
+  t.reset_span_counter(first_id);
   t.set_clock(&now);
   if (policy) t.set_retention(*policy);
   Recorder first;
@@ -1223,10 +1249,30 @@ RetentionRun run_tracer(const std::vector<RetentionOp>& ops,
   return run;
 }
 
+// A collab timing as producers emit it (sim::to_ms of a Duration, or a
+// count such as learner records), now and then one a ring record cannot
+// hold as whole µs.
+double random_timing(sim::Rng& rng) {
+  const double roll = rng.uniform();
+  if (roll < 0.3) return 0.0;
+  if (roll < 0.6) {
+    return sim::to_ms(sim::Duration(rng.uniform_int(-5000000, 5000000)));
+  }
+  if (roll < 0.85) return static_cast<double>(rng.uniform_int(0, 4000000000));
+  if (roll < 0.95) return rng.uniform() * 1e3;  // off the µs grid
+  return rng.chance(0.5) ? -0.0 : 1e12;
+}
+
 std::vector<RetentionOp> random_retention_ops(
     sim::Rng& rng, const std::vector<std::uint32_t>& ues) {
   const std::vector<std::string> details = {
-      "", "mismatch", "ok", "terminal: escalation ladder exhausted at B3"};
+      "",
+      "mismatch",
+      "ok",
+      "terminal: escalation ladder exhausted at B3",
+      std::string(300, 'x'),  // too long to intern
+      std::string("dnn\0\xff\xfe caf\xc3\xa9", 12),
+  };
   std::vector<RetentionOp> ops;
   if (rng.chance(0.3)) {  // a pin before any event
     RetentionOp pin;
@@ -1253,7 +1299,25 @@ std::vector<RetentionOp> random_retention_ops(
       e.ok = rng.chance(0.5);
       e.action = static_cast<std::uint8_t>(rng.uniform_int(0, 6));
       e.cause = static_cast<std::uint8_t>(rng.uniform_int(0, 111));
-      e.detail = rng.pick(details);
+      e.detail = rng.chance(0.1)
+                     ? "text " + std::to_string(rng.uniform_int(0, 9999))
+                     : rng.pick(details);
+      e.label = rng.chance(0.5) ? 0u
+                                : static_cast<std::uint32_t>(
+                                      rng.uniform_int(0, 0xffffffff));
+      e.plane = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      e.tier = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      e.prep_ms = random_timing(rng);
+      e.trans_ms = random_timing(rng);
+      // A preset parent is kept as is: far behind the ring's oldest
+      // record, ahead of the event itself, or more than 2^32 back.
+      const double link = rng.uniform();
+      if (link < 0.2) {
+        e.parent = static_cast<std::uint64_t>(rng.uniform_int(1, i + 1));
+      } else if (link < 0.25) {
+        e.parent =
+            static_cast<std::uint64_t>(rng.uniform_int(1, 1000000000)) << 8;
+      }
     }
     ops.push_back(std::move(op));
   }
@@ -1282,8 +1346,14 @@ TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
     if (rng.chance(0.5)) ues.push_back(1);
     const std::vector<RetentionOp> ops = random_retention_ops(rng, ues);
 
-    const RetentionRun full = run_tracer(ops, std::nullopt);
-    const RetentionRun kept = run_tracer(ops, policy);
+    // Some rounds number spans and events across 2^32.
+    const std::uint64_t first_id =
+        rng.chance(0.25)
+            ? (std::uint64_t{1} << 32) -
+                  static_cast<std::uint64_t>(rng.uniform_int(0, 40))
+            : 1;
+    const RetentionRun full = run_tracer(ops, std::nullopt, first_id);
+    const RetentionRun kept = run_tracer(ops, policy, first_id);
     ASSERT_EQ(full.events, full.seen_first) << "round " << round;
     ASSERT_EQ(kept.marks.size(), full.marks.size());
 
@@ -1312,6 +1382,7 @@ TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
     oracle.seal();
 
     EXPECT_EQ(kept.events, oracle.events()) << "round " << round;
+    EXPECT_TRUE(same_bits(kept.events, oracle.events())) << "round " << round;
     EXPECT_EQ(kept.stats.events_retained, oracle.stats().events_retained);
     EXPECT_EQ(kept.stats.events_aged_out, oracle.stats().events_aged_out);
     EXPECT_EQ(kept.stats.bytes_retained, oracle.stats().bytes_retained);
@@ -1324,6 +1395,110 @@ TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
   EXPECT_GT(trigger_kinds[obs::EventKind::kPeerQuarantined], 0);
   EXPECT_GT(trigger_kinds[obs::EventKind::kSloAlert], 0);
   EXPECT_GT(custom_triggers, 0);
+}
+
+// A buffered event comes back from its packed ring record through a real
+// promotion with every field exact, including each value the record
+// cannot hold: such an event escapes whole, and its escape entry leaves
+// with its ring slot (evicted or promoted).
+TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
+  obs::Tracer& t = obs::Tracer::instance();
+  sim::TimePoint now = sim::kTimeZero;
+  t.enable(true);
+  t.clear();
+  constexpr std::uint64_t kFirstId = (std::uint64_t{1} << 32) + 5;
+  t.reset_span_counter(kFirstId);  // spans and event ids past 2^32
+  t.set_clock(&now);
+  obs::RetentionPolicy policy;
+  policy.ring_depth = 64;
+  t.set_retention(policy);
+  Recorder recorded;
+  t.add_observer(&recorded);
+
+  const auto emit = [&](std::uint32_t ue, const auto& set) {
+    obs::Event e;
+    e.kind = obs::EventKind::kCollabDownlink;
+    e.origin = obs::Origin::kInfra;
+    e.ue = ue;
+    e.label = 0x0300002a;
+    e.plane = 1;
+    e.cause = 22;
+    e.action = 5;
+    e.ok = true;
+    e.prep_ms = 12.345;
+    e.trans_ms = 3.0;
+    e.detail = "ok";
+    set(e);
+    now += sim::us(1);
+    t.record_now(std::move(e));
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Set = void (*)(obs::Event&);
+  const Set cases[] = {
+      [](obs::Event&) {},                                  // fits
+      [](obs::Event& e) { e.parent = kFirstId + 1; },      // itself
+      [](obs::Event& e) { e.parent = 1; },                 // 2^32 back
+      [](obs::Event& e) { e.parent = ~std::uint64_t{0}; }, // ahead
+      [](obs::Event& e) { e.prep_ms = 0.1234567; },        // off the grid
+      [](obs::Event& e) { e.trans_ms = -2.5; },            // fits
+      [](obs::Event& e) { e.trans_ms = -0.0; },
+      [](obs::Event& e) { e.prep_ms = -3e6; },             // < -2^31 µs
+      [](obs::Event& e) { e.prep_ms = 4294967295.0; },     // a u32 count
+      [](obs::Event& e) { e.trans_ms = 1e300; },
+      [](obs::Event& e) { e.trans_ms = -kInf; },
+      [](obs::Event& e) {
+        e.prep_ms = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](obs::Event& e) { e.detail.clear(); },
+      [](obs::Event& e) { e.detail = std::string(4096, 'd'); },
+      [](obs::Event& e) { e.detail = std::string("\0\xff", 2); },
+      [](obs::Event& e) {
+        e.kind = static_cast<obs::EventKind>(250);
+        e.origin = static_cast<obs::Origin>(250);
+        e.label = ~std::uint32_t{0};
+        e.plane = e.cause = e.action = e.tier = 255;
+      },
+      // A failure opens a span past 2^32: its events escape on the span.
+      [](obs::Event& e) { e.kind = obs::EventKind::kFailureInjected; },
+      [](obs::Event& e) { e.kind = obs::EventKind::kDiagnosisMade; },
+  };
+  constexpr std::uint32_t kUe = 7;
+  for (const Set set : cases) emit(kUe, set);
+
+  // A longer stream through a second ring: distinct texts past the
+  // intern table's limit, long details and off-grid timings escape, and
+  // most of those records are evicted before the promotion.
+  constexpr std::uint32_t kChurnUe = 9;
+  for (int i = 0; i < 5000; ++i) {
+    emit(kChurnUe, [i](obs::Event& e) {
+      e.kind = obs::EventKind::kLog;
+      e.detail = i % 3 == 0 ? std::string(300 + i % 7, 'a' + i % 26)
+                            : "text " + std::to_string(i);
+      e.prep_ms = i % 5 == 0 ? i * 0.1 : i;
+    });
+  }
+  ASSERT_EQ(recorded.seen[1].parent, recorded.seen[1].seq);
+  ASSERT_TRUE(t.events().empty());
+  t.pin_ue(kUe);
+  t.pin_ue(kChurnUe);
+
+  std::vector<obs::Event> want(recorded.seen.begin(),
+                               recorded.seen.begin() + std::size(cases));
+  want.insert(want.end(), recorded.seen.end() - 64, recorded.seen.end());
+  ASSERT_EQ(t.events().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(same_bits(t.events()[i], want[i])) << "event " << i;
+  }
+  const obs::RetentionStats stats = t.retention_stats();
+  EXPECT_EQ(stats.events_retained, want.size());
+  EXPECT_EQ(stats.events_aged_out, 5000u - 64u);
+
+  t.remove_observer(&recorded);
+  t.clear_retention();
+  t.set_clock(nullptr);
+  t.enable(false);
+  t.clear();
+  t.reset_span_counter();
 }
 
 // ------------------------------------------- health-window percentile

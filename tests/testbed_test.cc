@@ -28,6 +28,39 @@ TEST(Testbed, BringUpWorksForAllSchemes) {
   }
 }
 
+// path_healthy() is the applet's recovery probe: it needs the data
+// session, TCP 443 and DNS, and every call counts once.
+TEST(Testbed, PathHealthyNeedsSessionTcpAndDns) {
+  Testbed tb(1, Scheme::kLegacy);
+  tb.bring_up();
+  transport::TrafficEngine& traffic = tb.dev().traffic();
+  corenet::CoreNetwork& core = tb.core();
+  const corenet::UeId ue = tb.dev().ue_id();
+  const corenet::TrafficPolicy intended = core.effective_policy(ue);
+  const std::uint64_t checks = traffic.health_checks();
+
+  EXPECT_TRUE(traffic.path_healthy());
+
+  corenet::TrafficPolicy tcp_blocked = intended;
+  tcp_blocked.tcp_blocked = true;
+  core.set_effective_policy(ue, tcp_blocked);
+  EXPECT_FALSE(traffic.path_healthy());
+  EXPECT_TRUE(traffic.dns_healthy());
+  core.set_effective_policy(ue, intended);
+
+  core.set_dns_up(false);
+  EXPECT_FALSE(traffic.path_healthy());
+  EXPECT_TRUE(traffic.path_allows(nas::IpProtocol::kTcp, 443));
+  core.set_dns_up(true);
+
+  core.drop_sessions(ue);
+  EXPECT_FALSE(traffic.path_healthy());
+  EXPECT_FALSE(traffic.path_allows(nas::IpProtocol::kTcp, 443));
+  EXPECT_FALSE(traffic.dns_healthy());
+
+  EXPECT_EQ(traffic.health_checks() - checks, 4u);
+}
+
 // ------------------------------------------------------ control plane
 
 TEST(Testbed, IdentityDesyncLegacyTakesTimerScale) {

@@ -3,8 +3,12 @@
 // the Tracer's tail-based retention (triggers, budgets, seal), and the
 // sharded city workload's worker-count determinism.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <sstream>
 #include <string>
@@ -17,6 +21,28 @@
 #include "seed/verdict.h"
 #include "testbed/city_workload.h"
 #include "testbed/testbed.h"
+
+namespace {
+// Heap allocations made by the calling thread, and the bytes they hold
+// until freed on it: the replaced global operator new and delete below
+// keep both, so a test can pin a path as allocation-free or a store as
+// bounded.
+thread_local std::size_t t_allocations = 0;
+thread_local std::ptrdiff_t t_live_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  ++t_allocations;
+  t_live_bytes += static_cast<std::ptrdiff_t>(malloc_usable_size(p));
+  return p;
+}
+void operator delete(void* p) noexcept {
+  t_live_bytes -= static_cast<std::ptrdiff_t>(malloc_usable_size(p));
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace seed {
 namespace {
@@ -400,6 +426,59 @@ TEST(TailRetention, VerdictMismatchTriggerRetainsMisdiagnosis) {
   ASSERT_EQ(fx.t.events().size(), 1u);
   EXPECT_EQ(fx.t.events()[0].ue, 5u);
   EXPECT_EQ(fx.t.retention_stats().ues_retained, 1u);
+}
+
+// Routing an event into a non-retained UE's warm ring packs it in place:
+// no heap allocation, however long its detail (interned on first sight).
+TEST(TailRetention, RingRoutingAllocatesNothingOnceWarm) {
+  TracerFixture fx;
+  obs::RetentionPolicy p;
+  p.ring_depth = 4;
+  fx.t.set_retention(p);
+  fx.t.enable(true);
+  std::vector<Event> events;
+  for (int i = 0; i < 16; ++i) {
+    Event e = ue_event(3, EventKind::kCollabUplink,
+                       i % 2 == 0 ? "" : "longer than a small string's buffer");
+    e.prep_ms = sim::to_ms(sim::us(1234 + i));
+    e.trans_ms = i;
+    events.push_back(std::move(e));
+  }
+  for (const Event& e : events) fx.t.record_now(e);  // reserves, interns
+  const std::size_t before = t_allocations;
+  for (Event& e : events) fx.t.record_now(std::move(e));
+  EXPECT_EQ(t_allocations, before);
+  fx.t.seal_retention();
+  EXPECT_EQ(fx.t.retention_stats().events_aged_out, 32u);
+  EXPECT_TRUE(fx.t.events().empty());
+}
+
+// What a non-retained UE's ring holds stays bounded however long it
+// runs: an escaped record (a detail too long to intern) frees its whole
+// Event when the ring evicts it, and interning stops at its text limit
+// however many distinct texts arrive. Both go with the retention state.
+TEST(TailRetention, EscapeAndInternStoresStayBounded) {
+  TracerFixture fx;
+  const std::ptrdiff_t idle = t_live_bytes;
+  obs::RetentionPolicy p;
+  p.ring_depth = 4;
+  fx.t.set_retention(p);
+  fx.t.enable(true);
+  const auto run = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      Event e = ue_event(5, EventKind::kLog);
+      e.detail = i % 2 == 0 ? std::string(4096, static_cast<char>('a' + i % 26))
+                            : "text " + std::to_string(i);
+      fx.t.record_now(std::move(e));
+    }
+  };
+  run(0, 100);
+  const std::ptrdiff_t warm = t_live_bytes;
+  run(100, 40100);  // 20,000 escapes of 4 KB, 20,000 distinct texts
+  EXPECT_LT(t_live_bytes - warm, 1 << 20);
+  EXPECT_EQ(fx.t.retention_stats().events_aged_out, 40100u - 4u);
+  fx.t.clear();  // a fresh retention state
+  EXPECT_LT(t_live_bytes - idle, 4096);
 }
 
 TEST(TailRetention, ClearStartsAFreshCaptureKeepingThePolicy) {
