@@ -335,6 +335,9 @@ std::optional<PacketFilter> PacketFilter::decode(Reader& r) {
   f.precedence = r.u8();
   const BytesView comps = r.lv8();
   if (!r.ok()) return std::nullopt;
+  // A repeated component is decoded and ignored: the first occurrence
+  // wins, as for a repeated IE (TS 24.501 clause 7.6.3). A wire protocol
+  // is never kAny, so kAny means "not seen yet".
   Reader cr(comps);
   while (cr.remaining() > 0) {
     const std::uint8_t type = cr.u8();
@@ -345,20 +348,27 @@ std::optional<PacketFilter> PacketFilter::decode(Reader& r) {
           r.fail();
           return std::nullopt;
         }
-        f.protocol = static_cast<IpProtocol>(proto);
-        break;
-      }
-      case kCompRemoteAddr: {
-        f.remote_addr = Ipv4::decode(cr);
-        if (!f.remote_addr) {
-          r.fail();
-          return std::nullopt;
+        if (f.protocol == IpProtocol::kAny) {
+          f.protocol = static_cast<IpProtocol>(proto);
         }
         break;
       }
+      case kCompRemoteAddr: {
+        const std::optional<Ipv4> addr = Ipv4::decode(cr);
+        if (!addr) {
+          r.fail();
+          return std::nullopt;
+        }
+        if (!f.remote_addr) f.remote_addr = addr;
+        break;
+      }
       case kCompPortRange: {
-        f.remote_port_lo = cr.u16();
-        f.remote_port_hi = cr.u16();
+        const std::uint16_t lo = cr.u16();
+        const std::uint16_t hi = cr.u16();
+        if (!f.remote_port_lo) {
+          f.remote_port_lo = lo;
+          f.remote_port_hi = hi;
+        }
         break;
       }
       default:

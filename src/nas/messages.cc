@@ -254,8 +254,9 @@ class Decoder {
     const BytesView v = r_.raw(n);
     b.assign(v.begin(), v.end());
   }
-  // Tags may come in any order and a repeated tag overwrites the earlier
-  // value; an unknown tag, or a value not decoded exactly, is invalid.
+  // Tags may come in any order. A repeated tag is decoded and ignored:
+  // the first occurrence wins (TS 24.501 clause 7.6.3). An unknown tag,
+  // or a value not decoded exactly, is invalid.
   template <typename... T>
   void tail(Tlv<T>... ies) {
     while (r_.ok() && r_.remaining() > 0) {
@@ -272,7 +273,7 @@ class Decoder {
     if (!r_.ok()) return true;
     T v{};
     if (get(vr, v) && vr.done()) {
-      ie.value = std::move(v);
+      if (!ie.value) ie.value = std::move(v);
     } else {
       r_.fail();
     }

@@ -9,8 +9,8 @@
 // history in the order it happened.
 //
 // Templated so the header has no dependency on the trace layer: trace.cc
-// instantiates it twice, retention rings of 48-byte packed records and
-// blackbox rings of whole Events.
+// instantiates it twice, retention rings of 48-byte EVT payload cells
+// and blackbox rings of whole Events.
 #pragma once
 
 #include <cstddef>

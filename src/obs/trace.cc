@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <type_traits>
@@ -84,13 +84,26 @@ constexpr std::array<std::string_view, 6> kOriginNames = {
 };
 
 /// Reads `key` from a parsed record as T, leaving `field` untouched when
-/// the key is absent. A present value of the wrong type throws ParseError.
+/// the key is absent. A present value of the wrong type, or one an
+/// integer T cannot hold exactly (a fraction, out of range), throws
+/// ParseError.
 template <class T>
 void read_number(const minijson::Value& record, std::string_view key,
                  T& field) {
-  if (const minijson::Value* v = record.find(key)) {
-    field = static_cast<T>(v->as_number());
+  const minijson::Value* v = record.find(key);
+  if (v == nullptr) return;
+  const double d = v->as_number();
+  if constexpr (std::is_integral_v<T>) {
+    // max() + 1 rounds to a power of two, so `<` admits exactly max().
+    constexpr double kLo = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double kEnd =
+        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+    if (!(d >= kLo && d < kEnd) ||
+        static_cast<double>(static_cast<T>(d)) != d) {
+      throw minijson::ParseError("number does not fit its field", 0);
+    }
   }
+  field = static_cast<T>(d);
 }
 
 }  // namespace
@@ -181,46 +194,30 @@ Tracer& Tracer::instance() {
   return tracer;
 }
 
-/// Tail-retention bookkeeping (out-of-line: it owns a TlvSizer, and
-/// trace_binary.h includes trace.h). One slot per UE label, indexed by
+/// Tail-retention bookkeeping (out-of-line: trace_binary.h, whose payload
+/// codec it uses, includes trace.h). One slot per UE label, indexed by
 /// the label itself: multi-UE runs number devices 1..N (0 is the
 /// unattributed stream), so the vector is dense and one index finds a
 /// UE's ring and whether its stream is durable from a promotion on.
 ///
-/// A ring holds packed Records, not Events: most buffered events age out
-/// unread, so each is packed once on the way in and only a promotion
-/// unpacks it. The round trip is exact for every value; an event with a
-/// field the record cannot hold is kept whole in the escape store.
+/// A ring holds each event as its SEEDTRC EVT payload, not as an Event:
+/// most buffered events age out unread, so each is written once on the
+/// way in and only a promotion reads it back, through the capture codec
+/// (exact for every field). An event whose payload does not fit a cell,
+/// whose detail cannot be interned, or whose kind or origin the codec
+/// rejects is kept whole in the escape store instead.
 struct Tracer::RetentionState {
-  /// One buffered event. `ue` is the slot index, so it is not stored;
-  /// `parent` is a back-distance from `seq` (0 = root); the collab
-  /// timings are whole µs (producers emit sim::to_ms of a Duration or a
-  /// count, and n / 1e3 gives the same double back); `detail` indexes
-  /// the intern table (0 = empty). When `escaped` is set, `detail`
-  /// indexes the escape store instead and no other field is read.
-  struct Record {
-    std::int64_t at_us = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t parent_back = 0;
-    std::uint32_t span = 0;
-    std::uint32_t label = 0;
-    std::int32_t prep_us = 0;
-    std::int32_t trans_us = 0;
-    std::uint32_t detail = 0;
-    EventKind kind = EventKind::kLog;
-    Origin origin = Origin::kNone;
-    std::uint8_t plane = 0;
-    std::uint8_t cause = 0;
-    std::uint8_t action = 0;
-    std::uint8_t tier = 0;
-    bool ok = false;
-    bool escaped = false;
+  /// One buffered event: `len` payload bytes whose detail id indexes the
+  /// intern table. `len` 0 marks an escaped event, and the first four
+  /// payload bytes then hold its escape-store index.
+  struct Cell {
+    std::uint8_t len = 0;
+    std::array<std::uint8_t, 47> payload;
   };
-  static_assert(sizeof(Record) <= 48, "a ring slot is a 48-byte record");
-  static_assert(std::is_trivially_copyable_v<Record>);
+  static_assert(sizeof(Cell) <= 48, "a ring slot is a 48-byte cell");
 
   struct Slot {
-    Ring<Record> ring;  // released once the UE is retained
+    Ring<Cell> ring;  // released once the UE is retained
     bool retained = false;
   };
 
@@ -249,84 +246,55 @@ struct Tracer::RetentionState {
 
   Slot& slot(std::uint32_t ue) {
     if (ue >= slots.size()) {
-      slots.resize(std::size_t{ue} + 1,
-                   Slot{Ring<Record>(policy.ring_depth)});
+      slots.resize(std::size_t{ue} + 1, Slot{Ring<Cell>(policy.ring_depth)});
     }
     return slots[ue];
   }
 
-  Record pack(const Event& e) {
-    Record r{.at_us = e.at_us,
-             .seq = e.seq,
-             .span = static_cast<std::uint32_t>(e.span),
-             .label = e.label,
-             .kind = e.kind,
-             .origin = e.origin,
-             .plane = e.plane,
-             .cause = e.cause,
-             .action = e.action,
-             .tier = e.tier,
-             .ok = e.ok};
-    // Modular back-distance: unpack's seq - back restores any parent
-    // whose distance fits 32 bits and is not 0 (the root marker).
-    const std::uint64_t back = e.parent == 0 ? 0 : e.seq - e.parent;
-    r.parent_back = static_cast<std::uint32_t>(back);
-    const bool fits = r.span == e.span && r.parent_back == back &&
-                      (e.parent == 0 || back != 0) &&
-                      to_us(e.prep_ms, r.prep_us) &&
-                      to_us(e.trans_ms, r.trans_us) &&
-                      intern(e.detail, r.detail);
-    if (!fits) {
-      r.escaped = true;
-      r.detail = stash(e);
+  Cell cell_of(const Event& e) {
+    Cell c;
+    std::uint32_t detail_id = 0;
+    if (event_kind_name(e.kind) != "unknown" &&
+        origin_name(e.origin) != "unknown" && intern(e.detail, detail_id)) {
+      EventPayload payload;
+      const std::size_t n = write_event_payload(e, detail_id, payload);
+      if (n <= c.payload.size()) {
+        c.len = static_cast<std::uint8_t>(n);
+        std::memcpy(c.payload.data(), payload.data(), n);
+        return c;
+      }
     }
-    return r;
+    const std::uint32_t i = stash(e);
+    std::memcpy(c.payload.data(), &i, sizeof(i));
+    return c;
   }
 
-  Event unpack(const Record& r, std::uint32_t ue) {
-    if (r.escaped) {
-      Event e = std::move(escapes[r.detail]);
-      release(r);
+  Event event_of(const Cell& c) {
+    if (c.len == 0) {
+      const std::uint32_t i = escape_index(c);
+      Event e = std::move(escapes[i]);
+      release(c);
       return e;
     }
     Event e;
-    e.span = r.span;
-    e.seq = r.seq;
-    e.parent = r.parent_back == 0 ? 0 : r.seq - r.parent_back;
-    e.kind = r.kind;
-    e.at_us = r.at_us;
-    e.ue = ue;
-    e.label = r.label;
-    e.origin = r.origin;
-    e.plane = r.plane;
-    e.cause = r.cause;
-    e.action = r.action;
-    e.tier = r.tier;
-    e.ok = r.ok;
-    e.prep_ms = r.prep_us / 1e3;
-    e.trans_ms = r.trans_us / 1e3;
-    if (r.detail != 0) e.detail = *texts[r.detail - 1];
+    std::uint32_t detail_id = 0;
+    read_event_payload({c.payload.data(), c.len}, e, detail_id);
+    if (detail_id != 0) e.detail = *texts[detail_id - 1];
     return e;
   }
 
-  /// Frees the escape entry of a record leaving its ring unread.
-  void release(const Record& r) {
-    if (!r.escaped) return;
-    escapes[r.detail] = Event{};
-    free_escapes.push_back(r.detail);
+  /// Frees the escape entry of a cell leaving its ring unread.
+  void release(const Cell& c) {
+    if (c.len != 0) return;
+    const std::uint32_t i = escape_index(c);
+    escapes[i] = Event{};
+    free_escapes.push_back(i);
   }
 
-  /// Whole µs `n` with n / 1e3 == ms bit for bit (so -0.0, NaN, values
-  /// off the µs grid and values beyond ±2^31 µs do not fit).
-  static bool to_us(double ms, std::int32_t& out) {
-    if (!(ms >= -2147483.0 && ms <= 2147483.0)) return false;
-    const auto n = static_cast<std::int32_t>(std::llround(ms * 1e3));
-    if (std::bit_cast<std::uint64_t>(n / 1e3) !=
-        std::bit_cast<std::uint64_t>(ms)) {
-      return false;
-    }
-    out = n;
-    return true;
+  static std::uint32_t escape_index(const Cell& c) {
+    std::uint32_t i = 0;
+    std::memcpy(&i, c.payload.data(), sizeof(i));
+    return i;
   }
 
   bool intern(const std::string& text, std::uint32_t& out) {
@@ -356,13 +324,12 @@ struct Tracer::RetentionState {
   RetentionPolicy policy;
   RetentionStats stats;
   std::vector<Slot> slots;
-  TlvSizer sizer;
   // Intern table: ids are 1-based positions in `texts`, which points at
   // the map's keys (map nodes never move).
   std::map<std::string, std::uint32_t, std::less<>> text_ids;
   std::vector<const std::string*> texts;
-  // Escape store: one entry per escaped record still in a ring, so it
-  // never holds more entries than the rings hold records.
+  // Escape store: one entry per escaped cell still in a ring, so it
+  // never holds more entries than the rings hold cells.
   std::vector<Event> escapes;
   std::vector<std::uint32_t> free_escapes;
 };
@@ -376,7 +343,10 @@ void Tracer::set_retention(const RetentionPolicy& policy) {
 void Tracer::clear_retention() { retention_.reset(); }
 
 RetentionStats Tracer::retention_stats() const {
-  return retention_ ? retention_->stats : RetentionStats{};
+  if (retention_ == nullptr) return {};
+  RetentionStats out = retention_->stats;
+  out.bytes_retained = record_bytes(events_);
+  return out;
 }
 
 void Tracer::pin_ue(std::uint32_t ue) {
@@ -386,11 +356,9 @@ void Tracer::pin_ue(std::uint32_t ue) {
   if (slot.retained) return;
   slot.retained = true;
   ++rs.stats.ues_retained;
-  for (const RetentionState::Record& r : slot.ring.take()) {
-    Event buffered = rs.unpack(r, ue);
+  for (const RetentionState::Cell& c : slot.ring.take()) {
     ++rs.stats.events_retained;
-    rs.stats.bytes_retained += rs.sizer.add(buffered);
-    events_.push_back(std::move(buffered));
+    events_.push_back(rs.event_of(c));
   }
 }
 
@@ -411,7 +379,7 @@ void Tracer::route_retained(const Event& e) {
   RetentionState::Slot& slot = rs.slot(e.ue);
   if (!slot.retained) {
     if (!rs.is_trigger(e)) {
-      if (const auto evicted = slot.ring.push(rs.pack(e))) {
+      if (const auto evicted = slot.ring.push(rs.cell_of(e))) {
         ++rs.stats.events_aged_out;
         rs.release(*evicted);
       }
@@ -420,7 +388,6 @@ void Tracer::route_retained(const Event& e) {
     pin_ue(e.ue);  // replays the ring ahead of the triggering event
   }
   ++rs.stats.events_retained;
-  rs.stats.bytes_retained += rs.sizer.add(e);
   events_.push_back(e);
 }
 

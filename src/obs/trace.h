@@ -223,7 +223,8 @@ struct RetentionPolicy {
 
 /// Trace-volume budget for one capture under tail-based retention.
 /// `bytes_retained` is the binary (TLV) record volume of the durable
-/// capture — pure record bytes, no framing, so per-shard totals sum.
+/// capture, record_bytes(events()) — pure record bytes, no framing, so
+/// per-shard totals sum. retention_stats() reads it off the capture.
 struct RetentionStats {
   std::uint64_t events_retained = 0;
   std::uint64_t events_aged_out = 0;
@@ -382,8 +383,9 @@ class Tracer {
   std::uint64_t parent_for(const Event& e) const;
   void advance_causal(const Event& e);
 
-  /// Retention state lives behind a pointer (defined in trace.cc): it
-  /// owns a TlvSizer, and trace_binary.h includes this header.
+  /// Retention state lives behind a pointer (defined in trace.cc): its
+  /// ring cells use the payload codec of trace_binary.h, which includes
+  /// this header.
   struct RetentionState;
   void route_retained(const Event& e);
 

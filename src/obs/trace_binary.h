@@ -2,9 +2,9 @@
 //
 // JSONL is the debuggable interchange format, but at metro scale it
 // costs ~150 bytes per event; this codec stores the same Event stream in
-// a compact TLV capture (~15-25 bytes/event) that round-trips *exactly*:
-// decode(encode(events)) == events, field for field, including arbitrary
-// bytes in `detail`.
+// a compact TLV capture (~27-30 bytes/event on the storms) that
+// round-trips *exactly*: decode(encode(events)) == events, field for
+// field and bit for bit, including arbitrary bytes in `detail`.
 //
 // Capture layout (all multi-byte lengths/ids use the NDN-style varint of
 // the ccache socket-backend TLV protocol; f64 fields are IEEE-754
@@ -33,7 +33,14 @@
 //   [prep_ms:f64 trans_ms:f64]         flags & 0x40
 //   [detail string id:varint]          flags & 0x80
 //   flags & 0x01 = ok. Optional groups mirror export_jsonl's
-//   emit-only-when-set rule, so the common event costs no dead bytes.
+//   emit-only-when-set rule, so the common event costs no dead bytes;
+//   the timing pair is written unless both values are +0.0, so -0.0
+//   survives. `ue`, `label` and the detail id are u32 values: a wider
+//   varint there is a malformed record.
+//
+// The EVT payload is also the tracer's in-memory record: a tail-retention
+// ring cell holds one (see Tracer::set_retention), written and read by
+// the same write_event_payload/read_event_payload pair as a capture.
 //
 // Version/compat rules: the version byte bumps on any layout change that
 // an old reader would misparse (new flag bits, field width changes);
@@ -43,10 +50,11 @@
 // kind name is malformed JSONL.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,9 +67,13 @@ inline constexpr std::string_view kTraceMagic = "SEEDTRC";
 inline constexpr std::uint8_t kTraceBinaryVersion = 1;
 inline constexpr std::size_t kTraceHeaderSize = 8;
 
+/// Longest EVT payload: 7 fixed bytes, at_us/span/seq/parent as 9-byte
+/// varints, ue/label/detail id as 5-byte varints and two f64 timings.
+inline constexpr std::size_t kTraceMaxEventPayload = 7 + 4 * 9 + 3 * 5 + 16;
 /// Sanity cap on a single record's declared length. A length above this
 /// is a corrupt length field (kOverLength), not a big record: the
-/// longest legal record is an EVT (< 100 bytes) or a max-length STR.
+/// longest legal record is an EVT (a payload of at most
+/// kTraceMaxEventPayload = 74 bytes) or a max-length STR.
 inline constexpr std::size_t kTraceMaxRecordLen = 1u << 20;
 /// Longest encodable `detail` string. Real details are short (log lines,
 /// verdict tokens); the encoder truncates beyond this, so round-trip
@@ -97,9 +109,27 @@ struct BinaryStats {
 /// JSONL).
 bool looks_binary(std::string_view bytes);
 
+/// One EVT payload buffer, large enough for any event.
+using EventPayload = std::array<std::uint8_t, kTraceMaxEventPayload>;
+
+/// Writes `e`'s EVT payload to `out`, with `detail_id` standing for its
+/// detail (0 = none), and returns the payload's length.
+std::size_t write_event_payload(const Event& e, std::uint32_t detail_id,
+                                EventPayload& out);
+/// Reads one EVT payload into every field of `e` but `detail`, whose
+/// string id (0 = none) goes to `detail_id` for the caller to resolve.
+/// False when the payload fails validation: an unknown kind or origin, a
+/// u32 field wider than 32 bits, or bytes left over or missing.
+bool read_event_payload(std::span<const std::uint8_t> payload, Event& e,
+                        std::uint32_t& detail_id);
+
 /// Encodes `events` as one capture (header + records + end trailer).
 std::string encode_binary(const std::vector<Event>& events);
 void export_binary(std::ostream& os, const std::vector<Event>& events);
+/// The record bytes encode_binary(events) writes: the capture without its
+/// header and end trailer, so per-shard totals sum. Counted with the
+/// encoder's own record walk, without building the capture.
+std::uint64_t record_bytes(const std::vector<Event>& events);
 
 /// Decodes a capture back to the Event stream Tracer recorded. Stops at
 /// the first structural error, reporting it through `stats` and
@@ -108,26 +138,6 @@ class TraceReader {
  public:
   static std::vector<Event> decode(std::string_view bytes,
                                    BinaryStats* stats = nullptr);
-};
-
-/// Incremental encoded-size accounting for the trace-volume budget: adds
-/// up, event by event, exactly the record bytes encode_binary would emit
-/// (EVT record plus any first-occurrence STR record), maintaining its
-/// own per-capture intern table. Capture framing (header/end trailer) is
-/// excluded — the total is pure record volume, so per-shard totals sum.
-class TlvSizer {
- public:
-  /// Returns the record bytes `e` adds to the capture and accumulates
-  /// them into bytes().
-  std::size_t add(const Event& e);
-  std::uint64_t bytes() const { return bytes_; }
-  void reset();
-
- private:
-  std::map<std::string, std::uint32_t, std::less<>> intern_;
-  std::uint32_t next_string_ = 1;
-  std::uint64_t bytes_ = 0;
-  std::string scratch_;
 };
 
 }  // namespace seed::obs

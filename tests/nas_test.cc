@@ -494,6 +494,63 @@ TEST(Messages, RejectsUnknownTlvTag) {
   EXPECT_FALSE(decode_message(wire).has_value());
 }
 
+// TS 24.501 clause 7.6.3: of a repeated optional IE the first occurrence
+// is handled and the rest ignored, so the message re-encodes without the
+// repeat. A repeat must still be well formed.
+TEST(Messages, RepeatedTlvKeepsTheFirstOccurrence) {
+  RegistrationReject m;
+  m.cause = 22;
+  m.t3502_seconds = 1800;
+  const Bytes wire = encode_message(m);
+  Bytes repeated = wire;
+  for (const std::uint8_t b : {0x16, 0x04, 0x00, 0x00, 0x00, 0x01}) {
+    repeated.push_back(b);
+  }
+  const auto out = decode_message(repeated);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(std::get<RegistrationReject>(*out).t3502_seconds, 1800u);
+  EXPECT_EQ(encode_message(*out), wire);
+
+  Bytes bad_repeat = wire;
+  for (const std::uint8_t b : {0x16, 0x03, 0x00, 0x00, 0x01}) {
+    bad_repeat.push_back(b);  // a 3-byte T3502 is not a u32
+  }
+  EXPECT_FALSE(decode_message(bad_repeat).has_value());
+}
+
+// The same rule for a packet filter's components, one case per type.
+TEST(Ie, PacketFilterRepeatedComponentKeepsTheFirstOccurrence) {
+  const auto decode = [](std::initializer_list<std::uint8_t> comps) {
+    Bytes wire = {0x21, 10, static_cast<std::uint8_t>(comps.size())};
+    wire.insert(wire.end(), comps);
+    Reader r(wire);
+    return PacketFilter::decode(r);
+  };
+  const auto proto = decode({0x30, 6, 0x30, 17});
+  ASSERT_TRUE(proto.has_value());
+  EXPECT_EQ(proto->protocol, IpProtocol::kTcp);
+
+  const auto addr = decode({0x10, 1, 2, 3, 4, 0x10, 5, 6, 7, 8});
+  ASSERT_TRUE(addr.has_value());
+  EXPECT_EQ(addr->remote_addr, Ipv4::from_string("1.2.3.4"));
+
+  const auto ports = decode({0x41, 0, 80, 0, 90, 0x41, 0, 1, 0, 2});
+  ASSERT_TRUE(ports.has_value());
+  EXPECT_EQ(ports->remote_port_lo, 80);
+  EXPECT_EQ(ports->remote_port_hi, 90);
+
+  // Each re-encodes as the filter written without the repeat.
+  const auto wire_of = [](const PacketFilter& f) {
+    Writer w;
+    f.encode(w);
+    return w.bytes();
+  };
+  EXPECT_EQ(wire_of(*proto), (Bytes{0x21, 10, 2, 0x30, 6}));
+  EXPECT_EQ(wire_of(*addr), (Bytes{0x21, 10, 5, 0x10, 1, 2, 3, 4}));
+  EXPECT_EQ(wire_of(*ports), (Bytes{0x21, 10, 5, 0x41, 0, 80, 0, 90}));
+  EXPECT_FALSE(decode({0x30, 6, 0x30, 99}).has_value());  // bad repeat
+}
+
 // Property: every truncation of every valid message is either rejected or
 // (never) mis-parsed — the decoder must not crash and must not return a
 // message that re-encodes to different bytes.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -193,17 +195,30 @@ TEST_F(ObsTest, ImportSkipsMalformedLines) {
       // A \u escape above 0xff is not a byte the exporter writes.
       << "{\"kind\":\"log\",\"detail\":\"\\u0100\"}\n"
       << "{\"span\":3,\"kind\":\"recovered\",\"at_us\":42,\"origin\":"
-         "\"testbed\"}\n";
+         "\"testbed\"}\n"
+      // A number its field cannot hold exactly is damage, not a value.
+      << "{\"kind\":\"log\",\"plane\":300}\n"
+      << "{\"kind\":\"log\",\"ue\":-1}\n"
+      << "{\"kind\":\"log\",\"seq\":1e300}\n"
+      << "{\"kind\":\"log\",\"cause\":2.5}\n"
+      << "{\"kind\":\"log\",\"at_us\":-9.3e18}\n"
+      // Each field's extremes still fit.
+      << "{\"kind\":\"log\",\"plane\":255,\"ue\":4294967295,"
+         "\"at_us\":-9223372036854775808,\"prep_ms\":2.5}\n";
   ImportStats stats;
   const std::vector<Event> back = Tracer::import_jsonl(buf, &stats);
-  EXPECT_EQ(stats.lines, 4u);
-  EXPECT_EQ(stats.malformed, 2u);
-  EXPECT_EQ(stats.records, 1u);
-  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(stats.lines, 10u);
+  EXPECT_EQ(stats.malformed, 7u);
+  EXPECT_EQ(stats.records, 2u);
+  ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].span, 3u);
   EXPECT_EQ(back[0].kind, EventKind::kRecovered);
   EXPECT_EQ(back[0].at_us, 42);
   EXPECT_EQ(back[0].origin, Origin::kTestbed);
+  EXPECT_EQ(back[1].plane, 255);
+  EXPECT_EQ(back[1].ue, 4294967295u);
+  EXPECT_EQ(back[1].at_us, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(back[1].prep_ms, 2.5);
 }
 
 TEST_F(ObsTest, LogLinesBridgeIntoTraceStream) {

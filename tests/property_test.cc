@@ -406,6 +406,21 @@ nas::NasMessage random_message(sim::Rng& rng) {
   return random_message_of(rng, rng.uniform_int(0, kNasMessageKinds - 1));
 }
 
+// The decode fixed point decode(encode(decode(w))) == decode(w), checked
+// on the re-encoding: an accepted wire's decode re-encodes to bytes that
+// decode and re-encode to themselves. The re-encoding may differ from
+// the wire itself where the decoder ignored a repeated IE or filter
+// component (TS 24.501 clause 7.6.3: the first occurrence wins).
+::testing::AssertionResult decode_fixed_point(const nas::NasMessage& decoded) {
+  const Bytes canon = nas::encode_message(decoded);
+  const auto again = nas::decode_message(canon);
+  if (!again) return ::testing::AssertionFailure() << "re-encoding rejected";
+  if (nas::encode_message(*again) != canon) {
+    return ::testing::AssertionFailure() << "re-encoding is not a fixed point";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(NasProperty, RandomMessagesRoundTripCanonically) {
   sim::Rng rng(1234);
   for (int i = 0; i < 3000; ++i) {
@@ -441,8 +456,7 @@ TEST(NasProperty, RandomBytesNeverCrashDecoder) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
     const auto decoded = nas::decode_message(junk);
     if (decoded) {
-      // Anything accepted must re-encode to exactly the input.
-      EXPECT_EQ(nas::encode_message(*decoded), junk);
+      EXPECT_TRUE(decode_fixed_point(*decoded));
     }
   }
 }
@@ -469,7 +483,7 @@ Bytes mutate(sim::Rng& rng, Bytes wire) {
 
 // >= 10k mutated buffers per NAS message type: the decoder must neither
 // crash nor over-read (the ASan/UBSan CI job gives this teeth), and
-// anything it accepts must re-encode canonically.
+// anything it accepts must be a decode fixed point.
 TEST(NasProperty, BitFlippedWireNeverCrashesDecoderPerType) {
   for (int kind = 0; kind < kNasMessageKinds; ++kind) {
     sim::Rng rng(7001 + kind * 131);
@@ -478,7 +492,7 @@ TEST(NasProperty, BitFlippedWireNeverCrashesDecoderPerType) {
           mutate(rng, nas::encode_message(random_message_of(rng, kind)));
       const auto decoded = nas::decode_message(wire);
       if (decoded) {
-        ASSERT_EQ(nas::encode_message(*decoded), wire)
+        ASSERT_TRUE(decode_fixed_point(*decoded))
             << "kind " << kind << " iteration " << i;
       }
     }
@@ -828,7 +842,10 @@ std::string nas_decode_corpus_report() {
         fnv1a_framed(digest, wire);
         const std::uint8_t accepted = decoded.has_value() ? 1 : 0;
         fnv1a(digest, BytesView(&accepted, 1));
-        if (decoded) fnv1a_framed(digest, nas::encode_message(*decoded));
+        if (decoded) {
+          EXPECT_TRUE(decode_fixed_point(*decoded)) << "base " << j;
+          fnv1a_framed(digest, nas::encode_message(*decoded));
+        }
       }
     }
     char type[8];
@@ -869,6 +886,26 @@ TEST(NasProperty, DecodeCorpusMatchesGolden) {
   std::stringstream want;
   want << in.rdbuf();
   EXPECT_EQ(want.str(), got);
+}
+
+// An accepted corpus wire re-encodes to itself unless the decoder
+// ignored a repeat, which only drops bytes. Four wires do: a T3502 TLV
+// repeated after a Registration Reject's own, and three TFTs (0xc2,
+// 0xc9, 0xcc) whose port-range tag became a second remote address.
+TEST(NasProperty, CorpusReencodingDiffersOnlyByDroppedRepeats) {
+  std::size_t differs = 0;
+  for (const nas::NasMessage& base : nas_corpus_bases()) {
+    for (const Bytes& wire :
+         nas_corpus_mutations(nas::encode_message(base))) {
+      const auto decoded = nas::decode_message(wire);
+      if (!decoded) continue;
+      const Bytes again = nas::encode_message(*decoded);
+      if (again == wire) continue;
+      ++differs;
+      EXPECT_LT(again.size(), wire.size());
+    }
+  }
+  EXPECT_EQ(differs, 4u);
 }
 
 // --------------------------------------------------------- reassemblers
@@ -1105,7 +1142,14 @@ class MapRetentionOracle {
   }
 
   const std::vector<obs::Event>& events() const { return events_; }
-  const obs::RetentionStats& stats() const { return stats_; }
+  // The budget is the capture's record bytes: the encoded capture
+  // without its header and 2-byte end trailer.
+  obs::RetentionStats stats() const {
+    obs::RetentionStats out = stats_;
+    out.bytes_retained =
+        obs::encode_binary(events_).size() - obs::kTraceHeaderSize - 2;
+    return out;
+  }
 
  private:
   bool is_trigger(const obs::Event& e) const {
@@ -1124,7 +1168,6 @@ class MapRetentionOracle {
 
   void keep(obs::Event e) {
     ++stats_.events_retained;
-    stats_.bytes_retained += sizer_.add(e);
     events_.push_back(std::move(e));
   }
 
@@ -1132,7 +1175,6 @@ class MapRetentionOracle {
   obs::RetentionStats stats_;
   std::map<std::uint32_t, obs::Ring<obs::Event>> rings_;
   std::set<std::uint32_t> retained_;
-  obs::TlvSizer sizer_;
   std::vector<obs::Event> events_;
 };
 
@@ -1164,7 +1206,7 @@ struct Alerter : obs::EventObserver {
 };
 
 // Event's operator== compares doubles by value (-0.0 == 0.0, NaN !=
-// NaN); a ring record must give back the same bits.
+// NaN); a ring cell must give back the same bits.
 bool same_bits(const obs::Event& a, const obs::Event& b) {
   const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
   if (bits(a.prep_ms) != bits(b.prep_ms) ||
@@ -1250,8 +1292,8 @@ RetentionRun run_tracer(const std::vector<RetentionOp>& ops,
 }
 
 // A collab timing as producers emit it (sim::to_ms of a Duration, or a
-// count such as learner records), now and then one a ring record cannot
-// hold as whole µs.
+// count such as learner records), now and then one off the µs grid, a
+// negative zero or a huge value.
 double random_timing(sim::Rng& rng) {
   const double roll = rng.uniform();
   if (roll < 0.3) return 0.0;
@@ -1397,17 +1439,18 @@ TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
   EXPECT_GT(custom_triggers, 0);
 }
 
-// A buffered event comes back from its packed ring record through a real
-// promotion with every field exact, including each value the record
-// cannot hold: such an event escapes whole, and its escape entry leaves
-// with its ring slot (evicted or promoted).
+// A buffered event comes back from its ring cell through a real
+// promotion with every field exact, bit for bit. So does each event that
+// escapes whole to the escape store: one whose payload outgrows a cell
+// (ids past 2^32), whose detail cannot be interned (too long, or past
+// the table's limit), or whose kind or origin the codec rejects. An
+// escape entry leaves with its ring slot (evicted or promoted).
 TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
   obs::Tracer& t = obs::Tracer::instance();
   sim::TimePoint now = sim::kTimeZero;
   t.enable(true);
   t.clear();
-  constexpr std::uint64_t kFirstId = (std::uint64_t{1} << 32) + 5;
-  t.reset_span_counter(kFirstId);  // spans and event ids past 2^32
+  t.reset_span_counter();
   t.set_clock(&now);
   obs::RetentionPolicy policy;
   policy.ring_depth = 64;
@@ -1433,43 +1476,56 @@ TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
     t.record_now(std::move(e));
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  using Set = void (*)(obs::Event&);
+  // Each case edits the default event; `first` is the run's first id.
+  using Set = void (*)(obs::Event&, std::uint64_t first);
   const Set cases[] = {
-      [](obs::Event&) {},                                  // fits
-      [](obs::Event& e) { e.parent = kFirstId + 1; },      // itself
-      [](obs::Event& e) { e.parent = 1; },                 // 2^32 back
-      [](obs::Event& e) { e.parent = ~std::uint64_t{0}; }, // ahead
-      [](obs::Event& e) { e.prep_ms = 0.1234567; },        // off the grid
-      [](obs::Event& e) { e.trans_ms = -2.5; },            // fits
-      [](obs::Event& e) { e.trans_ms = -0.0; },
-      [](obs::Event& e) { e.prep_ms = -3e6; },             // < -2^31 µs
-      [](obs::Event& e) { e.prep_ms = 4294967295.0; },     // a u32 count
-      [](obs::Event& e) { e.trans_ms = 1e300; },
-      [](obs::Event& e) { e.trans_ms = -kInf; },
-      [](obs::Event& e) {
+      [](obs::Event&, std::uint64_t) {},
+      [](obs::Event& e, std::uint64_t first) { e.parent = first + 1; },
+      [](obs::Event& e, std::uint64_t) { e.parent = 1; },
+      [](obs::Event& e, std::uint64_t) { e.parent = ~std::uint64_t{0}; },
+      [](obs::Event& e, std::uint64_t) { e.prep_ms = 0.1234567; },
+      [](obs::Event& e, std::uint64_t) { e.trans_ms = -2.5; },
+      [](obs::Event& e, std::uint64_t) { e.trans_ms = -0.0; },
+      [](obs::Event& e, std::uint64_t) { e.prep_ms = e.trans_ms = -0.0; },
+      [](obs::Event& e, std::uint64_t) { e.prep_ms = -3e6; },
+      [](obs::Event& e, std::uint64_t) { e.prep_ms = 4294967295.0; },
+      [](obs::Event& e, std::uint64_t) { e.trans_ms = 1e300; },
+      [](obs::Event& e, std::uint64_t) { e.trans_ms = -kInf; },
+      [](obs::Event& e, std::uint64_t) {
         e.prep_ms = std::numeric_limits<double>::quiet_NaN();
       },
-      [](obs::Event& e) { e.detail.clear(); },
-      [](obs::Event& e) { e.detail = std::string(4096, 'd'); },
-      [](obs::Event& e) { e.detail = std::string("\0\xff", 2); },
-      [](obs::Event& e) {
+      [](obs::Event& e, std::uint64_t) { e.detail.clear(); },
+      [](obs::Event& e, std::uint64_t) { e.detail = std::string(4096, 'd'); },
+      [](obs::Event& e, std::uint64_t) { e.detail = std::string("\0\xff", 2); },
+      [](obs::Event& e, std::uint64_t) {
         e.kind = static_cast<obs::EventKind>(250);
-        e.origin = static_cast<obs::Origin>(250);
         e.label = ~std::uint32_t{0};
         e.plane = e.cause = e.action = e.tier = 255;
       },
-      // A failure opens a span past 2^32: its events escape on the span.
-      [](obs::Event& e) { e.kind = obs::EventKind::kFailureInjected; },
-      [](obs::Event& e) { e.kind = obs::EventKind::kDiagnosisMade; },
+      [](obs::Event& e, std::uint64_t) {
+        e.origin = static_cast<obs::Origin>(250);
+      },
+      // A failure opens a span: past 2^32 its events outgrow a cell.
+      [](obs::Event& e, std::uint64_t) {
+        e.kind = obs::EventKind::kFailureInjected;
+      },
+      [](obs::Event& e, std::uint64_t) {
+        e.kind = obs::EventKind::kDiagnosisMade;
+      },
   };
+  constexpr std::size_t kCases = std::size(cases);
   constexpr std::uint32_t kUe = 7;
-  for (const Set set : cases) emit(kUe, set);
+  for (const Set set : cases) {
+    emit(kUe, [set](obs::Event& e) { set(e, 1); });
+  }
+  ASSERT_EQ(recorded.seen[1].parent, recorded.seen[1].seq);
 
-  // A longer stream through a second ring: distinct texts past the
-  // intern table's limit, long details and off-grid timings escape, and
-  // most of those records are evicted before the promotion.
+  // A longer stream through a second ring: past the intern table's
+  // limit distinct texts escape, as do long details, and most of those
+  // cells are evicted before the promotion.
   constexpr std::uint32_t kChurnUe = 9;
-  for (int i = 0; i < 5000; ++i) {
+  constexpr int kChurn = 7000;
+  for (int i = 0; i < kChurn; ++i) {
     emit(kChurnUe, [i](obs::Event& e) {
       e.kind = obs::EventKind::kLog;
       e.detail = i % 3 == 0 ? std::string(300 + i % 7, 'a' + i % 26)
@@ -1477,21 +1533,36 @@ TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
       e.prep_ms = i % 5 == 0 ? i * 0.1 : i;
     });
   }
-  ASSERT_EQ(recorded.seen[1].parent, recorded.seen[1].seq);
+
+  // The same cases with spans and event ids past 2^32.
+  constexpr std::uint64_t kFirstId = (std::uint64_t{1} << 32) + 5;
+  constexpr std::uint32_t kWideUe = 8;
+  t.reset_span_counter(kFirstId);
+  for (const Set set : cases) {
+    emit(kWideUe, [set](obs::Event& e) { set(e, kFirstId); });
+  }
+  const std::size_t wide_at = kCases + kChurn;
+  ASSERT_EQ(recorded.seen[wide_at + 1].parent, recorded.seen[wide_at + 1].seq);
   ASSERT_TRUE(t.events().empty());
   t.pin_ue(kUe);
   t.pin_ue(kChurnUe);
+  t.pin_ue(kWideUe);
 
-  std::vector<obs::Event> want(recorded.seen.begin(),
-                               recorded.seen.begin() + std::size(cases));
-  want.insert(want.end(), recorded.seen.end() - 64, recorded.seen.end());
+  const auto seen = [&](std::size_t from, std::size_t n) {
+    return recorded.seen.begin() + static_cast<std::ptrdiff_t>(from + n);
+  };
+  std::vector<obs::Event> want(seen(0, 0), seen(0, kCases));
+  want.insert(want.end(), seen(wide_at, 0) - 64, seen(wide_at, 0));
+  want.insert(want.end(), seen(wide_at, 0), seen(wide_at, kCases));
   ASSERT_EQ(t.events().size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(same_bits(t.events()[i], want[i])) << "event " << i;
   }
   const obs::RetentionStats stats = t.retention_stats();
   EXPECT_EQ(stats.events_retained, want.size());
-  EXPECT_EQ(stats.events_aged_out, 5000u - 64u);
+  EXPECT_EQ(stats.events_aged_out, kChurn - 64u);
+  EXPECT_EQ(stats.bytes_retained,
+            obs::encode_binary(want).size() - obs::kTraceHeaderSize - 2);
 
   t.remove_observer(&recorded);
   t.clear_retention();

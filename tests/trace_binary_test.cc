@@ -6,6 +6,7 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -20,6 +21,7 @@
 #include "obs/trace_binary.h"
 #include "seed/verdict.h"
 #include "testbed/city_workload.h"
+#include "testbed/multi_testbed.h"
 #include "testbed/testbed.h"
 
 namespace {
@@ -186,15 +188,36 @@ TEST(TraceBinary, InternTableWritesEachDetailOnce) {
             obs::encode_binary(distinct).size());
 }
 
-TEST(TraceBinary, SizerMatchesEncoderExactly) {
-  const std::vector<Event> events = exhaustive_events();
-  obs::TlvSizer sizer;
-  std::uint64_t total = 0;
-  for (const Event& e : events) total += sizer.add(e);
-  EXPECT_EQ(total, sizer.bytes());
-  // Record bytes = capture minus header and the 2-byte end trailer.
-  EXPECT_EQ(sizer.bytes(),
-            obs::encode_binary(events).size() - obs::kTraceHeaderSize - 2);
+// The encoder's only heap memory is its output string and one intern
+// entry per distinct detail: an event's payload is built on the stack.
+TEST(TraceBinary, EncoderAllocatesNothingPerEvent) {
+  Event e;
+  e.kind = EventKind::kCollabUplink;
+  e.seq = 3;
+  e.detail = "a detail too long for a small string";
+  const auto allocations = [](const std::vector<Event>& events) {
+    const std::size_t before = t_allocations;
+    const std::string bytes = obs::encode_binary(events);
+    EXPECT_GT(bytes.size(), obs::kTraceHeaderSize);
+    return t_allocations - before;
+  };
+  const std::vector<Event> few(100, e);
+  const std::vector<Event> many(1000, e);
+  EXPECT_EQ(allocations(many), allocations(few));
+  EXPECT_EQ(obs::record_bytes(many),
+            obs::encode_binary(many).size() - obs::kTraceHeaderSize - 2);
+}
+
+// A negative zero is a timing like any other: the pair is written
+// whenever either value's bits are set, so both come back bit for bit.
+TEST(TraceBinary, NegativeZeroTimingsRoundTrip) {
+  Event e;
+  e.kind = EventKind::kCollabDownlink;
+  e.prep_ms = -0.0;
+  const std::vector<Event> back = TraceReader::decode(obs::encode_binary({e}));
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_TRUE(std::signbit(back[0].prep_ms));
+  EXPECT_FALSE(std::signbit(back[0].trans_ms));
 }
 
 TEST(TraceBinary, TriagesBadMagicVersionTruncationOverlengthMalformed) {
@@ -234,6 +257,29 @@ TEST(TraceBinary, TriagesBadMagicVersionTruncationOverlengthMalformed) {
   bad_kind += std::string("\xee\x00\x00\x00\x00\x00\x00\x00", 8);
   TraceReader::decode(bad_kind, &st);
   EXPECT_EQ(st.error, BinaryError::kMalformed);
+
+  // `ue` and `label` are u32: a wider varint is malformed, not a UE
+  // truncated to 32 bits (which would re-encode differently).
+  for (const std::uint8_t flag : {0x10, 0x20}) {
+    std::string wide(obs::kTraceMagic);
+    wide.push_back(static_cast<char>(obs::kTraceBinaryVersion));
+    wide.push_back('\x02');
+    wide.push_back(17);  // 7 fixed bytes + at_us + a 9-byte varint
+    wide += std::string("\x00\x00\x00\x00\x00\x00", 6);
+    wide.push_back(static_cast<char>(flag));
+    wide.push_back('\0');  // at_us
+    wide += std::string("\xFF\x00\x00\x00\x01\x00\x00\x00\x07", 9);
+    wide.push_back('\xFF');
+    wide.push_back('\0');
+    const std::vector<Event> got = TraceReader::decode(wide, &st);
+    EXPECT_EQ(st.error, BinaryError::kMalformed) << "flag " << int(flag);
+    EXPECT_TRUE(got.empty());
+    // The same record holding 2^32 - 1 decodes.
+    wide.replace(wide.size() - 11, 9,
+                 std::string("\xFF\x00\x00\x00\x00\xFF\xFF\xFF\xFF", 9));
+    ASSERT_EQ(TraceReader::decode(wide, &st).size(), 1u);
+    EXPECT_EQ(st.error, BinaryError::kNone);
+  }
 
   // Unknown record types are skipped, not fatal (forward compat).
   std::string unknown(obs::kTraceMagic);
@@ -428,8 +474,9 @@ TEST(TailRetention, VerdictMismatchTriggerRetainsMisdiagnosis) {
   EXPECT_EQ(fx.t.retention_stats().ues_retained, 1u);
 }
 
-// Routing an event into a non-retained UE's warm ring packs it in place:
-// no heap allocation, however long its detail (interned on first sight).
+// Routing an event into a non-retained UE's warm ring writes its payload
+// in place: no heap allocation, however long its detail (interned on
+// first sight).
 TEST(TailRetention, RingRoutingAllocatesNothingOnceWarm) {
   TracerFixture fx;
   obs::RetentionPolicy p;
@@ -454,7 +501,7 @@ TEST(TailRetention, RingRoutingAllocatesNothingOnceWarm) {
 }
 
 // What a non-retained UE's ring holds stays bounded however long it
-// runs: an escaped record (a detail too long to intern) frees its whole
+// runs: an escaped event (a detail too long to intern) frees its whole
 // Event when the ring evicts it, and interning stops at its text limit
 // however many distinct texts arrive. Both go with the retention state.
 TEST(TailRetention, EscapeAndInternStoresStayBounded) {
@@ -479,6 +526,33 @@ TEST(TailRetention, EscapeAndInternStoresStayBounded) {
   EXPECT_EQ(fx.t.retention_stats().events_aged_out, 40100u - 4u);
   fx.t.clear();  // a fresh retention state
   EXPECT_LT(t_live_bytes - idle, 4096);
+}
+
+// The budget is read off the capture: a sampled city shard's
+// bytes_retained is exactly the record bytes encode_binary writes for
+// the events it kept.
+TEST(TailRetention, BudgetIsTheShardCaptureRecordBytes) {
+  TracerFixture fx;
+  obs::begin_shard_obs(/*traces=*/true, /*metrics=*/false);
+  obs::RetentionPolicy p;
+  p.trigger = core::verdict_mismatch;
+  fx.t.set_retention(p);
+  testbed::MultiOptions o;
+  o.ue_count = 64;
+  o.scheme = testbed::Scheme::kSeedU;
+  o.diag_cache = true;
+  o.outdated_dnn_population = true;
+  testbed::MultiTestbed city(/*seed=*/3, o);
+  city.bring_up_all();
+  city.run_storm(sim::minutes(5));
+  const obs::ShardObs shard = obs::end_shard_obs();
+
+  ASSERT_GT(shard.retention.events_retained, 0u);
+  EXPECT_GT(shard.retention.events_aged_out, 0u);
+  EXPECT_EQ(shard.trace_events.size(), shard.retention.events_retained);
+  EXPECT_EQ(shard.retention.bytes_retained,
+            obs::encode_binary(shard.trace_events).size() -
+                obs::kTraceHeaderSize - 2);
 }
 
 TEST(TailRetention, ClearStartsAFreshCaptureKeepingThePolicy) {
