@@ -30,14 +30,13 @@ void AndroidOs::evaluate() {
     // what makes Android's DNS/UDP detection minutes-slow (Fig. 3).
     traffic_.attempt_tcp(nas::Ipv4{{142, 250, 0, 1}}, 80,
                          [this](bool portal_ok) {
+      const transport::TcpWindow tcp =
+          traffic_.tcp_window(params::kTcpStatsWindow);
       const bool tcp_bad =
-          traffic_.tcp_fail_rate(params::kTcpStatsWindow) >=
-              params::kTcpFailRateThreshold &&
-          traffic_.tcp_outbound(params::kTcpStatsWindow) > 3;
+          tcp.fail_rate() >= params::kTcpFailRateThreshold &&
+          tcp.outbound > 3;
       const bool tcp_quiet =
-          traffic_.tcp_outbound(params::kTcpStatsWindow) >=
-              params::kTcpOutboundThreshold &&
-          traffic_.tcp_inbound(params::kTcpStatsWindow) == 0;
+          tcp.outbound >= params::kTcpOutboundThreshold && tcp.inbound == 0;
       const bool dns_bad =
           traffic_.consecutive_dns_timeouts(params::kDnsWindow) >=
           params::kDnsTimeoutThreshold;

@@ -14,6 +14,7 @@
 #include "obs/event_ring.h"
 #include "obs/trace_binary.h"
 #include "simcore/log.h"
+#include "simcore/simulator.h"
 
 namespace seed::obs {
 namespace {
@@ -549,8 +550,10 @@ void Tracer::record_now(Event e) {
   if (e.kind == EventKind::kFailureInjected) begin_span();
   e.span = active_span_;
   e.at_us = now_ ? now_->time_since_epoch().count() : 0;
-  if (e.ue == 0 && ue_source_ != nullptr) e.ue = *ue_source_;
-  if (e.label == 0 && label_source_ != nullptr) e.label = *label_source_;
+  if (context_source_ != nullptr) {
+    if (e.ue == 0) e.ue = context_source_->tag;
+    if (e.label == 0) e.label = context_source_->label;
+  }
   if (e.action != 0 && e.tier == 0) e.tier = tier_of_action(e.action);
   e.seq = next_seq_++;
   if (e.span != 0) {

@@ -29,6 +29,10 @@
 
 #include "simcore/time.h"
 
+namespace seed::sim {
+struct Context;
+}  // namespace seed::sim
+
 namespace seed::obs {
 
 using SpanId = std::uint64_t;
@@ -263,16 +267,11 @@ class Tracer {
   /// pointer must outlive the tracer's use, exactly like Logger's.
   void set_clock(const sim::TimePoint* now);
 
-  /// Points the tracer at the simulator's context-tag cell (see
-  /// Simulator::current_tag_ref); recorded events whose `ue` is 0 are
-  /// stamped with the tag's current value. Pass nullptr to detach.
-  void set_ue_source(const std::uint32_t* tag) { ue_source_ = tag; }
-
-  /// Points the tracer at the simulator's ground-truth label cell (see
-  /// Simulator::current_label_ref); recorded events whose `label` is 0
-  /// are stamped with the cell's current value. Pass nullptr to detach.
-  void set_label_source(const std::uint32_t* label) {
-    label_source_ = label;
+  /// Points the tracer at the simulator's context cell (see
+  /// Simulator::context); recorded events whose `ue` or `label` is 0 are
+  /// stamped with the cell's tag or label. Pass nullptr to detach.
+  void set_context_source(const sim::Context* context) {
+    context_source_ = context;
   }
 
   /// Opens a new failure span and makes it the active one. Events
@@ -393,8 +392,7 @@ class Tracer {
   ~Tracer();
   bool enabled_ = false;
   const sim::TimePoint* now_ = nullptr;
-  const std::uint32_t* ue_source_ = nullptr;
-  const std::uint32_t* label_source_ = nullptr;
+  const sim::Context* context_source_ = nullptr;
   SpanId next_span_ = 1;
   std::uint64_t next_seq_ = 1;
   SpanId active_span_ = 0;
@@ -444,7 +442,7 @@ struct EventFields {
   bool ok = false;
   double prep_ms = 0.0;
   double trans_ms = 0.0;
-  std::uint32_t label = 0;  // 0 = stamped from the label source
+  std::uint32_t label = 0;  // 0 = stamped from the context source
   std::string_view detail = {};
 };
 

@@ -4,8 +4,8 @@
 // report-handling outcome on the infra side, and every SIM-local plan is
 // condensed into a DiagnosisVerdict and emitted as a kDiagnosisVerdict
 // trace event. The event's `label` field — stamped automatically from
-// the simulator's context-label cell — joins the verdict back to the
-// labeled injection that provoked it, so the eval scorer can build
+// the simulator's context cell — joins the verdict back to the labeled
+// injection that provoked it, so the eval scorer can build
 // per-cause confusion matrices without any side-channel bookkeeping.
 //
 // CauseFamily is the ground-truth vocabulary: the cause families the

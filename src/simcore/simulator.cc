@@ -7,6 +7,12 @@
 
 namespace seed::sim {
 
+namespace {
+// Four children per node: half the depth of a binary heap, and a node's
+// children (4 x 24 B keys) share about one or two cache lines.
+constexpr std::size_t kArity = 4;
+}  // namespace
+
 TimerId Simulator::schedule_at(TimePoint t, Callback cb) {
   if (t < now_) t = now_;
   std::uint32_t slot;
@@ -19,71 +25,72 @@ TimerId Simulator::schedule_at(TimePoint t, Callback cb) {
   }
   Slot& s = slab_[slot];
   s.cb = std::move(cb);
-  s.at = t;
-  s.seq = seq_++;
-  s.tag = current_tag_;
-  s.label = current_label_;
-  s.live = true;
-  heap_.push_back(HeapKey{t, s.seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  ++live_count_;
+  s.context = context_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapKey{t, seq_++, slot});
   return make_id(s.gen, slot);
 }
 
 bool Simulator::cancel(TimerId id) {
   const Slot* s = lookup(id);
   if (!s) return false;
-  // The heap key stays behind as a tombstone (its seq no longer matches
-  // any live slot) and is dropped lazily at pop/peek.
+  remove_at(s->pos);
   release(static_cast<std::uint32_t>(id) - 1);
-  ++dead_in_heap_;
-  maybe_compact_heap();
   return true;
 }
 
-void Simulator::maybe_compact_heap() {
-  if (heap_.size() < 64 || dead_in_heap_ * 2 <= heap_.size()) return;
-  std::erase_if(heap_, [this](const HeapKey& k) {
-    const Slot& s = slab_[k.slot];
-    return !s.live || s.seq != k.seq;
-  });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  dead_in_heap_ = 0;
-}
-
-bool Simulator::drop_dead_tops() {
-  while (!heap_.empty()) {
-    const HeapKey& top = heap_.front();
-    const Slot& s = slab_[top.slot];
-    if (s.live && s.seq == top.seq) return true;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-    --dead_in_heap_;
+void Simulator::sift_up(std::size_t i, HeapKey k) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!(k < heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
   }
-  return false;
+  place(i, k);
 }
 
-std::optional<TimePoint> Simulator::peek_next_live_time() {
-  if (!drop_dead_tops()) return std::nullopt;
-  return heap_.front().at;
+void Simulator::sift_down(std::size_t i, HeapKey k) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + kArity, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < k)) break;
+    place(i, heap_[best]);
+    i = best;
+  }
+  place(i, k);
+}
+
+void Simulator::remove_at(std::size_t i) {
+  const HeapKey last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  if (i > 0 && last < heap_[(i - 1) / kArity]) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
 }
 
 bool Simulator::pop_one() {
-  if (!drop_dead_tops()) return false;
+  if (heap_.empty()) return false;
   const HeapKey top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  heap_.pop_back();
-  Callback cb = std::move(slab_[top.slot].cb);
-  const std::uint32_t tag = slab_[top.slot].tag;
-  const std::uint32_t label = slab_[top.slot].label;
+  remove_at(0);
+  Slot& s = slab_[top.slot];
+  Callback cb = std::move(s.cb);
+  const Context context = s.context;
   release(top.slot);
   now_ = top.at;
   ++processed_;
   if (processed_ > budget_) {
     throw std::runtime_error("Simulator: event budget exhausted");
   }
-  current_tag_ = tag;
-  current_label_ = label;
+  context_ = context;
   {
     // Event dispatch is the root zone: every instrumented path that runs
     // inside a callback (codec, crypto, collab, cache) nests under it, so
@@ -91,8 +98,7 @@ bool Simulator::pop_one() {
     PROF_ZONE("sim.dispatch");
     cb();
   }
-  current_tag_ = 0;
-  current_label_ = 0;
+  context_ = {};
   return true;
 }
 
@@ -105,7 +111,7 @@ void Simulator::run() {
 void Simulator::run_until(TimePoint t) {
   stopped_ = false;
   while (!stopped_) {
-    const auto next = peek_next_live_time();
+    const auto next = next_event_time();
     if (!next || *next > t) break;
     pop_one();
   }

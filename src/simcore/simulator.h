@@ -7,14 +7,13 @@
 //
 // Hot-path layout: timer entries live in a slab (a vector of slots
 // recycled through a free list) with the callback stored inline, and the
-// run queue is a binary heap of (time, seq, slot) keys. A TimerId packs
-// the slot index with a generation tag that is bumped every time the slot
-// is released, so `cancel`/`pending` are O(1) array probes with no
-// hashing and stale handles to a recycled slot can never alias a newer
-// timer. Cancellation leaves a tombstone key in the heap; tombstones are
-// skipped lazily at pop/peek time (a key is dead when its seq no longer
-// matches the slot's), and once they outnumber live keys the heap is
-// compacted in one O(n) sweep.
+// run queue is a 4-ary min-heap of (time, seq, slot) keys that holds
+// exactly the pending timers. Each slot records its key's heap position,
+// so `cancel` removes the key in O(log n) the same way a pop does: the
+// last key fills the hole and sifts up or down. A TimerId packs the slot
+// index with a generation tag that is bumped every time the slot is
+// released, so `cancel`/`pending` are O(1) array probes with no hashing
+// and stale handles to a recycled slot can never alias a newer timer.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +31,19 @@ namespace seed::sim {
 /// allocation time.
 using TimerId = std::uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
+
+/// Attribution that rides along the event graph: schedule_at captures the
+/// context current at schedule time, and while an event's callback runs
+/// the simulator restores it. Set once around a root action (e.g.
+/// powering UE #7 on, injecting failure #3) and every transitively
+/// scheduled callback — modem timers, core handlers, applet plans —
+/// carries it with zero per-layer plumbing. Zero fields are the steady
+/// state of single-UE runs.
+struct Context {
+  std::uint32_t tag = 0;    // per-UE tag (UE index + 1); 0 = untagged
+  std::uint32_t label = 0;  // ground-truth label (cause family + injection
+                            // ordinal); 0 = unlabeled
+};
 
 class Simulator {
  public:
@@ -83,7 +95,7 @@ class Simulator {
       if (done()) return true;
       if (now_ >= deadline) return false;
       // No event before `horizon`: skip the grid instants short of it.
-      const auto next = peek_next_live_time();
+      const auto next = next_event_time();
       const TimePoint horizon = next && *next < deadline ? *next : deadline;
       const auto k = (horizon - now_ - Duration{1}) / step;
       if (k > 0) now_ += k * step;
@@ -93,95 +105,64 @@ class Simulator {
   /// Stops the run loop after the current event returns.
   void stop() { stopped_ = true; }
 
-  /// Time of the next live (non-cancelled) event, or nullopt if the queue
-  /// is empty. Drops any tombstoned heap tops it walks past, so repeated
-  /// calls are amortized O(1).
-  std::optional<TimePoint> peek_next_live_time();
+  /// Time of the next pending event, or nullopt if the queue is empty.
+  std::optional<TimePoint> next_event_time() const {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().at;
+  }
 
-  std::size_t queued() const { return live_count_; }
+  /// Number of pending timers.
+  std::size_t queued() const { return heap_.size(); }
   std::uint64_t events_processed() const { return processed_; }
 
   /// Guard against runaway simulations; run() throws std::runtime_error
   /// when exceeded.
   void set_event_budget(std::uint64_t budget) { budget_ = budget; }
 
-  // ----- context tag (per-UE attribution in multi-UE experiments)
-  //
-  // An opaque 32-bit tag that rides along the event graph: schedule_at
-  // captures the tag current at schedule time, and while an event's
-  // callback runs the simulator restores that captured tag. Set once
-  // around a root action (e.g. powering UE #7 on) and every transitively
-  // scheduled callback — modem timers, core handlers, applet plans —
-  // carries the same tag with zero per-layer plumbing. Tag 0 means
-  // "untagged" and is the steady state of single-UE runs.
-  std::uint32_t current_tag() const { return current_tag_; }
-  void set_current_tag(std::uint32_t tag) { current_tag_ = tag; }
-  /// Stable address of the current tag, for observers (the tracer) that
-  /// must not depend on the simulator's type.
-  const std::uint32_t* current_tag_ref() const { return &current_tag_; }
+  /// The context of the running event (or of the enclosing TagScope).
+  /// The reference is stable for observers (the tracer) that must not
+  /// depend on the simulator's type.
+  const Context& context() const { return context_; }
 
-  // ----- context label (ground-truth attribution in labeled scenarios)
-  //
-  // A second 32-bit cell with the same propagation semantics as the tag:
-  // captured at schedule time, restored around the callback. Carries a
-  // machine-readable ground-truth label (cause family + injection
-  // ordinal) from the point a failure is injected through every event it
-  // transitively causes, so the tracer can join diagnosis verdicts back
-  // to the injection that provoked them. Label 0 means "unlabeled".
-  std::uint32_t current_label() const { return current_label_; }
-  void set_current_label(std::uint32_t label) { current_label_ = label; }
-  const std::uint32_t* current_label_ref() const { return &current_label_; }
-
-  /// RAII tag scope for root actions. The three-argument form also sets
-  /// the ground-truth label for the scope; the two-argument form leaves
-  /// the label untouched (nested scopes re-tag without clearing labels).
+  /// RAII context scope for root actions, the only writer of the context
+  /// outside the run loop. The three-argument form also sets the
+  /// ground-truth label for the scope; the two-argument form leaves the
+  /// label untouched (nested scopes re-tag without clearing labels).
   class TagScope {
    public:
     TagScope(Simulator& sim, std::uint32_t tag)
-        : sim_(sim), prev_(sim.current_tag()),
-          prev_label_(sim.current_label()) {
-      sim_.set_current_tag(tag);
-    }
+        : TagScope(sim, tag, sim.context_.label) {}
     TagScope(Simulator& sim, std::uint32_t tag, std::uint32_t label)
-        : sim_(sim), prev_(sim.current_tag()),
-          prev_label_(sim.current_label()) {
-      sim_.set_current_tag(tag);
-      sim_.set_current_label(label);
+        : sim_(sim), prev_(sim.context_) {
+      sim_.context_ = Context{tag, label};
     }
-    ~TagScope() {
-      sim_.set_current_tag(prev_);
-      sim_.set_current_label(prev_label_);
-    }
+    ~TagScope() { sim_.context_ = prev_; }
     TagScope(const TagScope&) = delete;
     TagScope& operator=(const TagScope&) = delete;
 
    private:
     Simulator& sim_;
-    std::uint32_t prev_;
-    std::uint32_t prev_label_;
+    Context prev_;
   };
 
  private:
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+
   struct Slot {
     Callback cb;
-    TimePoint at = kTimeZero;
-    std::uint64_t seq = 0;       // schedule sequence; globally unique
-    std::uint32_t gen = 0;       // bumped on release; part of the TimerId
-    std::uint32_t tag = 0;       // context tag captured at schedule time
-    std::uint32_t label = 0;     // ground-truth label captured alongside
-    bool live = false;
+    Context context;                 // captured at schedule time
+    std::uint32_t gen = 0;           // bumped on release; part of the TimerId
+    std::uint32_t pos = kNotQueued;  // index of this slot's key in heap_
   };
 
-  /// Heap key. `seq` both breaks time ties FIFO and identifies the slab
-  /// entry this key was minted for: a mismatch means the slot was
-  /// cancelled (and possibly recycled), i.e. the key is a tombstone.
+  /// Heap key; `seq` (globally unique) breaks time ties FIFO.
   struct HeapKey {
     TimePoint at;
     std::uint64_t seq;
     std::uint32_t slot;
-    bool operator>(const HeapKey& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
+    bool operator<(const HeapKey& o) const {
+      if (at != o.at) return at < o.at;
+      return seq < o.seq;
     }
   };
 
@@ -190,55 +171,52 @@ class Simulator {
            (static_cast<TimerId>(slot) + 1);
   }
 
-  /// Resolves an id to its live slot, or nullptr when the id is invalid,
-  /// already fired/cancelled, or stale (generation mismatch after reuse).
+  /// Resolves an id to its pending slot, or nullptr when the id is
+  /// invalid, already fired/cancelled, or stale (generation mismatch after
+  /// reuse).
   const Slot* lookup(TimerId id) const {
     const std::uint32_t lo = static_cast<std::uint32_t>(id);
     if (lo == 0) return nullptr;
     const std::uint32_t slot = lo - 1;
     if (slot >= slab_.size()) return nullptr;
     const Slot& s = slab_[slot];
-    if (!s.live || s.gen != static_cast<std::uint32_t>(id >> 32)) {
+    if (s.pos == kNotQueued || s.gen != static_cast<std::uint32_t>(id >> 32)) {
       return nullptr;
     }
     return &s;
   }
 
-  /// Marks the slot dead and recyclable; the generation bump invalidates
-  /// every outstanding TimerId minted for it.
+  /// Marks the (already dequeued) slot recyclable; the generation bump
+  /// invalidates every outstanding TimerId minted for it.
   void release(std::uint32_t slot) {
     Slot& s = slab_[slot];
-    s.live = false;
+    s.pos = kNotQueued;
     s.cb = nullptr;
     ++s.gen;
     free_.push_back(slot);
-    --live_count_;
   }
 
-  /// Pops tombstoned keys off the heap top; true when a live key remains.
-  bool drop_dead_tops();
+  // Hand-written sifts: std::push_heap/pop_heap cannot track positions.
+  void place(std::size_t i, const HeapKey& k) {
+    heap_[i] = k;
+    slab_[k.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i, HeapKey k);
+  void sift_down(std::size_t i, HeapKey k);
+  /// Removes the key at heap position `i`: the last key fills the hole.
+  void remove_at(std::size_t i);
 
-  /// Rebuilds the heap without its tombstones once they outnumber the
-  /// live keys. One O(n) sweep replaces up to n/2 future O(log n)
-  /// tombstone pops and halves the heap every subsequent operation works
-  /// on; pop order is unaffected because keys are totally ordered by
-  /// (at, seq).
-  void maybe_compact_heap();
-
-  bool pop_one();  // executes the next live event; false if none
+  bool pop_one();  // executes the next event; false if none
 
   TimePoint now_ = kTimeZero;
-  std::uint32_t current_tag_ = 0;
-  std::uint32_t current_label_ = 0;
+  Context context_;
   std::uint64_t seq_ = 0;
   bool stopped_ = false;
   std::uint64_t processed_ = 0;
   std::uint64_t budget_ = 500'000'000;
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_;  // recyclable slot indices (LIFO)
-  std::vector<HeapKey> heap_;        // binary min-heap on (at, seq)
-  std::size_t live_count_ = 0;
-  std::size_t dead_in_heap_ = 0;     // tombstone keys still in heap_
+  std::vector<HeapKey> heap_;        // 4-ary min-heap on (at, seq)
 };
 
 /// RAII one-shot timer bound to an owner's lifetime: cancels on destruction

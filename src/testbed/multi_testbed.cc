@@ -41,14 +41,11 @@ std::string MultiTestbed::supi_of(std::size_t i) {
 MultiTestbed::MultiTestbed(std::uint64_t seed, const MultiOptions& opts)
     : rng_(seed), opts_(opts), seed_(seed) {
   obs::Tracer::instance().set_clock(&sim_.now_ref());
-  // Per-UE span attribution: the tracer reads the simulator's context tag,
-  // which TagScope sets around every root action below and schedule_at
-  // propagates through the whole event cascade.
-  obs::Tracer::instance().set_ue_source(sim_.current_tag_ref());
-  // Ground-truth attribution rides the same mechanism: LabeledScenarioGen
-  // seeds the simulator's label cell per injection, and the tracer stamps
-  // it into every event of the cascade.
-  obs::Tracer::instance().set_label_source(sim_.current_label_ref());
+  // Per-UE and ground-truth attribution: the tracer reads the simulator's
+  // context cell, which TagScope sets around every root action below (and
+  // LabeledScenarioGen per injection) and schedule_at propagates through
+  // the whole event cascade.
+  obs::Tracer::instance().set_context_source(&sim_.context());
 
   slots_.resize(opts.ue_count);
   for (auto& slot : slots_) slot.gnb = std::make_unique<ran::Gnb>(sim_, rng_);
@@ -94,9 +91,10 @@ MultiTestbed::MultiTestbed(std::uint64_t seed, const MultiOptions& opts)
 }
 
 MultiTestbed::~MultiTestbed() {
-  // The tracer outlives this harness; never leave it a dangling tag ptr.
-  obs::Tracer::instance().set_ue_source(nullptr);
-  obs::Tracer::instance().set_label_source(nullptr);
+  // The tracer and the logger outlive this harness; never leave them a
+  // dangling clock or context pointer.
+  obs::Tracer::instance().set_clock(nullptr);
+  obs::Tracer::instance().set_context_source(nullptr);
 }
 
 void MultiTestbed::bring_up_all() {

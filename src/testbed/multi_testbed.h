@@ -14,7 +14,7 @@
 //  - optionally one DiagnosisCache, so the Fig. 8 tree runs once per
 //    distinct failure shape instead of once per reject.
 //
-// Per-UE observability rides the simulator's context tag: every root
+// Per-UE observability rides the simulator's context cell: every root
 // action here (power-on, injection) runs under TagScope(ue + 1), the tag
 // propagates through the whole scheduled event cascade, and the tracer
 // stamps it into each span event's `ue` field.

@@ -43,7 +43,6 @@ void TrafficEngine::record(nas::IpProtocol proto, bool ok) {
   e.at = sim_.now();
   e.proto = proto;
   e.ok = ok;
-  e.outbound_only = !ok;
   events_.push_back(e);
   while (events_.size() > kMaxEvents) events_.pop_front();
 }
@@ -92,33 +91,15 @@ void TrafficEngine::attempt_udp(const nas::Ipv4& /*addr*/, std::uint16_t port,
   });
 }
 
-double TrafficEngine::tcp_fail_rate(sim::Duration window) const {
-  int total = 0, fail = 0;
+TcpWindow TrafficEngine::tcp_window(sim::Duration window) const {
+  TcpWindow w;
   for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
     if (sim_.now() - it->at > window) break;
     if (it->proto != nas::IpProtocol::kTcp) continue;
-    ++total;
-    if (!it->ok) ++fail;
+    ++w.outbound;
+    if (it->ok) ++w.inbound;
   }
-  return total == 0 ? 0.0 : static_cast<double>(fail) / total;
-}
-
-int TrafficEngine::tcp_outbound(sim::Duration window) const {
-  int n = 0;
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (sim_.now() - it->at > window) break;
-    if (it->proto == nas::IpProtocol::kTcp) ++n;
-  }
-  return n;
-}
-
-int TrafficEngine::tcp_inbound(sim::Duration window) const {
-  int n = 0;
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (sim_.now() - it->at > window) break;
-    if (it->proto == nas::IpProtocol::kTcp && it->ok) ++n;
-  }
-  return n;
+  return w;
 }
 
 int TrafficEngine::consecutive_dns_timeouts(sim::Duration window) const {

@@ -24,7 +24,18 @@ struct FlowEvent {
   sim::TimePoint at;
   nas::IpProtocol proto = nas::IpProtocol::kTcp;
   bool ok = false;
-  bool outbound_only = false;  // packets left but nothing came back
+};
+
+/// TCP exchanges in a trailing window: every one sent packets out, and the
+/// `inbound` ones got an answer back.
+struct TcpWindow {
+  int outbound = 0;
+  int inbound = 0;
+  double fail_rate() const {
+    return outbound == 0
+               ? 0.0
+               : static_cast<double>(outbound - inbound) / outbound;
+  }
 };
 
 class TrafficEngine {
@@ -53,9 +64,7 @@ class TrafficEngine {
   bool dns_healthy() const;
 
   // ----- detector queries (windowed stats)
-  double tcp_fail_rate(sim::Duration window) const;
-  int tcp_outbound(sim::Duration window) const;
-  int tcp_inbound(sim::Duration window) const;
+  TcpWindow tcp_window(sim::Duration window) const;
   int consecutive_dns_timeouts(sim::Duration window) const;
 
   std::uint64_t attempts_total() const { return attempts_; }

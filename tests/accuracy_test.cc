@@ -4,9 +4,9 @@
 //  * scorer unit tests over synthetic event streams — the joining rules
 //    (first verdict wins, undiagnosed -> none column, unattributed
 //    verdicts never scored, curve aggregation by learner depth);
-//  * label-propagation tests — the 3-arg TagScope seeds the simulator's
-//    label cell and schedule_at carries it through nested timer chains
-//    into every trace event the cascade records;
+//  * label-propagation tests — the 3-arg TagScope seeds the label of the
+//    simulator's context cell and schedule_at carries it through nested
+//    timer chains into every trace event the cascade records;
 //  * per-family purity packs — a single-cause-family labeled pack on the
 //    tree-only path (learner detached) scores EXACTLY 100% for every
 //    family the Fig. 8 tree can name, and the delivery-type-mismatch
@@ -120,8 +120,7 @@ TEST(LabelPropagation, TagScopeSeedsScheduledCascades) {
   sim::Simulator sim;
   ScopedTracer tracer;
   obs::Tracer::instance().set_clock(&sim.now_ref());
-  obs::Tracer::instance().set_ue_source(sim.current_tag_ref());
-  obs::Tracer::instance().set_label_source(sim.current_label_ref());
+  obs::Tracer::instance().set_context_source(&sim.context());
 
   const std::uint32_t label = core::make_label(CauseFamily::kStaleDnn, 7);
   {
@@ -139,8 +138,8 @@ TEST(LabelPropagation, TagScopeSeedsScheduledCascades) {
   core::emit_verdict({});  // after the cascade drained: empty again
 
   const std::vector<obs::Event> events = tracer.events();
-  obs::Tracer::instance().set_ue_source(nullptr);
-  obs::Tracer::instance().set_label_source(nullptr);
+  obs::Tracer::instance().set_clock(nullptr);
+  obs::Tracer::instance().set_context_source(nullptr);
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].label, 0u);
   EXPECT_EQ(events[1].label, label);
@@ -158,11 +157,11 @@ TEST(LabelPropagation, NestedTagOnlyScopePreservesOuterLabel) {
     // The 2-arg form (what MultiTestbed's injection helpers open) swaps
     // the tag but must keep the injection label.
     sim::Simulator::TagScope inner(sim, 2);
-    EXPECT_EQ(sim.current_tag(), 2u);
-    EXPECT_EQ(sim.current_label(), label);
+    EXPECT_EQ(sim.context().tag, 2u);
+    EXPECT_EQ(sim.context().label, label);
   }
-  EXPECT_EQ(sim.current_tag(), 1u);
-  EXPECT_EQ(sim.current_label(), label);
+  EXPECT_EQ(sim.context().tag, 1u);
+  EXPECT_EQ(sim.context().label, label);
 }
 
 // ------------------------------------------------------- scorer rules

@@ -258,8 +258,10 @@ TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
   }
   tb.simulator().run_for(sim::seconds(5));
   EXPECT_EQ(completed, 12);
-  EXPECT_EQ(traffic.tcp_inbound(params::kTcpStatsWindow), 12);
-  EXPECT_DOUBLE_EQ(traffic.tcp_fail_rate(params::kTcpStatsWindow), 0.0);
+  transport::TcpWindow w = traffic.tcp_window(params::kTcpStatsWindow);
+  EXPECT_EQ(w.outbound, 12);
+  EXPECT_EQ(w.inbound, 12);
+  EXPECT_DOUBLE_EQ(w.fail_rate(), 0.0);
 
   corenet::TrafficPolicy p;
   p.tcp_blocked = true;
@@ -270,7 +272,10 @@ TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
     });
   }
   tb.simulator().run_for(sim::seconds(5));
-  EXPECT_GT(traffic.tcp_fail_rate(params::kTcpStatsWindow), 0.4);
+  w = traffic.tcp_window(params::kTcpStatsWindow);
+  EXPECT_EQ(w.outbound, 24);
+  EXPECT_EQ(w.inbound, 12);
+  EXPECT_DOUBLE_EQ(w.fail_rate(), 0.5);
 }
 
 TEST(TrafficSystem, ConsecutiveDnsTimeoutsResetOnSuccess) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/params.h"
+#include "obs/trace.h"
 #include "seedproto/failure_report.h"
+#include "simcore/log.h"
 #include "testbed/testbed.h"
 
 namespace seed::testbed {
@@ -26,6 +30,29 @@ TEST(Testbed, BringUpWorksForAllSchemes) {
     EXPECT_TRUE(tb.dev().traffic().path_healthy())
         << device::scheme_name(s);
   }
+}
+
+// The tracer and the logger outlive every testbed. Destroying one must
+// detach the simulator clock and context cell it pointed them at, or a
+// later log line or traced emit reads the freed simulator.
+TEST(Testbed, DestructionDetachesTheClockAndContext) {
+  auto tb = std::make_unique<Testbed>(1, Scheme::kLegacy);
+  tb->bring_up();  // moves the clock off zero
+  ASSERT_EQ(sim::Logger::instance().clock(), &tb->simulator().now_ref());
+  tb.reset();
+  EXPECT_EQ(sim::Logger::instance().clock(), nullptr);
+
+  obs::Tracer& t = obs::Tracer::instance();
+  t.clear();
+  t.enable(true);
+  obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kTestbed);
+  const std::vector<obs::Event> events = t.events();
+  t.enable(false);
+  t.clear();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].at_us, 0);
+  EXPECT_EQ(events[0].ue, 0u);
+  EXPECT_EQ(events[0].label, 0u);
 }
 
 // path_healthy() is the applet's recovery probe: it needs the data
