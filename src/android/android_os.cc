@@ -30,8 +30,7 @@ void AndroidOs::evaluate() {
     // what makes Android's DNS/UDP detection minutes-slow (Fig. 3).
     traffic_.attempt_tcp(nas::Ipv4{{142, 250, 0, 1}}, 80,
                          [this](bool portal_ok) {
-      const transport::TcpWindow tcp =
-          traffic_.tcp_window(params::kTcpStatsWindow);
+      const transport::TcpWindow tcp = traffic_.tcp_window();
       const bool tcp_bad =
           tcp.fail_rate() >= params::kTcpFailRateThreshold &&
           tcp.outbound > 3;

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "chaos/chaos.h"
+#include "common/buffer_pool.h"
 #include "common/params.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
@@ -16,6 +17,16 @@ using nas::SmCause;
 
 namespace {
 std::uint8_t mm_code(MmCause c) { return static_cast<std::uint8_t>(c); }
+
+// Wire buffers for send(), shared by every modem on this thread:
+// encode_message_into() writes into a recycled buffer, so steady-state
+// TX performs no allocations, and idle capacity is bounded by the peak
+// of in-flight uplinks, not by the modem count. A simulator runs on one
+// thread, so a buffer never crosses threads.
+BufferPool& uplink_pool() {
+  static thread_local BufferPool pool;
+  return pool;
+}
 
 // When tracing is on, wraps a reset action's completion so the tracer
 // sees the issue/complete pair. With the tracer off the original callback
@@ -82,13 +93,13 @@ void Modem::notify_data_state() {
 
 void Modem::send(const nas::NasMessage& msg) {
   SLOG(kDebug, "modem") << "-> " << nas::msg_type_name(nas::message_type(msg));
-  Bytes wire = tx_pool_.acquire();
+  Bytes wire = uplink_pool().acquire();
   nas::encode_message_into(msg, wire);
   const auto latency = params::kModemProcessing + gnb_.hop_latency() +
                        params::kGnbCoreLatency;
   sim_.schedule_after(latency, [this, wire = std::move(wire)]() mutable {
     if (uplink_ && gnb_.radio_up()) uplink_(wire);
-    tx_pool_.release(std::move(wire));
+    uplink_pool().release(std::move(wire));
   });
 }
 

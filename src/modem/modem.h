@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/buffer_pool.h"
 #include "common/bytes.h"
 #include "modem/sim_iface.h"
 #include "nas/messages.h"
@@ -199,9 +198,6 @@ class Modem : public ModemControl {
   SimCard& sim_card_;
   ran::Gnb& gnb_;
   std::function<void(BytesView)> uplink_;
-  // Reusable wire buffers for send(): encode_message_into() writes into a
-  // recycled buffer, so steady-state TX performs no allocations.
-  BufferPool tx_pool_;
 
   MmState mm_ = MmState::kIdle;
   bool have_guti_ = false;

@@ -204,23 +204,56 @@ Tracer& Tracer::instance() {
 /// A ring holds each event as its SEEDTRC EVT payload, not as an Event:
 /// most buffered events age out unread, so each is written once on the
 /// way in and only a promotion reads it back, through the capture codec
-/// (exact for every field). An event whose payload does not fit a cell,
-/// whose detail cannot be interned, or whose kind or origin the codec
-/// rejects is kept whole in the escape store instead.
+/// (exact for every field). An event whose detail cannot be interned, or
+/// whose kind or origin the codec rejects, is kept whole in the escape
+/// store instead.
 struct Tracer::RetentionState {
-  /// One buffered event: `len` payload bytes whose detail id indexes the
-  /// intern table. `len` 0 marks an escaped event, and the first four
-  /// payload bytes then hold its escape-store index.
-  struct Cell {
-    std::uint8_t len = 0;
-    std::array<std::uint8_t, 47> payload;
-  };
-  static_assert(sizeof(Cell) <= 48, "a ring slot is a 48-byte cell");
-
+  /// One UE's ring: a circular byte buffer of records, oldest first from
+  /// `head`. A record is a length byte and that many payload bytes (the
+  /// detail id indexing the intern table), or a 0 byte and the u32 index
+  /// of an escaped event. The buffer is sized by what it holds: the first
+  /// record allocates ring_depth times its own size, and a record that
+  /// does not fit grows it by a quarter, up to ring_depth longest
+  /// records. Offsets are 32-bit: a ring never nears 4 GB.
   struct Slot {
-    Ring<Cell> ring;  // released once the UE is retained
+    std::unique_ptr<std::uint8_t[]> bytes;  // released once the UE is retained
+    std::uint32_t capacity = 0;
+    std::uint32_t head = 0;   // offset of the oldest record
+    std::uint32_t used = 0;   // bytes its records take
+    std::uint32_t count = 0;  // records it holds
     bool retained = false;
+
+    /// `at` taken modulo the capacity; every offset passed is below twice
+    /// the capacity.
+    std::uint32_t wrap(std::uint32_t at) const {
+      return at >= capacity ? at - capacity : at;
+    }
+    /// Copies `n` bytes to or from offset `at`: at most two memcpys,
+    /// split where the buffer wraps.
+    void put(std::uint32_t at, const std::uint8_t* src, std::uint32_t n) {
+      at = wrap(at);
+      const std::uint32_t first = std::min(n, capacity - at);
+      std::memcpy(bytes.get() + at, src, first);
+      std::memcpy(bytes.get(), src + first, n - first);
+    }
+    void get(std::uint32_t at, std::uint8_t* dst, std::uint32_t n) const {
+      at = wrap(at);
+      const std::uint32_t first = std::min(n, capacity - at);
+      std::memcpy(dst, bytes.get() + at, first);
+      std::memcpy(dst + first, bytes.get(), n - first);
+    }
+    /// Empties the ring and releases its buffer.
+    void drop() {
+      bytes.reset();
+      capacity = head = used = count = 0;
+    }
   };
+
+  static constexpr std::uint32_t kEscapeRecord = 1 + sizeof(std::uint32_t);
+  static constexpr std::uint32_t kLongestRecord = 1 + kTraceMaxEventPayload;
+  static constexpr std::uint32_t record_size(std::uint8_t len) {
+    return len == 0 ? kEscapeRecord : 1u + len;
+  }
 
   /// Interning stops at this many texts, and a longer text is never
   /// interned: such details escape, so the table stays small however
@@ -246,56 +279,95 @@ struct Tracer::RetentionState {
   }
 
   Slot& slot(std::uint32_t ue) {
-    if (ue >= slots.size()) {
-      slots.resize(std::size_t{ue} + 1, Slot{Ring<Cell>(policy.ring_depth)});
-    }
+    if (ue >= slots.size()) slots.resize(std::size_t{ue} + 1);
     return slots[ue];
   }
 
-  Cell cell_of(const Event& e) {
-    Cell c;
+  /// Appends `e` to `s`, first evicting the oldest record when the ring
+  /// already holds ring_depth of them.
+  void buffer(Slot& s, const Event& e) {
+    if (policy.ring_depth == 0) {
+      ++stats.events_aged_out;
+      return;
+    }
+    if (s.count == policy.ring_depth) evict(s);
+    EventPayload payload;
+    std::uint8_t len = 0;
     std::uint32_t detail_id = 0;
     if (event_kind_name(e.kind) != "unknown" &&
         origin_name(e.origin) != "unknown" && intern(e.detail, detail_id)) {
-      EventPayload payload;
-      const std::size_t n = write_event_payload(e, detail_id, payload);
-      if (n <= c.payload.size()) {
-        c.len = static_cast<std::uint8_t>(n);
-        std::memcpy(c.payload.data(), payload.data(), n);
-        return c;
+      len = static_cast<std::uint8_t>(
+          write_event_payload(e, detail_id, payload));
+    } else {
+      const std::uint32_t i = stash(e);
+      std::memcpy(payload.data(), &i, sizeof(i));
+    }
+    const std::uint32_t n = record_size(len);
+    if (s.capacity - s.used < n) grow(s, n);
+    const std::uint32_t tail = s.wrap(s.head + s.used);
+    s.bytes[tail] = len;
+    s.put(tail + 1, payload.data(), n - 1);
+    s.used += n;
+    ++s.count;
+  }
+
+  /// Drops the oldest record of `s`, freeing its escape entry.
+  void evict(Slot& s) {
+    const std::uint8_t len = s.bytes[s.head];
+    if (len == 0) release(escape_index(s, s.head));
+    s.head = s.wrap(s.head + record_size(len));
+    s.used -= record_size(len);
+    --s.count;
+    ++stats.events_aged_out;
+  }
+
+  /// Reallocates `s` so that `n` more bytes fit, moving its records to
+  /// the front in order.
+  void grow(Slot& s, std::uint32_t n) {
+    const std::size_t first = policy.ring_depth * n;
+    const std::size_t more = std::size_t{s.capacity} + s.capacity / 4;
+    const auto capacity = static_cast<std::uint32_t>(
+        std::clamp(s.capacity == 0 ? first : more, std::size_t{s.used} + n,
+                   policy.ring_depth * kLongestRecord));
+    std::unique_ptr<std::uint8_t[]> bytes(new std::uint8_t[capacity]);
+    if (s.used != 0) s.get(s.head, bytes.get(), s.used);
+    s.bytes = std::move(bytes);
+    s.capacity = capacity;
+    s.head = 0;
+  }
+
+  /// Appends the events of `s` to `out`, oldest first, and empties it.
+  void replay(Slot& s, std::vector<Event>& out) {
+    EventPayload payload;
+    std::uint32_t at = s.head;
+    for (std::uint32_t k = 0; k < s.count; ++k) {
+      const std::uint8_t len = s.bytes[at];
+      ++stats.events_retained;
+      if (len == 0) {
+        const std::uint32_t i = escape_index(s, at);
+        out.push_back(std::move(escapes[i]));
+        release(i);
+      } else {
+        s.get(at + 1, payload.data(), len);
+        Event& e = out.emplace_back();
+        std::uint32_t detail_id = 0;
+        read_event_payload({payload.data(), len}, e, detail_id);
+        if (detail_id != 0) e.detail = *texts[detail_id - 1];
       }
+      at = s.wrap(at + record_size(len));
     }
-    const std::uint32_t i = stash(e);
-    std::memcpy(c.payload.data(), &i, sizeof(i));
-    return c;
+    s.drop();
   }
 
-  Event event_of(const Cell& c) {
-    if (c.len == 0) {
-      const std::uint32_t i = escape_index(c);
-      Event e = std::move(escapes[i]);
-      release(c);
-      return e;
-    }
-    Event e;
-    std::uint32_t detail_id = 0;
-    read_event_payload({c.payload.data(), c.len}, e, detail_id);
-    if (detail_id != 0) e.detail = *texts[detail_id - 1];
-    return e;
+  static std::uint32_t escape_index(const Slot& s, std::uint32_t at) {
+    std::uint32_t i = 0;
+    s.get(at + 1, reinterpret_cast<std::uint8_t*>(&i), sizeof(i));
+    return i;
   }
 
-  /// Frees the escape entry of a cell leaving its ring unread.
-  void release(const Cell& c) {
-    if (c.len != 0) return;
-    const std::uint32_t i = escape_index(c);
+  void release(std::uint32_t i) {
     escapes[i] = Event{};
     free_escapes.push_back(i);
-  }
-
-  static std::uint32_t escape_index(const Cell& c) {
-    std::uint32_t i = 0;
-    std::memcpy(&i, c.payload.data(), sizeof(i));
-    return i;
   }
 
   bool intern(const std::string& text, std::uint32_t& out) {
@@ -329,8 +401,8 @@ struct Tracer::RetentionState {
   // the map's keys (map nodes never move).
   std::map<std::string, std::uint32_t, std::less<>> text_ids;
   std::vector<const std::string*> texts;
-  // Escape store: one entry per escaped cell still in a ring, so it
-  // never holds more entries than the rings hold cells.
+  // Escape store: one entry per escape record still in a ring, so it
+  // never holds more entries than the rings hold records.
   std::vector<Event> escapes;
   std::vector<std::uint32_t> free_escapes;
 };
@@ -357,18 +429,15 @@ void Tracer::pin_ue(std::uint32_t ue) {
   if (slot.retained) return;
   slot.retained = true;
   ++rs.stats.ues_retained;
-  for (const RetentionState::Cell& c : slot.ring.take()) {
-    ++rs.stats.events_retained;
-    events_.push_back(rs.event_of(c));
-  }
+  rs.replay(slot, events_);
 }
 
 void Tracer::seal_retention() {
   if (retention_ == nullptr) return;
   RetentionState& rs = *retention_;
   for (RetentionState::Slot& slot : rs.slots) {
-    rs.stats.events_aged_out += slot.ring.size();
-    slot.ring.clear();
+    rs.stats.events_aged_out += slot.count;
+    slot.drop();
   }
   // Every escape entry belonged to a record in a ring, now all empty.
   std::vector<Event>().swap(rs.escapes);
@@ -380,10 +449,7 @@ void Tracer::route_retained(const Event& e) {
   RetentionState::Slot& slot = rs.slot(e.ue);
   if (!slot.retained) {
     if (!rs.is_trigger(e)) {
-      if (const auto evicted = slot.ring.push(rs.cell_of(e))) {
-        ++rs.stats.events_aged_out;
-        rs.release(*evicted);
-      }
+      rs.buffer(slot, e);
       return;
     }
     pin_ue(e.ue);  // replays the ring ahead of the triggering event

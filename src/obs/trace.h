@@ -266,6 +266,7 @@ class Tracer {
   /// Points the tracer (and the logger) at a simulation clock. The
   /// pointer must outlive the tracer's use, exactly like Logger's.
   void set_clock(const sim::TimePoint* now);
+  const sim::TimePoint* clock() const { return now_; }
 
   /// Points the tracer at the simulator's context cell (see
   /// Simulator::context); recorded events whose `ue` or `label` is 0 are
@@ -273,6 +274,7 @@ class Tracer {
   void set_context_source(const sim::Context* context) {
     context_source_ = context;
   }
+  const sim::Context* context_source() const { return context_source_; }
 
   /// Opens a new failure span and makes it the active one. Events
   /// recorded without an explicit span attach to the active span.
@@ -383,7 +385,7 @@ class Tracer {
   void advance_causal(const Event& e);
 
   /// Retention state lives behind a pointer (defined in trace.cc): its
-  /// ring cells use the payload codec of trace_binary.h, which includes
+  /// ring records use the payload codec of trace_binary.h, which includes
   /// this header.
   struct RetentionState;
   void route_retained(const Event& e);

@@ -39,8 +39,9 @@
 //   varint there is a malformed record.
 //
 // The EVT payload is also the tracer's in-memory record: a tail-retention
-// ring cell holds one (see Tracer::set_retention), written and read by
-// the same write_event_payload/read_event_payload pair as a capture.
+// ring stores each buffered event as a length byte and its payload (see
+// Tracer::set_retention), written and read by the same
+// write_event_payload/read_event_payload pair as a capture.
 //
 // Version/compat rules: the version byte bumps on any layout change that
 // an old reader would misparse (new flag bits, field width changes);

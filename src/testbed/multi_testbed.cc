@@ -92,9 +92,11 @@ MultiTestbed::MultiTestbed(std::uint64_t seed, const MultiOptions& opts)
 
 MultiTestbed::~MultiTestbed() {
   // The tracer and the logger outlive this harness; never leave them a
-  // dangling clock or context pointer.
-  obs::Tracer::instance().set_clock(nullptr);
-  obs::Tracer::instance().set_context_source(nullptr);
+  // dangling clock or context pointer. A newer testbed may have pointed
+  // them at its own simulator since, so detach only what is still ours.
+  obs::Tracer& t = obs::Tracer::instance();
+  if (t.clock() == &sim_.now_ref()) t.set_clock(nullptr);
+  if (t.context_source() == &sim_.context()) t.set_context_source(nullptr);
 }
 
 void MultiTestbed::bring_up_all() {

@@ -1,11 +1,13 @@
 #include "transport/traffic.h"
 
+#include <algorithm>
+
 #include "common/params.h"
 
 namespace seed::transport {
 
 namespace {
-constexpr std::size_t kMaxEvents = 4096;
+constexpr std::size_t kMaxTcpOutcomes = 4096;
 }
 
 TrafficEngine::TrafficEngine(sim::Simulator& sim, sim::Rng& rng,
@@ -38,13 +40,19 @@ bool TrafficEngine::path_healthy() const {
   return path_allows(nas::IpProtocol::kTcp, 443) && dns_reachable();
 }
 
-void TrafficEngine::record(nas::IpProtocol proto, bool ok) {
-  FlowEvent e;
-  e.at = sim_.now();
-  e.proto = proto;
-  e.ok = ok;
-  events_.push_back(e);
-  while (events_.size() > kMaxEvents) events_.pop_front();
+void TrafficEngine::record_tcp(bool ok) {
+  const sim::TimePoint now = sim_.now();
+  // Time only moves forward, so an outcome outside the window now stays
+  // outside it for every later tcp_window().
+  const auto in_window = std::find_if(
+      tcp_outcomes_.begin(), tcp_outcomes_.end(), [now](const TcpOutcome& o) {
+        return now - o.at <= params::kTcpStatsWindow;
+      });
+  tcp_outcomes_.erase(tcp_outcomes_.begin(), in_window);
+  if (tcp_outcomes_.size() == kMaxTcpOutcomes) {
+    tcp_outcomes_.erase(tcp_outcomes_.begin());
+  }
+  tcp_outcomes_.push_back({now, ok});
 }
 
 void TrafficEngine::attempt_dns(std::function<void(bool)> done) {
@@ -60,7 +68,6 @@ void TrafficEngine::attempt_dns(std::function<void(bool)> done) {
       ++dns_consecutive_timeouts_;
     }
     last_dns_event_ = sim_.now();
-    record(nas::IpProtocol::kUdp, ok);
     if (done) done(ok);
   });
 }
@@ -73,7 +80,7 @@ void TrafficEngine::attempt_tcp(const nas::Ipv4& /*addr*/, std::uint16_t port,
       ok ? sim::ms(static_cast<std::int64_t>(rng_.uniform(40, 120)))
          : sim::seconds(2);  // SYN retrans before giving up
   sim_.schedule_after(latency, [this, ok, done] {
-    record(nas::IpProtocol::kTcp, ok);
+    record_tcp(ok);
     if (done) done(ok);
   });
 }
@@ -85,17 +92,15 @@ void TrafficEngine::attempt_udp(const nas::Ipv4& /*addr*/, std::uint16_t port,
   const auto latency =
       ok ? sim::ms(static_cast<std::int64_t>(rng_.uniform(20, 60)))
          : sim::ms(500);  // app-level response timeout
-  sim_.schedule_after(latency, [this, ok, done] {
-    record(nas::IpProtocol::kUdp, ok);
+  sim_.schedule_after(latency, [done, ok] {
     if (done) done(ok);
   });
 }
 
-TcpWindow TrafficEngine::tcp_window(sim::Duration window) const {
+TcpWindow TrafficEngine::tcp_window() const {
   TcpWindow w;
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (sim_.now() - it->at > window) break;
-    if (it->proto != nas::IpProtocol::kTcp) continue;
+  for (auto it = tcp_outcomes_.rbegin(); it != tcp_outcomes_.rend(); ++it) {
+    if (sim_.now() - it->at > params::kTcpStatsWindow) break;
     ++w.outbound;
     if (it->ok) ++w.inbound;
   }

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "corenet/core_network.h"
 #include "modem/modem.h"
@@ -19,12 +19,6 @@
 #include "simcore/simulator.h"
 
 namespace seed::transport {
-
-struct FlowEvent {
-  sim::TimePoint at;
-  nas::IpProtocol proto = nas::IpProtocol::kTcp;
-  bool ok = false;
-};
 
 /// TCP exchanges in a trailing window: every one sent packets out, and the
 /// `inbound` ones got an answer back.
@@ -64,7 +58,8 @@ class TrafficEngine {
   bool dns_healthy() const;
 
   // ----- detector queries (windowed stats)
-  TcpWindow tcp_window(sim::Duration window) const;
+  /// TCP exchanges completed in the last params::kTcpStatsWindow.
+  TcpWindow tcp_window() const;
   int consecutive_dns_timeouts(sim::Duration window) const;
 
   std::uint64_t attempts_total() const { return attempts_; }
@@ -76,14 +71,20 @@ class TrafficEngine {
   bool session_up() const;
   /// The LDNS answers and the UPF passes UDP 53 (session not checked).
   bool dns_reachable() const;
-  void record(nas::IpProtocol proto, bool ok);
+  void record_tcp(bool ok);
 
   sim::Simulator& sim_;
   sim::Rng& rng_;
   modem::Modem& modem_;
   corenet::CoreNetwork& core_;
   corenet::UeId ue_ = 0;
-  std::deque<FlowEvent> events_;
+  /// TCP outcomes inside the stats window, oldest first: pruned from
+  /// the front as each one is recorded, and at most kMaxTcpOutcomes.
+  struct TcpOutcome {
+    sim::TimePoint at;
+    bool ok = false;
+  };
+  std::vector<TcpOutcome> tcp_outcomes_;
   int dns_consecutive_timeouts_ = 0;
   sim::TimePoint last_dns_event_{};
   std::uint64_t attempts_ = 0;

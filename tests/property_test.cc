@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -24,7 +25,6 @@
 #include "crypto/security_context.h"
 #include "metrics/stats.h"
 #include "nas/messages.h"
-#include "obs/event_ring.h"
 #include "obs/trace.h"
 #include "obs/trace_binary.h"
 #include "seedproto/diag_payload.h"
@@ -1120,15 +1120,19 @@ class MapRetentionOracle {
     ++stats_.ues_retained;
     auto it = rings_.find(ue);
     if (it == rings_.end()) return;
-    for (obs::Event& buffered : it->second.take()) keep(std::move(buffered));
+    for (obs::Event& buffered : it->second) keep(std::move(buffered));
     rings_.erase(it);
   }
 
   void route(obs::Event e) {
     if (retained_.count(e.ue) == 0) {
       if (!is_trigger(e)) {
-        auto [it, inserted] = rings_.try_emplace(e.ue, policy_.ring_depth);
-        if (it->second.push(std::move(e))) ++stats_.events_aged_out;
+        std::deque<obs::Event>& ring = rings_[e.ue];
+        ring.push_back(std::move(e));
+        if (ring.size() > policy_.ring_depth) {
+          ring.pop_front();
+          ++stats_.events_aged_out;
+        }
         return;
       }
       pin(e.ue);
@@ -1173,7 +1177,7 @@ class MapRetentionOracle {
 
   obs::RetentionPolicy policy_;
   obs::RetentionStats stats_;
-  std::map<std::uint32_t, obs::Ring<obs::Event>> rings_;
+  std::map<std::uint32_t, std::deque<obs::Event>> rings_;
   std::set<std::uint32_t> retained_;
   std::vector<obs::Event> events_;
 };
@@ -1206,7 +1210,7 @@ struct Alerter : obs::EventObserver {
 };
 
 // Event's operator== compares doubles by value (-0.0 == 0.0, NaN !=
-// NaN); a ring cell must give back the same bits.
+// NaN); a ring record must give back the same bits.
 bool same_bits(const obs::Event& a, const obs::Event& b) {
   const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
   if (bits(a.prep_ms) != bits(b.prep_ms) ||
@@ -1322,10 +1326,23 @@ std::vector<RetentionOp> random_retention_ops(
     pin.ue = rng.pick(ues);
     ops.push_back(pin);
   }
-  const auto n = rng.uniform_int(1, 300);
+  // Some streams are long enough to wrap every ring many times.
+  const auto n = rng.uniform_int(1, rng.chance(0.3) ? 1500 : 300);
+  // Record sizes drift in phases of 48 ops. A lean phase writes short
+  // payloads (no label, timings, parent or detail), a fat one the
+  // longest a ring sees (a 5-byte label, both timings, a 9-byte parent),
+  // a mixed one either. So rings sized by short first records grow,
+  // also while their records wrap, and records of every length (escape
+  // records too) straddle the point where a ring's buffer wraps.
+  enum class Phase { kLean, kMixed, kFat } phase = Phase::kMixed;
   for (std::int64_t i = 0; i < n; ++i) {
+    if (i % 48 == 0) phase = static_cast<Phase>(rng.uniform_int(0, 2));
     RetentionOp op;
     op.advance = sim::ms(rng.uniform_int(0, 40));
+    // Once in a while the clock jumps past 2^31 µs: 9-byte timestamps.
+    if (phase == Phase::kFat && rng.chance(0.005)) {
+      op.advance = sim::seconds(2200);
+    }
     const double roll = rng.uniform();
     if (roll < 0.03) {
       op.kind = RetentionOp::Kind::kPin;
@@ -1337,26 +1354,36 @@ std::vector<RetentionOp> random_retention_ops(
       e.kind = static_cast<obs::EventKind>(rng.uniform_int(
           0, static_cast<std::int64_t>(obs::kEventKindCount) - 1));
       e.origin = static_cast<obs::Origin>(rng.uniform_int(0, 5));
+      // Now and then a kind or origin outside the name tables: the event
+      // escapes whole, as a 5-byte record.
+      if (rng.chance(0.03)) e.kind = static_cast<obs::EventKind>(250);
+      if (rng.chance(0.03)) e.origin = static_cast<obs::Origin>(250);
       e.ue = rng.pick(ues);
       e.ok = rng.chance(0.5);
       e.action = static_cast<std::uint8_t>(rng.uniform_int(0, 6));
       e.cause = static_cast<std::uint8_t>(rng.uniform_int(0, 111));
+      e.plane = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      e.tier = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      if (phase == Phase::kLean) {
+        ops.push_back(std::move(op));
+        continue;
+      }
+      const bool fat = phase == Phase::kFat;
       e.detail = rng.chance(0.1)
                      ? "text " + std::to_string(rng.uniform_int(0, 9999))
                      : rng.pick(details);
-      e.label = rng.chance(0.5) ? 0u
-                                : static_cast<std::uint32_t>(
-                                      rng.uniform_int(0, 0xffffffff));
-      e.plane = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      e.tier = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      e.prep_ms = random_timing(rng);
+      e.label = !fat && rng.chance(0.5)
+                    ? 0u
+                    : static_cast<std::uint32_t>(
+                          rng.uniform_int(0x10000, 0xffffffff));
+      e.prep_ms = fat ? 1.5 : random_timing(rng);
       e.trans_ms = random_timing(rng);
       // A preset parent is kept as is: far behind the ring's oldest
       // record, ahead of the event itself, or more than 2^32 back.
-      const double link = rng.uniform();
+      const double link = fat ? 1.0 : rng.uniform();
       if (link < 0.2) {
         e.parent = static_cast<std::uint64_t>(rng.uniform_int(1, i + 1));
-      } else if (link < 0.25) {
+      } else if (link < 0.25 || fat) {
         e.parent =
             static_cast<std::uint64_t>(rng.uniform_int(1, 1000000000)) << 8;
       }
@@ -1377,11 +1404,11 @@ TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
   int custom_triggers = 0;
   for (int round = 0; round < 160; ++round) {
     obs::RetentionPolicy policy;
-    const std::size_t depths[] = {0, 1, 3, 32};
-    policy.ring_depth = depths[round % 4];
+    const std::size_t depths[] = {0, 1, 2, 3, 5, 32};
+    policy.ring_depth = depths[round % std::size(depths)];
     if (rng.chance(0.5)) policy.trigger = &verdict_mismatch;
     std::vector<std::uint32_t> ues = {0};
-    const auto n_ues = rng.uniform_int(1, 12);
+    const auto n_ues = rng.uniform_int(1, rng.chance(0.5) ? 2 : 12);
     for (std::int64_t i = 1; i <= n_ues; ++i) {
       ues.push_back(static_cast<std::uint32_t>(i * 13));
     }
@@ -1439,12 +1466,13 @@ TEST(RetentionProperty, DenseSlotsMatchMapOracle) {
   EXPECT_GT(custom_triggers, 0);
 }
 
-// A buffered event comes back from its ring cell through a real
-// promotion with every field exact, bit for bit. So does each event that
-// escapes whole to the escape store: one whose payload outgrows a cell
-// (ids past 2^32), whose detail cannot be interned (too long, or past
-// the table's limit), or whose kind or origin the codec rejects. An
-// escape entry leaves with its ring slot (evicted or promoted).
+// A buffered event comes back from its ring record through a real
+// promotion with every field exact, bit for bit, however long its
+// payload: with ids past 2^32 payloads run past 47 bytes and still stay
+// inline. So does each event that escapes whole to the escape store:
+// one whose detail cannot be interned (too long, or past the table's
+// limit), or whose kind or origin the codec rejects. An escape entry
+// leaves with its ring record (evicted or promoted).
 TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
   obs::Tracer& t = obs::Tracer::instance();
   sim::TimePoint now = sim::kTimeZero;
@@ -1534,7 +1562,8 @@ TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
     });
   }
 
-  // The same cases with spans and event ids past 2^32.
+  // The same cases with spans and event ids past 2^32: long inline
+  // records.
   constexpr std::uint64_t kFirstId = (std::uint64_t{1} << 32) + 5;
   constexpr std::uint32_t kWideUe = 8;
   t.reset_span_counter(kFirstId);
@@ -1543,6 +1572,13 @@ TEST(RetentionProperty, PackedRecordRoundTripsEveryField) {
   }
   const std::size_t wide_at = kCases + kChurn;
   ASSERT_EQ(recorded.seen[wide_at + 1].parent, recorded.seen[wide_at + 1].seq);
+  std::size_t longest = 0;
+  for (std::size_t i = wide_at; i < wide_at + kCases; ++i) {
+    obs::EventPayload payload;
+    longest = std::max(longest,
+                       obs::write_event_payload(recorded.seen[i], 1, payload));
+  }
+  ASSERT_GT(longest, 47u);
   ASSERT_TRUE(t.events().empty());
   t.pin_ue(kUe);
   t.pin_ue(kChurnUe);

@@ -247,6 +247,8 @@ TEST(AndroidSystem, RetryAbortsOnceHealthy) {
 TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
   Testbed tb(112, Scheme::kLegacy);
   tb.bring_up();
+  // No portal probes: only this test's exchanges enter the window.
+  tb.dev().os().set_detection_enabled(false);
   auto& traffic = tb.dev().traffic();
   int completed = 0;
   for (int i = 0; i < 12; ++i) {
@@ -258,11 +260,13 @@ TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
   }
   tb.simulator().run_for(sim::seconds(5));
   EXPECT_EQ(completed, 12);
-  transport::TcpWindow w = traffic.tcp_window(params::kTcpStatsWindow);
+  transport::TcpWindow w = traffic.tcp_window();
   EXPECT_EQ(w.outbound, 12);
   EXPECT_EQ(w.inbound, 12);
   EXPECT_DOUBLE_EQ(w.fail_rate(), 0.0);
 
+  const corenet::TrafficPolicy intended =
+      tb.core().effective_policy(tb.dev().ue_id());
   corenet::TrafficPolicy p;
   p.tcp_blocked = true;
   tb.core().set_effective_policy(tb.dev().ue_id(), p);
@@ -272,10 +276,28 @@ TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
     });
   }
   tb.simulator().run_for(sim::seconds(5));
-  w = traffic.tcp_window(params::kTcpStatsWindow);
+  w = traffic.tcp_window();
   EXPECT_EQ(w.outbound, 24);
   EXPECT_EQ(w.inbound, 12);
   EXPECT_DOUBLE_EQ(w.fail_rate(), 0.5);
+
+  // A minute later every outcome has left the window; new ones count
+  // from zero.
+  tb.simulator().run_for(sim::seconds(61));
+  w = traffic.tcp_window();
+  EXPECT_EQ(w.outbound, 0);
+  EXPECT_EQ(w.inbound, 0);
+  EXPECT_DOUBLE_EQ(w.fail_rate(), 0.0);
+  tb.core().set_effective_policy(tb.dev().ue_id(), intended);
+  for (int i = 0; i < 3; ++i) {
+    traffic.attempt_tcp(nas::Ipv4{{1, 2, 3, 4}}, 443, [](bool ok) {
+      EXPECT_TRUE(ok);
+    });
+  }
+  tb.simulator().run_for(sim::seconds(5));
+  w = traffic.tcp_window();
+  EXPECT_EQ(w.outbound, 3);
+  EXPECT_EQ(w.inbound, 3);
 }
 
 TEST(TrafficSystem, ConsecutiveDnsTimeoutsResetOnSuccess) {

@@ -55,6 +55,35 @@ TEST(Testbed, DestructionDetachesTheClockAndContext) {
   EXPECT_EQ(events[0].label, 0u);
 }
 
+// With two testbeds alive, destroying the older one leaves the newer
+// one's clock and context cell attached: its log lines and trace events
+// keep their time and UE tag.
+TEST(Testbed, DestroyingAnOlderTestbedKeepsTheNewerAttached) {
+  auto a = std::make_unique<Testbed>(1, Scheme::kLegacy);
+  Testbed b(2, Scheme::kLegacy);
+  b.bring_up();  // moves B's clock off zero
+  a.reset();
+  obs::Tracer& t = obs::Tracer::instance();
+  EXPECT_EQ(sim::Logger::instance().clock(), &b.simulator().now_ref());
+  EXPECT_EQ(t.clock(), &b.simulator().now_ref());
+  EXPECT_EQ(t.context_source(), &b.simulator().context());
+
+  t.clear();
+  t.enable(true);
+  {
+    sim::Simulator::TagScope tag(b.simulator(), 5, 9);
+    obs::emit(obs::EventKind::kFailureDetected, obs::Origin::kTestbed);
+  }
+  const std::vector<obs::Event> events = t.events();
+  t.enable(false);
+  t.clear();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].at_us, b.simulator().now().time_since_epoch().count());
+  EXPECT_GT(events[0].at_us, 0);
+  EXPECT_EQ(events[0].ue, 5u);
+  EXPECT_EQ(events[0].label, 9u);
+}
+
 // path_healthy() is the applet's recovery probe: it needs the data
 // session, TCP 443 and DNS, and every call counts once.
 TEST(Testbed, PathHealthyNeedsSessionTcpAndDns) {

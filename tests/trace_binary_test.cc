@@ -59,39 +59,40 @@ using obs::TraceReader;
 
 // ------------------------------------------------------------- Ring
 
-TEST(EventRing, PushEvictsOldestOnceFull) {
-  Ring<int> ring(3);
-  EXPECT_FALSE(ring.push(1).has_value());
-  EXPECT_FALSE(ring.push(2).has_value());
-  EXPECT_FALSE(ring.push(3).has_value());
-  const auto evicted = ring.push(4);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 1);
+std::vector<int> contents(const Ring<int>& ring) {
   std::vector<int> out;
   ring.append_to(out);
-  EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
-  EXPECT_EQ(ring.take(), (std::vector<int>{2, 3, 4}));
-  EXPECT_TRUE(ring.empty());
+  return out;
+}
+
+TEST(EventRing, PutEvictsOldestOnceFull) {
+  Ring<int> ring(3);
+  EXPECT_FALSE(ring.put(1));
+  EXPECT_FALSE(ring.put(2));
+  EXPECT_FALSE(ring.put(3));
+  EXPECT_TRUE(ring.put(4));
+  EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4}));
+  // append_to appends and leaves the ring as it was.
+  std::vector<int> out = {0};
+  ring.append_to(out);
+  EXPECT_EQ(out, (std::vector<int>{0, 2, 3, 4}));
+  EXPECT_EQ(ring.size(), 3u);
 }
 
 TEST(EventRing, WrapsManyTimesInOrder) {
   Ring<int> ring(4);
   for (int i = 0; i < 100; ++i) {
-    const auto evicted = ring.push(i);
-    EXPECT_EQ(evicted.has_value(), i >= 4);
-    if (evicted) {
-      EXPECT_EQ(*evicted, i - 4);
-    }
+    EXPECT_EQ(ring.put(i), i >= 4);
+    EXPECT_EQ(contents(ring).front(), std::max(0, i - 3));
   }
-  EXPECT_EQ(ring.take(), (std::vector<int>{96, 97, 98, 99}));
+  EXPECT_EQ(contents(ring), (std::vector<int>{96, 97, 98, 99}));
 }
 
 TEST(EventRing, ZeroCapacityEvictsImmediately) {
   Ring<int> ring(0);
-  const auto evicted = ring.push(7);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 7);
-  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.put(7));
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(contents(ring).empty());
 }
 
 // ------------------------------------------------------------- codec
@@ -498,6 +499,91 @@ TEST(TailRetention, RingRoutingAllocatesNothingOnceWarm) {
   fx.t.seal_retention();
   EXPECT_EQ(fx.t.retention_stats().events_aged_out, 32u);
   EXPECT_TRUE(fx.t.events().empty());
+}
+
+/// The EVT payload length of `e` as a ring writes it (any detail these
+/// streams carry interns as id 1).
+std::size_t payload_size(const Event& e) {
+  obs::EventPayload payload;
+  return obs::write_event_payload(e, e.detail.empty() ? 0 : 1, payload);
+}
+
+struct Seen : obs::EventObserver {
+  void on_trace_event(const Event& e) override { events.push_back(e); }
+  std::vector<Event> events;
+};
+
+// A ring takes the bytes its records take, not a fixed cell per event: a
+// depth-32 ring of 18 B payloads holds 32 records of 19 B (length byte
+// included) and at most a quarter more. A stream mixing 18 B and 66 B
+// payloads (every optional field set, four 9-byte varints) grows and
+// wraps its ring, and a promotion still replays exactly its last 32
+// events in order.
+TEST(TailRetention, RingHoldsTheBytesItsRecordsTake) {
+  TracerFixture fx;
+  fx.t.set_retention(obs::RetentionPolicy{});  // ring_depth 32
+  fx.t.enable(true);
+  fx.t.reset_span_counter(std::uint64_t{1} << 40);  // 9-byte event ids
+
+  const std::ptrdiff_t before = t_live_bytes;
+  for (int i = 0; i < 1000; ++i) fx.t.record_now(ue_event(1));
+  const std::ptrdiff_t held = t_live_bytes - before;
+  EXPECT_LE(held, 32 * 19 * 5 / 4);
+  fx.t.pin_ue(1);
+  ASSERT_EQ(fx.t.events().size(), 32u);
+  for (const Event& e : fx.t.events()) EXPECT_EQ(payload_size(e), 18u);
+  EXPECT_EQ(fx.t.events().front().seq, (std::uint64_t{1} << 40) + 968);
+
+  fx.t.clear();
+  Seen seen;
+  fx.t.add_observer(&seen);
+  sim::TimePoint now = sim::kTimeZero;
+  fx.t.set_clock(&now);
+  std::mt19937 rng(34);
+  const auto lean = [&] {
+    fx.t.end_span();
+    now = sim::kTimeZero;
+    fx.t.record_now(ue_event(2));
+  };
+  const auto fat = [&] {
+    now = sim::kTimeZero + sim::seconds(3000);
+    Event e = ue_event(2, EventKind::kFailureInjected, "x");
+    e.parent = std::uint64_t{1} << 36;
+    e.label = 1u << 20;
+    e.prep_ms = 1.5;
+    fx.t.record_now(std::move(e));
+  };
+  for (int i = 0; i < 40; ++i) lean();  // sizes the ring by lean records
+  for (int i = 0; i < 3000; ++i) {
+    if (rng() % 8 == 0) {
+      fat();
+      continue;
+    }
+    if (rng() % 2 == 0) fx.t.end_span();
+    now = sim::kTimeZero + sim::us(static_cast<std::int64_t>(rng() % 4000000));
+    Event e = ue_event(2, EventKind::kLog, rng() % 2 == 0 ? "" : "x");
+    if (rng() % 3 == 0) e.label = static_cast<std::uint32_t>(rng());
+    if (rng() % 3 == 0) e.trans_ms = 0.25;
+    if (rng() % 4 == 0) e.parent = rng();
+    fx.t.record_now(std::move(e));
+  }
+  lean();
+  fat();
+  fx.t.record_now(ue_event(2, EventKind::kTerminalFailure, "gave up"));
+  fx.t.remove_observer(&seen);
+  fx.t.set_clock(nullptr);
+
+  std::size_t shortest = 255;
+  std::size_t longest = 0;
+  for (const Event& e : seen.events) {
+    shortest = std::min(shortest, payload_size(e));
+    longest = std::max(longest, payload_size(e));
+  }
+  EXPECT_EQ(shortest, 18u);
+  EXPECT_EQ(longest, 66u);
+  const std::vector<Event> want(seen.events.end() - 33, seen.events.end());
+  EXPECT_EQ(fx.t.events(), want);
+  EXPECT_EQ(fx.t.retention_stats().events_aged_out, seen.events.size() - 33);
 }
 
 // What a non-retained UE's ring holds stays bounded however long it
